@@ -38,6 +38,7 @@ from .errors import (
 )
 from .exactla import QMatrix, Subspace, rref
 from . import genmat
+from .freealg import perm_sign
 
 # ---------------------------------------------------------------------------
 # Formal algebra on T_1..T_{n-2}, X, Y
@@ -800,7 +801,7 @@ def _wedge_factors(factors: Sequence[_Factor], n: int) -> MultiFn:
             if dead:
                 continue
             perm = [i for block in blocks for i in block]
-            if _perm_sign(perm) < 0:
+            if perm_sign(perm) < 0:
                 coeff = -coeff
             piece = mat_identity(n) if chain is None else chain
             if coeff != 1:
@@ -925,10 +926,6 @@ def realize(expr: "ExtElement | WedgeForm | ExtMonomial | WedgeKey", n: int) -> 
     raise TypeError(f"cannot realize {type(expr).__name__}")
 
 
-def realize_eval(f: MultiFn, args: Sequence) -> QMatrix:
-    return f(args)
-
-
 def random_matrix(n: int, rng: random.Random, bound: int = 9) -> Mat:
     return tuple(
         tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
@@ -1021,12 +1018,3 @@ def basic_formula_sides(n: int, j: int) -> tuple[MultiFn, MultiFn]:
         )
     rhs = _linear_combination(n, j + 2 * n - 1, pieces)
     return lhs, rhs
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s

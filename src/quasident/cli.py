@@ -211,10 +211,6 @@ def parse_quasipoly(text: str, n: int | None = None) -> QuasiPoly:
     return poly
 
 
-def format_cpoly(c: CPoly) -> str:
-    return str(c)
-
-
 def format_quasipoly(p: QuasiPoly) -> str:
     """Canonical printed form; parse(format(p)) == p."""
     return str(p)
@@ -529,6 +525,16 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _read_input(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise QuasidentError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise QuasidentError(f"cannot read {path}: not UTF-8 text") from exc
+
+
 def run_command(argv: Sequence[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -536,19 +542,17 @@ def run_command(argv: Sequence[str], out=None) -> int:
     config = _config_from(args)
     started = time.monotonic()
     try:
+        if config.n < 1:
+            raise QuasidentError(f"n must be >= 1, got {config.n}")
         if args.command == "verify-ch":
             report = _cmd_verify_ch(config)
         elif args.command == "check":
-            text = args.expr if args.expr else open(args.input, encoding="utf-8").read()
+            text = args.expr if args.expr else _read_input(args.input)
             report = _cmd_check(config, text)
         elif args.command == "solve-multilinear":
             report = _cmd_solve_multilinear(config, args.degree)
         elif args.command == "capelli-dep":
-            text = (
-                "\n".join(args.expr)
-                if args.expr
-                else open(args.input, encoding="utf-8").read()
-            )
+            text = "\n".join(args.expr) if args.expr else _read_input(args.input)
             report = _cmd_capelli_dep(config, text)
         elif args.command == "antisym":
             handler = {

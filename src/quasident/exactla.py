@@ -1,20 +1,19 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-QMatrix is a small immutable rectangular matrix of Fractions.  Row reduction
-is plain Gaussian elimination with the pivot chosen as the smallest-bit-size
-nonzero candidate in the column; fraction growth, not asymptotics, is what
-matters at the sizes this package meets (a few hundred to a few thousand
-rows).
+QMatrix is a small immutable rectangular matrix of Fractions.  Every
+elimination goes through one sparse kernel, ``_rref``: rows arrive as
+{column: coefficient} dicts, each is folded into a growing set of pivot rows
+(its leading column strictly increases while it is reduced), and the pivot
+rows are then back-substituted into the unique reduced row echelon form.
+``rref``, ``rank``, ``QMatrix.inverse``, ``nullspace_of_rows`` and
+``Subspace`` all call it, so they agree exactly.  Rows stay sparse
+throughout, which matters for idsolve's systems (tens of thousands of
+near-singleton equations) and for nullspace bases, which are already
+reduced with their columns read in reverse.
 
 Subspaces are stored through their reduced-row-echelon bases, so equal
 subspaces have identical representations and equality/containment are
 direct comparisons.
-
-The nullspace workhorse ``nullspace_of_rows`` consumes rows as sparse
-{column: coefficient} dicts and eliminates incrementally, keeping only pivot
-rows.  ``QMatrix.nullspace``/``nullspace`` delegate to it; idsolve feeds it
-very sparse systems directly (tens of thousands of near-singleton equations)
-that a dense sweep would not finish in the configured budgets.
 """
 
 from __future__ import annotations
@@ -129,11 +128,10 @@ class QMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        reduced, _, pivots = _rref_rows(aug)
-        if pivots[:n] != list(range(n)):
+        pivots = _rref({**_sparse(row), n + i: 1} for i, row in enumerate(self.data))
+        if any(c not in pivots for c in range(n)):
             raise ValueError("matrix is singular")
-        return QMatrix([row[n:] for row in reduced])
+        return QMatrix([[pivots[i].get(n + j, 0) for j in range(n)] for i in range(n)])
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -148,91 +146,87 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
 
-def _bit_size(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+_ZERO = Fraction(0)
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """In-place reduced row echelon form; returns (rows, rank, pivot columns)."""
-    if not rows:
-        return rows, 0, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        best = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                if best is None or _bit_size(rows[i][c]) < _bit_size(rows[best][c]):
-                    best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, len(pivots), pivots
+def _sparse(v: Sequence[Scalar]) -> dict[int, Scalar]:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _dense(row: dict[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
+    return tuple(row.get(j, _ZERO) for j in range(ncols))
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
+    """row -= f * prow, in place, dropping the entries that cancel."""
+    for c, v in prow.items():
+        s = row.get(c, _ZERO) - f * v
+        if s:
+            row[c] = s
+        else:
+            row.pop(c, None)
+
+
+def _reduce(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) -> int | None:
+    """Reduce row in place against the pivot rows until its leading column
+    has no pivot; return that column, or None when the row vanishes."""
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            return lead
+        _subtract(row, row[lead], prow)
+    return None
+
+
+def _rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the row space of sparse rows.
+
+    Returns {pivot column: row with 1 at the pivot}.  The rows are folded in
+    one at a time, then each pivot row is cleared from the rows of smaller
+    pivots, largest pivot first.  The result is unique: it does not depend
+    on the order or the spanning set the rows came in.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for incoming in rows:
+        row = {c: Fraction(v) for c, v in incoming.items() if v}
+        lead = _reduce(row, pivots)
+        if lead is not None:
+            inv = 1 / row[lead]
+            pivots[lead] = {c: v * inv for c, v in row.items()}
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for other_lead, orow in pivots.items():
+            if other_lead < lead and lead in orow:
+                _subtract(orow, orow[lead], prow)
+    return pivots
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int, list[int]]:
     """Reduced row echelon form, rank, and pivot columns."""
-    rows, rank, pivots = _rref_rows([list(r) for r in m.data])
-    return QMatrix(rows), rank, pivots
+    pivots = _rref(map(_sparse, m.data))
+    order = sorted(pivots)
+    zero_rows = [[0] * m.cols] * (m.rows - len(order))
+    return QMatrix([_dense(pivots[c], m.cols) for c in order] + zero_rows), len(order), order
 
 
 def rank(m: QMatrix) -> int:
-    return rref(m)[1]
+    return len(_rref(map(_sparse, m.data)))
 
 
 def nullspace_of_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Nullspace basis of a sparse homogeneous system.
 
-    Each row maps column index -> nonzero coefficient.  Rows are folded into a
-    growing echelon set one at a time (leading column strictly increases while
-    reducing, so insertion terminates), then the pivot rows are back-reduced
-    and the standard free-column construction yields the canonical basis: the
-    same vectors dense rref would produce, with free coordinates set to 1.
+    Each row maps column index -> nonzero coefficient.  The standard
+    free-column construction over the reduced echelon form gives the
+    canonical basis: one vector per free column, with that coordinate 1.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for incoming in rows:
-        row = {c: Fraction(v) for c, v in incoming.items() if v}
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                f = row[lead]
-                for c, v in pivots[lead].items():
-                    s = row.get(c, Fraction(0)) - f * v
-                    if s:
-                        row[c] = s
-                    else:
-                        row.pop(c, None)
-            else:
-                inv = 1 / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-    # Back-substitute so every pivot row is reduced against all later pivots.
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, orow in pivots.items():
-            if other_lead < lead and lead in orow:
-                f = orow[lead]
-                for c, v in prow.items():
-                    s = orow.get(c, Fraction(0)) - f * v
-                    if s:
-                        orow[c] = s
-                    else:
-                        orow.pop(c, None)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    pivots = _rref(rows)
     basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [_ZERO] * ncols
         vec[f] = Fraction(1)
         for lead, prow in pivots.items():
             if f in prow:
@@ -243,11 +237,7 @@ def nullspace_of_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[t
 
 def nullspace(m: QMatrix) -> "Subspace":
     """Right nullspace {v : m v = 0} as a canonical subspace."""
-    rows = [
-        {j: x for j, x in enumerate(row) if x}
-        for row in m.data
-    ]
-    return Subspace.from_vectors(m.cols, nullspace_of_rows(rows, m.cols))
+    return Subspace.from_vectors(m.cols, nullspace_of_rows(map(_sparse, m.data), m.cols))
 
 
 class Subspace:
@@ -256,14 +246,15 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, basis: Sequence[Sequence[Scalar]]):
-        rows = [[Fraction(x) for x in v] for v in basis]
-        for v in rows:
+        rows = []
+        for v in basis:
             if len(v) != ambient:
                 raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient}")
-        reduced, rank_, _ = _rref_rows(rows)
+            rows.append(_sparse(v))
+        pivots = _rref(rows)
         self.ambient = ambient
         self.basis: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(r) for r in reduced[:rank_]
+            _dense(pivots[c], ambient) for c in sorted(pivots)
         )
 
     @staticmethod
@@ -294,13 +285,11 @@ class Subspace:
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient:
             raise AmbientMismatch("vector length differs from ambient dimension")
-        residue = [Fraction(x) for x in v]
+        pivots = {}
         for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            if residue[lead]:
-                f = residue[lead]
-                residue = [a - f * b for a, b in zip(residue, row)]
-        return not any(residue)
+            prow = _sparse(row)
+            pivots[min(prow)] = prow
+        return _reduce(_sparse(v), pivots) is None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     CoefficientDependsOnGenerator,
@@ -371,7 +371,7 @@ def antisymmetrize(
     h = len(generators)
     total = QuasiPoly.zero()
     for perm in itertools.permutations(range(h)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         mapping = {generators[i]: generators[perm[i]] for i in range(h)}
         total = total + p.relabel(mapping).scale(sign)
     if normalized:
@@ -379,7 +379,8 @@ def antisymmetrize(
     return total
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of 0..k-1, by counting inversions."""
     sign = 1
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, MissingAssignment
 from .exactla import QMatrix
-from .freealg import QuasiPoly, Word, word_key
+from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Scalar
 
 
@@ -456,7 +456,7 @@ def standard_poly(h: int) -> QuasiPoly:
         raise ValueError("h must be >= 1")
     terms: dict[Word, int] = {}
     for perm in itertools.permutations(range(1, h + 1)):
-        terms[perm] = _sign(perm)
+        terms[perm] = perm_sign(perm)
     return QuasiPoly({w: CPoly.const(c) for w, c in terms.items()})
 
 
@@ -471,17 +471,8 @@ def capelli(t: int) -> QuasiPoly:
             w.append(g)
             if idx < t - 1:
                 w.append(t + 1 + idx)
-        terms[tuple(w)] = _sign(perm)
+        terms[tuple(w)] = perm_sign(perm)
     return QuasiPoly({w: CPoly.const(c) for w, c in terms.items()})
-
-
-def _sign(perm: Sequence[int]) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
 
 
 def char_poly_coefficients(n: int) -> list[TracePoly]:
@@ -551,7 +542,7 @@ def cayley_hamilton_Q_trace(n: int) -> TracePoly:
             else:
                 traces.append(canonical_rotation(cycle))
         key = (tuple(sorted(traces)), w)
-        sgn = global_sign * _sign(perm)
+        sgn = global_sign * perm_sign(perm)
         s = total.get(key, Fraction(0)) + sgn
         if s:
             total[key] = s

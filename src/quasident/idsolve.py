@@ -38,9 +38,10 @@ from .errors import (
     BudgetExceeded,
     NotAQuasiIdentity,
     NotOneVariable,
+    QuasidentError,
 )
 from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
-from .freealg import QuasiPoly, Word
+from .freealg import QuasiPoly, Word, perm_sign
 from .ratpoly import CPoly, Monomial
 
 # An unknown of the ansatz: (k, sigma, mu) where sigma is the permutation as a
@@ -189,7 +190,8 @@ def one_variable_divide(p: QuasiPoly, n: int) -> QuasiPoly:
         piece = QuasiPoly({(1,) * (m - n): top})
         quotient = quotient + piece
         rest = rest - piece * qn
-    assert (quotient * qn) == p, "division certificate failed"
+    if quotient * qn != p:
+        raise QuasidentError("division certificate failed")
     return quotient
 
 
@@ -290,7 +292,7 @@ def _capelli_composite(
     total = QuasiPoly.zero()
     count = 0
     for perm in itertools.permutations(range(t)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         piece = QuasiPoly.const(sign)
         for idx, which in enumerate(perm):
             piece = piece * fs[which]
@@ -333,12 +335,3 @@ def _independence_witness(
         if values is not None:
             return assignment, values
     return None
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s

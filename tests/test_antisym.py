@@ -7,6 +7,7 @@ import pytest
 from quasident import antisym as anti
 from quasident.errors import BudgetExceeded, DimensionMismatch, WrongDegree
 from quasident.exactla import QMatrix, Subspace
+from quasident.freealg import perm_sign
 
 
 # -- independent oracles -------------------------------------------------------
@@ -339,7 +340,7 @@ def test_t_form_coefficient_matches_permutation_sum():
     total = Fraction(0)
     for perm in itertools.permutations(range(3)):
         prod = basis[perm[0]] * basis[perm[1]] * basis[perm[2]]
-        sign = anti._perm_sign(perm)
+        sign = perm_sign(perm)
         total += sign * prod.trace()
     assert total == 6
 
@@ -443,7 +444,7 @@ def test_standard_value_dp_matches_permutation_sum():
                 for idx in perm[1:]:
                     prod = anti.mat_mul(prod, mats[idx])
                 total = anti.mat_add(
-                    total, anti.mat_scale(prod, anti._perm_sign(perm))
+                    total, anti.mat_scale(prod, perm_sign(perm))
                 )
             assert anti.standard_value_raw(mats, n) == total
 

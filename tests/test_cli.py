@@ -195,6 +195,22 @@ def test_error_report_is_machine_readable():
     assert "line 1" in payload["error"]["message"]
 
 
+def test_invalid_dimension_is_an_error_report():
+    code, report = run_json(["verify-ch", "--n", "0"])
+    assert code == 2
+    assert report["error"] == {"type": "QuasidentError", "message": "n must be >= 1, got 0"}
+
+
+def test_unreadable_input_file_is_an_error_report(tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe x1")
+    for path in (tmp_path / "missing.txt", binary):
+        code, report = run_json(["check", "--n", "2", "--input", str(path)])
+        assert code == 2
+        assert report["error"]["type"] == "QuasidentError"
+        assert str(path) in report["error"]["message"]
+
+
 def test_randomized_mode_reported():
     code, report = run_json(
         ["--mode", "randomized", "check", "--n", "2", "--expr", "x1*x2 - x2*x1"]

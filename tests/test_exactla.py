@@ -7,6 +7,42 @@ from quasident.errors import AmbientMismatch
 from quasident.exactla import QMatrix, Subspace, nullspace, nullspace_of_rows, rank, rref
 
 
+def _bit_size(q: Fraction) -> int:
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
+def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
+    """Reference: dense Gauss-Jordan elimination with smallest-bit-size pivots.
+
+    In-place reduced row echelon form; returns (rows, rank, pivot columns).
+    """
+    if not rows:
+        return rows, 0, []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        best = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                if best is None or _bit_size(rows[i][c]) < _bit_size(rows[best][c]):
+                    best = i
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, len(pivots), pivots
+
+
 def random_matrix(rng, rows, cols, bound=6):
     return QMatrix(
         [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
@@ -137,3 +173,99 @@ def test_trace_and_matvec():
     m = QMatrix([[1, 2], [3, 4]])
     assert m.trace() == 5
     assert m.matvec([1, 1]) == (3, 7)
+
+
+def differential_cases():
+    """Seeded random integer and rational matrices, plus degenerate ones."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        cases.append(random_matrix(rng, rows, cols))
+        cases.append(
+            QMatrix(
+                [
+                    [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            )
+        )
+        # Mostly zero entries, as in the sparse systems idsolve builds.
+        cases.append(
+            QMatrix(
+                [
+                    [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(cols)]
+                    for _ in range(rows)
+                ]
+            )
+        )
+    row = [3, -1, 0, 2]
+    other = [0, 5, 1, -1]
+    cases += [
+        QMatrix([]),
+        QMatrix.zeros(3, 4),
+        QMatrix([row, [0, 0, 0, 0], other]),
+        QMatrix([row, row, [2 * x for x in row], other, row]),
+        QMatrix.identity(4),
+        QMatrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]]),
+        QMatrix([[a * b for b in row] for a in (1, -2, 3)]),
+        QMatrix([[1, 2], [2, 4]]),
+    ]
+    # Nullspace bases come out in reduced echelon form with the columns read
+    # in reverse; Subspace re-reduces them whenever idsolve returns one.
+    for _ in range(40):
+        cols = rng.randint(2, 9)
+        system = [
+            {
+                j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for j in rng.sample(range(cols), rng.randint(1, min(3, cols)))
+            }
+            for _ in range(rng.randint(1, cols - 1))
+        ]
+        basis = nullspace_of_rows(system, cols)
+        if basis:
+            cases.append(QMatrix(basis))
+    return cases
+
+
+def dense_reference(m: QMatrix) -> tuple[list[list[Fraction]], int, list[int]]:
+    return dense_rref([list(r) for r in m.data])
+
+
+def test_subspace_basis_matches_dense_reference():
+    for m in differential_cases():
+        reduced, r, _ = dense_reference(m)
+        space = Subspace(m.cols, m.data)
+        assert space.basis == tuple(tuple(x) for x in reduced[:r]), m
+        assert all(space.contains_vector(v) for v in m.data), m
+
+
+def test_empty_basis_matches_dense_reference():
+    assert dense_rref([]) == ([], 0, [])
+    assert Subspace(5, []).basis == ()
+    assert Subspace.zero(5).dim() == 0 and not Subspace.zero(5).contains_vector([0, 1, 0, 0, 0])
+
+
+def test_rref_and_rank_match_dense_reference():
+    for m in differential_cases():
+        reduced, r, pivots = dense_reference(m)
+        assert rref(m) == (QMatrix(reduced), r, pivots), m
+        assert rank(m) == r, m
+
+
+def test_inverse_matches_dense_reference():
+    rng = random.Random(10)
+    squares = [m for m in differential_cases() if m.rows == m.cols]
+    squares += [random_matrix(rng, n, n, bound=3) for n in (1, 2, 3, 4, 5) for _ in range(20)]
+    singular = 0
+    for m in squares:
+        n = m.rows
+        aug = [list(m.data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        reduced, _, pivots = dense_rref(aug)
+        if pivots[:n] != list(range(n)):
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            assert m.inverse() == QMatrix([row[n:] for row in reduced]), m
+    assert 0 < singular < len(squares)
