@@ -45,9 +45,18 @@ from .idsolve import (
     one_variable_divide,
 )
 from .ratpoly import CPoly, Rational
-from .cli import parse_quasipoly, format_quasipoly
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The parser lives in the CLI module, loaded on first use so that
+    # ``python -m quasident.cli`` does not find that module already imported.
+    if name in ("parse_quasipoly", "format_quasipoly"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AmbientMismatch",

@@ -39,6 +39,7 @@ from .errors import (
 from .exactla import QMatrix, Subspace, rref
 from . import genmat
 from .freealg import perm_sign
+from .ratpoly import add_terms
 
 # ---------------------------------------------------------------------------
 # Formal algebra on T_1..T_{n-2}, X, Y
@@ -73,18 +74,9 @@ class ExtElement:
 
     def __init__(self, n: int, terms: Mapping[ExtMonomial, Fraction | int] | None = None):
         self.n = n
-        clean: dict[ExtMonomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                m = ext_monomial(n, m[0], m[1], m[2])
-                c = Fraction(c)
-                if c:
-                    s = clean.get(m, Fraction(0)) + c
-                    if s:
-                        clean[m] = s
-                    else:
-                        del clean[m]
-        self._terms = clean
+        self._terms: dict[ExtMonomial, Fraction] = add_terms({}, (
+            (ext_monomial(n, *m), Fraction(c)) for m, c in terms.items()
+        )) if terms else {}
 
     @staticmethod
     def zero(n: int) -> "ExtElement":
@@ -124,14 +116,7 @@ class ExtElement:
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return _ext_raw(self.n, out)
+        return _ext_raw(self.n, add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
         return self + other.scale(-1)
@@ -218,31 +203,27 @@ def atilde_mul(a: ExtElement, b: ExtElement, n: int | None = None) -> ExtElement
     if a.n != n or b.n != n:
         raise DimensionMismatch("factors live at different dimensions")
     cap = n * n
-    out: dict[ExtMonomial, Fraction] = {}
-    for (ta, ia, ja), ca in a._terms.items():
-        for (tb, ib, jb), cb in b._terms.items():
-            merged = _merge_tsets(ta, tb)
-            if merged is None:
-                continue
-            ii, jj = ia + ib, ja + jb
-            if ii >= 2 * n or jj >= 2 * n:
-                continue
-            tset, tsign = merged
-            m = (tset, ii, jj)
-            if ext_degree(m) > cap:
-                continue
-            sign = tsign
-            if (len(tb) * (ia + ja)) % 2:
-                sign = -sign
-            if (ib * ja) % 2:
-                sign = -sign
-            c = sign * ca * cb
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return _ext_raw(n, out)
+
+    def products():
+        for (ta, ia, ja), ca in a._terms.items():
+            for (tb, ib, jb), cb in b._terms.items():
+                merged = _merge_tsets(ta, tb)
+                if merged is None:
+                    continue
+                ii, jj = ia + ib, ja + jb
+                if ii >= 2 * n or jj >= 2 * n:
+                    continue
+                tset, sign = merged
+                m = (tset, ii, jj)
+                if ext_degree(m) > cap:
+                    continue
+                if (len(tb) * (ia + ja)) % 2:
+                    sign = -sign
+                if (ib * ja) % 2:
+                    sign = -sign
+                yield m, sign * ca * cb
+
+    return _ext_raw(n, add_terms({}, products()))
 
 
 def obar(n: int) -> ExtElement:
@@ -383,28 +364,9 @@ class WedgeForm:
         if n < 2:
             raise ValueError("n must be >= 2")
         self.n = n
-        dim = n * n - 1
-        clean: dict[WedgeKey, Fraction] = {}
-        if terms:
-            for (subset, a), c in terms.items():
-                subset = tuple(subset)
-                if list(subset) != sorted(set(subset)):
-                    raise ValueError(f"wedge indices must strictly increase: {subset}")
-                if subset and not (0 <= subset[0] and subset[-1] < dim):
-                    raise ValueError(f"wedge index out of range 0..{dim - 1}")
-                if not 0 <= a < 2 * n:
-                    raise ValueError(f"X exponent {a} out of range")
-                if len(subset) + a > n * n:
-                    raise ValueError("degree exceeds the cap")
-                c = Fraction(c)
-                if c:
-                    key = (subset, a)
-                    s = clean.get(key, Fraction(0)) + c
-                    if s:
-                        clean[key] = s
-                    else:
-                        del clean[key]
-        self._terms = clean
+        self._terms: dict[WedgeKey, Fraction] = add_terms({}, (
+            (_wedge_key(n, *key), Fraction(c)) for key, c in terms.items()
+        )) if terms else {}
 
     @staticmethod
     def zero(n: int) -> "WedgeForm":
@@ -440,14 +402,7 @@ class WedgeForm:
     def __add__(self, other: "WedgeForm") -> "WedgeForm":
         if self.n != other.n:
             raise DimensionMismatch("forms live at different dimensions")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _wedge_raw(self.n, out)
+        return _wedge_raw(self.n, add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "WedgeForm") -> "WedgeForm":
         return self + other.scale(-1)
@@ -470,6 +425,21 @@ class WedgeForm:
         return " + ".join(f"{c}*{fmt(k)}" for k, c in self.terms())
 
     __repr__ = __str__
+
+
+def _wedge_key(n: int, subset: Iterable[int], a: int) -> WedgeKey:
+    """Validate a wedge monomial times X^a at dimension n."""
+    subset = tuple(subset)
+    dim = n * n - 1
+    if list(subset) != sorted(set(subset)):
+        raise ValueError(f"wedge indices must strictly increase: {subset}")
+    if subset and not (0 <= subset[0] and subset[-1] < dim):
+        raise ValueError(f"wedge index out of range 0..{dim - 1}")
+    if not 0 <= a < 2 * n:
+        raise ValueError(f"X exponent {a} out of range")
+    if len(subset) + a > n * n:
+        raise ValueError("degree exceeds the cap")
+    return subset, a
 
 
 def _wedge_raw(n: int, terms: dict[WedgeKey, Fraction]) -> WedgeForm:
@@ -501,28 +471,24 @@ def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
         raise DimensionMismatch("forms live at different dimensions")
     n = a.n
     cap = n * n
-    out: dict[WedgeKey, Fraction] = {}
-    for (sa, xa), ca in a._terms.items():
-        for (sb, xb), cb in b._terms.items():
-            if set(sa) & set(sb):
-                continue
-            x = xa + xb
-            if x >= 2 * n:
-                continue
-            if len(sa) + len(sb) + x > cap:
-                continue
-            inversions = sum(1 for p in sa for q in sb if p > q)
-            sign = (-1) ** inversions
-            if (xa * len(sb)) % 2:
-                sign = -sign
-            key = (tuple(sorted(sa + sb)), x)
-            c = sign * ca * cb
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return _wedge_raw(n, out)
+
+    def products():
+        for (sa, xa), ca in a._terms.items():
+            for (sb, xb), cb in b._terms.items():
+                if set(sa) & set(sb):
+                    continue
+                x = xa + xb
+                if x >= 2 * n:
+                    continue
+                if len(sa) + len(sb) + x > cap:
+                    continue
+                inversions = sum(1 for p in sa for q in sb if p > q)
+                sign = (-1) ** inversions
+                if (xa * len(sb)) % 2:
+                    sign = -sign
+                yield (tuple(sorted(sa + sb)), x), sign * ca * cb
+
+    return _wedge_raw(n, add_terms({}, products()))
 
 
 def t_form(n: int, h: int) -> WedgeForm:

@@ -315,20 +315,12 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
 
         rng = random.Random(config.seed)
         gens = sorted(p.generators())
-        qi = True
-        central = True
-        for _ in range(config.trials):
-            point = {k: QMatrix.random(n, n, rng, config.bound) for k in gens}
-            value = genmat.evaluate(p, point, n)
-            if not value.is_zero():
-                qi = False
-            scalar = all(
-                value[i, j] == 0 for i in range(n) for j in range(n) if i != j
-            ) and all(value[i, i] == value[0, 0] for i in range(n))
-            if not scalar:
-                central = False
-        results["quasi_identity"] = qi
-        results["central"] = central
+        values = [
+            genmat.evaluate(p, {k: QMatrix.random(n, n, rng, config.bound) for k in gens}, n)
+            for _ in range(config.trials)
+        ]
+        results["quasi_identity"] = all(v.is_zero() for v in values)
+        results["central"] = all(v.is_scalar() for v in values)
         results["randomized"] = {"trials": config.trials, "bound": config.bound}
     results["ordinary_identity"] = (
         results["quasi_identity"] if p.has_scalar_coefficients() else None
@@ -535,6 +527,11 @@ def _read_input(path: str) -> str:
         raise QuasidentError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise QuasidentError(f"{name} must be >= {least}, got {value}")
+
+
 def run_command(argv: Sequence[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -542,8 +539,14 @@ def run_command(argv: Sequence[str], out=None) -> int:
     config = _config_from(args)
     started = time.monotonic()
     try:
-        if config.n < 1:
-            raise QuasidentError(f"n must be >= 1, got {config.n}")
+        # kerim and corollary2 live in algebras defined from n = 2 on.
+        two = args.command == "antisym" and args.antisym_command != "dim"
+        _at_least("n", config.n, 2 if two else 1)
+        # No trials, or bound 0 (only zero matrices), passes every input.
+        _at_least("trials", config.trials, 1)
+        _at_least("bound", config.bound, 1)
+        if args.command == "solve-multilinear":
+            _at_least("degree", args.degree, 1)
         if args.command == "verify-ch":
             report = _cmd_verify_ch(config)
         elif args.command == "check":

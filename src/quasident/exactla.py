@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch
+from .ratpoly import add_terms
 
 Scalar = int | Fraction
 
@@ -121,6 +122,13 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
+    def is_scalar(self) -> bool:
+        """True iff all off-diagonal entries vanish and diagonal entries agree."""
+        d = self.data
+        return all(
+            x == (d[0][0] if i == j else 0) for i, row in enumerate(d) for j, x in enumerate(row)
+        )
+
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -159,12 +167,8 @@ def _dense(row: dict[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
 
 def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) -> None:
     """row -= f * prow, in place, dropping the entries that cancel."""
-    for c, v in prow.items():
-        s = row.get(c, _ZERO) - f * v
-        if s:
-            row[c] = s
-        else:
-            row.pop(c, None)
+    g = -f
+    add_terms(row, ((c, g * v) for c, v in prow.items()))
 
 
 def _reduce(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) -> int | None:

@@ -28,7 +28,7 @@ from .errors import (
     NotHomogeneous,
     NotMultilinear,
 )
-from .ratpoly import CPoly, Monomial
+from .ratpoly import CPoly, Monomial, add_terms
 
 Word = tuple[int, ...]
 
@@ -54,18 +54,10 @@ class QuasiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Word, CoeffLike] | None = None):
-        clean: dict[Word, CPoly] = {}
-        if terms:
-            for w, coeff in terms.items():
-                c = coeff if isinstance(coeff, CPoly) else CPoly.const(coeff)
-                if c:
-                    acc = clean.get(w)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[w] = c
-                    else:
-                        del clean[w]
-        self._terms = clean
+        self._terms: dict[Word, CPoly] = add_terms({}, (
+            (w, c if isinstance(c, CPoly) else CPoly.const(c))
+            for w, c in terms.items()
+        )) if terms else {}
 
     # -- constructors --------------------------------------------------------
 
@@ -141,16 +133,7 @@ class QuasiPoly:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "QuasiPoly | CoeffLike") -> "QuasiPoly":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for w, coeff in other._terms.items():
-            s = out.get(w)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return _raw(out)
+        return _raw(add_terms(dict(self._terms), _coerce(other)._terms.items()))
 
     __radd__ = __add__
 
@@ -165,18 +148,11 @@ class QuasiPoly:
 
     def __mul__(self, other: "QuasiPoly | CoeffLike") -> "QuasiPoly":
         other = _coerce(other)
-        out: dict[Word, CPoly] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
-                w = wa + wb
-                c = ca * cb
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return _raw(out)
+        return _raw(add_terms({}, (
+            (wa + wb, ca * cb)
+            for wa, ca in self._terms.items()
+            for wb, cb in other._terms.items()
+        )))
 
     def __rmul__(self, other: CoeffLike) -> "QuasiPoly":
         return _coerce(other) * self
@@ -200,22 +176,18 @@ class QuasiPoly:
         Generators absent from the mapping are left alone.  Non-injective
         renames (diagonal restrictions) merge terms as expected.
         """
-        covered = {k: v for k, v in mapping.items()}
-        out: dict[Word, CPoly] = {}
-        for w, coeff in self._terms.items():
-            nw = tuple(covered.get(k, k) for k in w)
+
+        def renamed(coeff: CPoly) -> CPoly:
             table = {
-                (k, i, j): CPoly.variable(covered.get(k, k), i, j)
+                (k, i, j): CPoly.variable(mapping.get(k, k), i, j)
                 for (k, i, j) in coeff.variables()
             }
-            nc = coeff.subst(table) if table else coeff
-            s = out.get(nw)
-            s = nc if s is None else s + nc
-            if s:
-                out[nw] = s
-            else:
-                del out[nw]
-        return _raw(out)
+            return coeff.subst(table) if table else coeff
+
+        return _raw(add_terms({}, (
+            (tuple(mapping.get(k, k) for k in w), renamed(coeff))
+            for w, coeff in self._terms.items()
+        )))
 
     def substitute(self, subs: Mapping[int, "QuasiPoly"], n: int) -> "QuasiPoly":
         """T-ideal substitution: x_k -> subs[k], c[k,i,j] -> Phi(subs[k])_{ij}.
@@ -318,22 +290,15 @@ def multilinearize(p: QuasiPoly, generator: int, fresh: list[int]) -> QuasiPoly:
         raise ValueError("fresh generators already occur in the input")
     out: dict[Word, CPoly] = {}
     for w, coeff in p._terms.items():
-        positions = [idx for idx, g in enumerate(w) if g == generator]
-        if len(positions) != d:
+        if w.count(generator) != d:
             raise NotHomogeneous(
-                f"word {w} has degree {len(positions)} in x{generator}, expected {d}"
+                f"word {w} has degree {w.count(generator)} in x{generator}, expected {d}"
             )
-        for perm in itertools.permutations(fresh):
-            nw = list(w)
-            for pos, g in zip(positions, perm):
-                nw[pos] = g
-            key = tuple(nw)
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        # Each ordering of fresh fills the occurrences of x_generator in turn.
+        add_terms(out, (
+            (tuple(next(letters) if g == generator else g for g in w), coeff)
+            for letters in map(iter, itertools.permutations(fresh))
+        ))
     return _raw(out)
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch, MissingAssignment
 from .exactla import QMatrix
 from .freealg import QuasiPoly, Word, perm_sign, word_key
-from .ratpoly import CPoly, Scalar
+from .ratpoly import CPoly, Scalar, add_terms
 
 
 class MatrixPoly:
@@ -66,11 +66,10 @@ class MatrixPoly:
 
     def is_scalar(self) -> bool:
         """True iff all off-diagonal entries vanish and diagonal entries agree."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and not self.data[i][j].is_zero():
-                    return False
-        return all(self.data[i][i] == self.data[0][0] for i in range(1, self.n))
+        d = self.data
+        return all(
+            x == (d[0][0] if i == j else 0) for i, row in enumerate(d) for j, x in enumerate(row)
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -181,24 +180,16 @@ def central_witness(
     gens = sorted(p.generators())
     units = [matrix_unit(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
     rng = random.Random(seed)
-
-    def non_scalar(m: QMatrix) -> bool:
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i, j]:
-                    return True
-        return any(m[i, i] != m[0, 0] for i in range(1, n))
-
     if len(gens) <= 2:
         for combo in itertools.product(units, repeat=len(gens)):
             assignment = dict(zip(gens, combo))
             value = evaluate(p, assignment, n)
-            if non_scalar(value):
+            if not value.is_scalar():
                 return assignment, value
     for _ in range(max_trials):
         assignment = {k: QMatrix.random(n, n, rng, bound) for k in gens}
         value = evaluate(p, assignment, n)
-        if non_scalar(value):
+        if not value.is_scalar():
             return assignment, value
     return None
 
@@ -274,19 +265,9 @@ class TracePoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[TraceKey, Scalar] | None = None):
-        clean: dict[TraceKey, Fraction] = {}
-        if terms:
-            for (traces, w), coeff in terms.items():
-                c = Fraction(coeff)
-                if not c:
-                    continue
-                key = (tuple(sorted(canonical_rotation(t) for t in traces)), tuple(w))
-                s = clean.get(key, Fraction(0)) + c
-                if s:
-                    clean[key] = s
-                else:
-                    del clean[key]
-        self._terms = clean
+        self._terms: dict[TraceKey, Fraction] = add_terms({}, (
+            (_trace_key(traces, w), Fraction(c)) for (traces, w), c in terms.items()
+        )) if terms else {}
 
     @staticmethod
     def zero() -> "TracePoly":
@@ -317,14 +298,7 @@ class TracePoly:
         return isinstance(other, TracePoly) and self._terms == other._terms
 
     def __add__(self, other: "TracePoly") -> "TracePoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _trace_raw(out)
+        return _trace_raw(add_terms(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "TracePoly":
         return _trace_raw({k: -c for k, c in self._terms.items()})
@@ -333,16 +307,11 @@ class TracePoly:
         return self + (-other)
 
     def __mul__(self, other: "TracePoly") -> "TracePoly":
-        out: dict[TraceKey, Fraction] = {}
-        for (ta, wa), ca in self._terms.items():
-            for (tb, wb), cb in other._terms.items():
-                key = (tuple(sorted(ta + tb)), wa + wb)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _trace_raw(out)
+        return _trace_raw(add_terms({}, (
+            ((tuple(sorted(ta + tb)), wa + wb), ca * cb)
+            for (ta, wa), ca in self._terms.items()
+            for (tb, wb), cb in other._terms.items()
+        )))
 
     def scale(self, c: Scalar) -> "TracePoly":
         c = Fraction(c)
@@ -357,23 +326,13 @@ class TracePoly:
         }
 
     def relabel(self, mapping: Mapping[int, int]) -> "TracePoly":
-        out: dict[TraceKey, Fraction] = {}
-        for (traces, w), c in self._terms.items():
-            key = (
-                tuple(
-                    sorted(
-                        canonical_rotation(mapping.get(g, g) for g in t)
-                        for t in traces
-                    )
-                ),
-                tuple(mapping.get(g, g) for g in w),
-            )
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return _trace_raw(out)
+        def renamed(letters: Iterable[int]) -> Word:
+            return tuple(mapping.get(g, g) for g in letters)
+
+        return _trace_raw(add_terms({}, (
+            (_trace_key(map(renamed, traces), renamed(w)), c)
+            for (traces, w), c in self._terms.items()
+        )))
 
     def polarize(self, generator: int, fresh: Sequence[int]) -> "TracePoly":
         """Full polarization in one generator, trace slots included.
@@ -382,28 +341,23 @@ class TracePoly:
         counting word letters and trace-factor letters together.
         """
         d = len(fresh)
-        out = TracePoly.zero()
+
+        def filled(letters: Word, slots: Iterator[int]) -> Word:
+            return tuple(next(slots) if g == generator else g for g in letters)
+
+        out: dict[TraceKey, Fraction] = {}
         for (traces, w), coeff in self._terms.items():
-            slots = []
-            for t_idx, t in enumerate(traces):
-                slots.extend(("tr", t_idx, pos) for pos, g in enumerate(t) if g == generator)
-            slots.extend(("w", 0, pos) for pos, g in enumerate(w) if g == generator)
-            if len(slots) != d:
+            degree = sum(t.count(generator) for t in traces + (w,))
+            if degree != d:
                 raise ValueError(
-                    f"term {traces}|{w} has degree {len(slots)} in x{generator}, expected {d}"
+                    f"term {traces}|{w} has degree {degree} in x{generator}, expected {d}"
                 )
-            for perm in itertools.permutations(fresh):
-                new_traces = [list(t) for t in traces]
-                new_word = list(w)
-                for (kind, t_idx, pos), g in zip(slots, perm):
-                    if kind == "tr":
-                        new_traces[t_idx][pos] = g
-                    else:
-                        new_word[pos] = g
-                out = out + TracePoly(
-                    {(tuple(tuple(t) for t in new_traces), tuple(new_word)): coeff}
-                )
-        return out
+            # Each ordering of fresh fills the occurrences of the generator in turn.
+            add_terms(out, (
+                (_trace_key([filled(t, slots) for t in traces], filled(w, slots)), coeff)
+                for slots in map(iter, itertools.permutations(fresh))
+            ))
+        return _trace_raw(out)
 
     def expand(self, n: int) -> QuasiPoly:
         """Expand every trace factor into generic-matrix entries."""
@@ -441,6 +395,11 @@ class TracePoly:
     __repr__ = __str__
 
 
+def _trace_key(traces: Iterable[Iterable[int]], w: Iterable[int]) -> TraceKey:
+    """Canonical key: trace factors rotated to their least form and sorted."""
+    return (tuple(sorted(canonical_rotation(t) for t in traces)), tuple(w))
+
+
 def _trace_raw(terms: dict[TraceKey, Fraction]) -> TracePoly:
     t = TracePoly()
     t._terms = terms
@@ -454,10 +413,7 @@ def standard_poly(h: int) -> QuasiPoly:
     """S_h: the signed sum over all orderings of x_1..x_h; h! terms."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    terms: dict[Word, int] = {}
-    for perm in itertools.permutations(range(1, h + 1)):
-        terms[perm] = perm_sign(perm)
-    return QuasiPoly({w: CPoly.const(c) for w, c in terms.items()})
+    return QuasiPoly({perm: perm_sign(perm) for perm in itertools.permutations(range(1, h + 1))})
 
 
 def capelli(t: int) -> QuasiPoly:
@@ -472,7 +428,7 @@ def capelli(t: int) -> QuasiPoly:
             if idx < t - 1:
                 w.append(t + 1 + idx)
         terms[tuple(w)] = perm_sign(perm)
-    return QuasiPoly({w: CPoly.const(c) for w, c in terms.items()})
+    return QuasiPoly(terms)
 
 
 def char_poly_coefficients(n: int) -> list[TracePoly]:
@@ -519,36 +475,32 @@ def cayley_hamilton_Q_trace(n: int) -> TracePoly:
     if n < 1:
         raise ValueError("n must be >= 1")
     global_sign = (-1) ** n
-    total: dict[TraceKey, Fraction] = {}
-    for perm in itertools.permutations(range(1, n + 2)):
-        sigma = {i + 1: perm[i] for i in range(n + 1)}
-        traces: list[Word] = []
-        w: Word = ()
-        seen: set[int] = set()
-        for start in range(1, n + 2):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = sigma[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = sigma[nxt]
-            if n + 1 in cycle:
-                # Rotate so n+1 is last: (s_1,...,s_k, n+1) contributes the word.
-                pos = cycle.index(n + 1)
-                w = tuple(cycle[pos + 1 :] + cycle[:pos])
-            else:
-                traces.append(canonical_rotation(cycle))
-        key = (tuple(sorted(traces)), w)
-        sgn = global_sign * perm_sign(perm)
-        s = total.get(key, Fraction(0)) + sgn
-        if s:
-            total[key] = s
-        else:
-            del total[key]
-    return _trace_raw(total)
+    return _trace_raw(add_terms({}, (
+        (_cycle_key(perm), Fraction(global_sign * perm_sign(perm)))
+        for perm in itertools.permutations(range(1, n + 2))
+    )))
+
+
+def _cycle_key(perm: tuple[int, ...]) -> TraceKey:
+    """The term of a permutation of 1..m: one trace factor per cycle avoiding
+    m, and the word read along the cycle through m."""
+    m = len(perm)
+    traces: list[list[int]] = []
+    w: Word = ()
+    seen: set[int] = set()
+    for start in range(1, m + 1):
+        cycle, k = [], start
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = perm[k - 1]
+        if m in cycle:
+            # Rotate so m is last: (s_1,...,s_k, m) contributes the word.
+            pos = cycle.index(m)
+            w = tuple(cycle[pos + 1 :] + cycle[:pos])
+        elif cycle:
+            traces.append(cycle)
+    return _trace_key(traces, w)
 
 
 def cayley_hamilton_Q(n: int) -> QuasiPoly:

@@ -276,7 +276,7 @@ def local_lin_dep(
     else:
         found = _independence_witness(fs, n, seed, bound)
         if found is None:
-            raise AssertionError("independent verdict but no witness point found")
+            raise QuasidentError("independent verdict but no witness point found")
         assignment, values = found
         report.witness = {
             "point": {f"x{k}": m.data for k, m in sorted(assignment.items())},

@@ -7,6 +7,11 @@ constant monomial.  A CPoly maps monomials to nonzero Fractions.  Both layers
 are kept canonical after every operation, so structural equality is
 polynomial equality and printed forms are reproducible.
 
+add_terms is the one sparse term accumulator: every "dict of terms" type in
+the package (CPoly, freealg's QuasiPoly, genmat's TracePoly, antisym's
+ExtElement and WedgeForm, and exactla's elimination rows) merges terms
+through it, so a cancelled coefficient is never stored.
+
 This module is deliberately context-free: it never checks variable indices
 against a matrix dimension.  Callers that care about an ambient n (genmat,
 freealg) enforce 1 <= i, j <= n themselves.
@@ -27,6 +32,19 @@ Monomial = tuple[tuple[Variable, int], ...]
 Scalar = Union[int, Fraction]
 
 _ONE_MONOMIAL: Monomial = ()
+
+
+def add_terms(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into the sparse term dict out, in place,
+    dropping every key whose coefficient cancels; returns out."""
+    for key, c in pairs:
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
 def monomial(vars_and_exps: Iterable[tuple[Variable, int]]) -> Monomial:
@@ -62,15 +80,9 @@ class CPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-                    if not clean[mono]:
-                        del clean[mono]
-        self._terms = clean
+        self._terms: dict[Monomial, Fraction] = (
+            add_terms({}, ((m, Fraction(c)) for m, c in terms.items())) if terms else {}
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -146,15 +158,7 @@ class CPoly:
     def __add__(self, other: "CPoly | Scalar") -> "CPoly":
         if not isinstance(other, (CPoly, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return _raw(out)
+        return _raw(add_terms(dict(self._terms), _coerce(other)._terms.items()))
 
     __radd__ = __add__
 
@@ -173,16 +177,11 @@ class CPoly:
         if not isinstance(other, (CPoly, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = monomial_mul(ma, mb)
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return _raw(out)
+        return _raw(add_terms({}, (
+            (monomial_mul(ma, mb), ca * cb)
+            for ma, ca in self._terms.items()
+            for mb, cb in other._terms.items()
+        )))
 
     __rmul__ = __mul__
 

@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasident
 from quasident import genmat
 from quasident.cli import format_quasipoly, parse_quasipoly, run_command
 from quasident.errors import DimensionRequired, QuasiSyntaxError
@@ -196,9 +201,51 @@ def test_error_report_is_machine_readable():
 
 
 def test_invalid_dimension_is_an_error_report():
-    code, report = run_json(["verify-ch", "--n", "0"])
+    for argv, message in (
+        (["verify-ch", "--n", "0"], "n must be >= 1, got 0"),
+        (["antisym", "kerim", "--n", "1"], "n must be >= 2, got 1"),
+        (["antisym", "corollary2", "--n", "1"], "n must be >= 2, got 1"),
+        (["solve-multilinear", "--n", "2", "--degree", "0"], "degree must be >= 1, got 0"),
+    ):
+        code, report = run_json(argv)
+        assert code == 2
+        assert report["error"] == {"type": "QuasidentError", "message": message}
+
+
+def test_antisym_dim_accepts_n_1():
+    code, report = run_json(["antisym", "dim", "--n", "1"])
+    assert code == 0
+    assert report["results"]["certified"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "randomized", "--trials", "0", "check", "--n", "2", "--expr", "x1"],
+        ["--mode", "randomized", "--bound", "0", "check", "--n", "2", "--expr", "x1"],
+        ["--mode", "randomized", "--trials", "0", "capelli-dep", "--n", "2",
+         "--expr", "x1", "--expr", "x2"],
+        ["--trials", "0", "capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"],
+    ],
+)
+def test_randomized_runs_need_a_trial_and_a_nonzero_bound(argv):
+    # Zero trials, or bound 0 (only zero matrices), would pass every input.
+    code, report = run_json(argv)
     assert code == 2
-    assert report["error"] == {"type": "QuasidentError", "message": "n must be >= 1, got 0"}
+    assert report["error"]["type"] == "QuasidentError"
+    assert report["error"]["message"].endswith("must be >= 1, got 0")
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = Path(quasident.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "quasident.cli",
+         "verify-ch", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "pass: True" in done.stdout
 
 
 def test_unreadable_input_file_is_an_error_report(tmp_path):

@@ -175,6 +175,15 @@ def test_trace_and_matvec():
     assert m.matvec([1, 1]) == (3, 7)
 
 
+def test_is_scalar():
+    assert QMatrix.identity(3).scale(5).is_scalar()
+    assert QMatrix.zeros(2, 2).is_scalar()
+    assert QMatrix([[7]]).is_scalar()
+    assert not QMatrix([[1, 0], [0, 2]]).is_scalar()
+    assert not QMatrix([[1, 1], [0, 1]]).is_scalar()
+    assert not QMatrix([[1, 0], [1, 1]]).is_scalar()
+
+
 def differential_cases():
     """Seeded random integer and rational matrices, plus degenerate ones."""
     rng = random.Random(8)

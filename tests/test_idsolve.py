@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quasident import genmat, idsolve
-from quasident.errors import BudgetExceeded, NotAQuasiIdentity, NotOneVariable
+from quasident.errors import BudgetExceeded, NotAQuasiIdentity, NotOneVariable, QuasidentError
 from quasident.freealg import QuasiPoly
 from quasident.ratpoly import CPoly
 
@@ -152,3 +152,9 @@ def test_randomized_agrees_with_symbolic():
 def test_scalar_coefficient_requirement():
     with pytest.raises(ValueError):
         idsolve.local_lin_dep([QuasiPoly.const(c(1, 1, 1))], 2)
+
+
+def test_independent_verdict_without_a_witness_is_an_error(monkeypatch):
+    monkeypatch.setattr(idsolve, "_independence_witness", lambda *args: None)
+    with pytest.raises(QuasidentError, match="no witness point"):
+        idsolve.local_lin_dep([x(1), x(2)], 2)
