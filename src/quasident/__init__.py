@@ -24,7 +24,6 @@ from .errors import (
 from .exactla import QMatrix, Subspace, nullspace, nullspace_of_rows, rank, rref
 from .freealg import QuasiPoly, antisymmetrize, multilinearize
 from .genmat import (
-    MatrixPoly,
     TracePoly,
     capelli,
     cayley_hamilton_q,
@@ -67,7 +66,6 @@ __all__ = [
     "DependenceReport",
     "DimensionMismatch",
     "DimensionRequired",
-    "MatrixPoly",
     "MissingAssignment",
     "MultilinearAnsatz",
     "NotAQuasiIdentity",

@@ -36,7 +36,18 @@ from .errors import (
     DimensionMismatch,
     WrongDegree,
 )
-from .exactla import QMatrix, Subspace, rref
+from .exactla import (
+    Mat,
+    QMatrix,
+    Subspace,
+    mat_add,
+    mat_identity,
+    mat_mul,
+    mat_scale,
+    mat_trace,
+    mat_zero,
+    rank,
+)
 from . import genmat
 from .freealg import perm_sign
 from .ratpoly import add_terms
@@ -565,48 +576,16 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
 # ---------------------------------------------------------------------------
 #
 # The evaluators below work on bare tuples-of-tuples of Python numbers (ints
-# or Fractions) rather than QMatrix: sampling feeds integer matrices, and
-# integer arithmetic is what keeps the exhaustive and randomized suites fast.
-# QMatrix appears only at the public boundary.
-
-Mat = tuple[tuple, ...]
+# or Fractions) through exactla's mat_* kernel, the same functions behind
+# QMatrix: sampling feeds integer matrices, and every accumulator starts from
+# the int mat_zero(n), because integer arithmetic is what keeps the exhaustive
+# and randomized suites fast.  QMatrix appears only at the public boundary.
 
 
 def mat_from(m) -> Mat:
     if isinstance(m, QMatrix):
         return m.data
     return tuple(tuple(row) for row in m)
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_zero(n: int) -> Mat:
-    return tuple((0,) * n for _ in range(n))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_trace(a: Mat):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def mat_is_zero(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def mat_traceless(a: Mat) -> Mat:
@@ -950,7 +929,7 @@ def realize_rank(
                 value = f.raw(tup)
                 row.extend(Fraction(value[i][j]) for i in range(n) for j in range(n))
             rows.append(row)
-        total += rref(QMatrix(rows))[1]
+        total += rank(QMatrix(rows))
     return total
 
 

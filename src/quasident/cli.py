@@ -542,9 +542,11 @@ def run_command(argv: Sequence[str], out=None) -> int:
         # kerim and corollary2 live in algebras defined from n = 2 on.
         two = args.command == "antisym" and args.antisym_command != "dim"
         _at_least("n", config.n, 2 if two else 1)
-        # No trials, or bound 0 (only zero matrices), passes every input.
+        # No trials, or bound 0 (only zero matrices), passes every input;
+        # no samples certifies no rank.
         _at_least("trials", config.trials, 1)
         _at_least("bound", config.bound, 1)
+        _at_least("samples", config.samples, 1)
         if args.command == "solve-multilinear":
             _at_least("degree", args.degree, 1)
         if args.command == "verify-ch":

@@ -1,7 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one matrix kernel.
 
-QMatrix is a small immutable rectangular matrix of Fractions.  Every
-elimination goes through one sparse kernel, ``_rref``: rows arrive as
+QMatrix is the package's one matrix type: a small immutable rectangular
+matrix whose entries are Fractions, or CPolys for the images of genmat's
+evaluation map.  Its arithmetic is the ``mat_*`` kernel below: plain
+functions on tuples of rows that use only ``+`` and ``*``, so they serve
+int, Fraction and CPoly entries alike.  antisym's raw evaluators call the
+same functions on int matrices, which keeps their sampling in integer
+arithmetic.
+
+Every elimination goes through one sparse kernel, ``_rref``: rows arrive as
 {column: coefficient} dicts, each is folded into a growing set of pivot rows
 (its leading column strictly increases while it is reduced), and the pivot
 rows are then back-substituted into the unique reduced row echelon form.
@@ -22,20 +29,52 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatch
-from .ratpoly import add_terms
+from .errors import AmbientMismatch, DimensionMismatch
+from .ratpoly import CPoly, add_terms
 
 Scalar = int | Fraction
+Mat = tuple[tuple, ...]
+
+
+def mat_identity(n: int) -> Mat:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_zero(n: int) -> Mat:
+    return tuple((0,) * n for _ in range(n))
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a: Mat, c) -> Mat:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_trace(a: Mat):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def mat_is_zero(a: Mat) -> bool:
+    return all(not x for row in a for x in row)
 
 
 class QMatrix:
-    """Rectangular matrix with Fraction entries.  Treated as immutable."""
+    """Rectangular matrix with Fraction or CPoly entries.  Treated as immutable."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[Scalar]]):
-        self.data: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in data
+    def __init__(self, data: Sequence[Sequence[Scalar | CPoly]]):
+        self.data: Mat = tuple(
+            tuple(x if isinstance(x, CPoly) else Fraction(x) for x in row) for row in data
         )
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.rows else 0
@@ -48,7 +87,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return QMatrix(mat_identity(n))
 
     @staticmethod
     def random(rows: int, cols: int, rng: random.Random, bound: int = 9) -> "QMatrix":
@@ -56,7 +95,7 @@ class QMatrix:
             [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
         )
 
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
+    def __getitem__(self, idx: tuple[int, int]) -> Fraction | CPoly:
         i, j = idx
         return self.data[i][j]
 
@@ -77,50 +116,35 @@ class QMatrix:
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return _wrap(mat_add(self.data, other.data))
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         self._check_same_shape(other)
-        return QMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return _wrap(mat_add(self.data, mat_scale(other.data, -1)))
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.data])
+        return _wrap(mat_scale(self.data, -1))
 
-    def scale(self, c: Scalar) -> "QMatrix":
-        c = Fraction(c)
-        return QMatrix([[c * a for a in row] for row in self.data])
+    def scale(self, c: Scalar | CPoly) -> "QMatrix":
+        return _wrap(mat_scale(self.data, c))
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        tcols = other.transpose().data
-        return QMatrix(
-            [[_dot(row, col) for col in tcols] for row in self.data]
-        )
+            raise DimensionMismatch(f"cannot multiply {self.shape()} by {other.shape()}")
+        return _wrap(mat_mul(self.data, other.data))
 
     def matvec(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        vv = [Fraction(x) for x in v]
-        return tuple(_dot(row, vv) for row in self.data)
+        return tuple(x for (x,) in mat_mul(self.data, tuple((Fraction(x),) for x in v)))
 
-    def trace(self) -> Fraction:
+    def trace(self) -> Fraction | CPoly:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return mat_trace(self.data)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return mat_is_zero(self.data)
 
     def is_scalar(self) -> bool:
         """True iff all off-diagonal entries vanish and diagonal entries agree."""
@@ -147,11 +171,16 @@ class QMatrix:
 
     def _check_same_shape(self, other: "QMatrix") -> None:
         if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
+            raise DimensionMismatch(f"shape mismatch {self.shape()} vs {other.shape()}")
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
+def _wrap(data: Mat) -> QMatrix:
+    """QMatrix over kernel output, whose entries are already Fraction or CPoly."""
+    m = QMatrix.__new__(QMatrix)
+    m.data = data
+    m.rows = len(data)
+    m.cols = len(data[0]) if data else 0
+    return m
 
 
 _ZERO = Fraction(0)

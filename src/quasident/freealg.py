@@ -213,7 +213,7 @@ class QuasiPoly:
         for w, coeff in self._terms.items():
             table = {}
             for (k, i, j) in coeff.variables():
-                table[(k, i, j)] = images[k].entry(i, j)
+                table[(k, i, j)] = images[k][i - 1, j - 1]
             new_coeff = coeff.subst(table) if table else coeff
             piece = QuasiPoly.const(new_coeff)
             for k in w:

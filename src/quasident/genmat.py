@@ -25,137 +25,27 @@ from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Scalar, add_terms
 
 
-class MatrixPoly:
-    """Square matrix with CPoly entries; the target of the evaluation map."""
-
-    __slots__ = ("n", "data")
-
-    def __init__(self, entries: Sequence[Sequence[CPoly]]):
-        self.n = len(entries)
-        self.data: tuple[tuple[CPoly, ...], ...] = tuple(tuple(row) for row in entries)
-        if any(len(row) != self.n for row in self.data):
-            raise ValueError("matrix must be square")
-
-    @staticmethod
-    def zero(n: int) -> "MatrixPoly":
-        z = CPoly.zero()
-        return MatrixPoly([[z] * n for _ in range(n)])
-
-    @staticmethod
-    def identity(n: int) -> "MatrixPoly":
-        one, z = CPoly.one(), CPoly.zero()
-        return MatrixPoly([[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def scalar(coeff: CPoly, n: int) -> "MatrixPoly":
-        z = CPoly.zero()
-        return MatrixPoly([[coeff if i == j else z for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> CPoly:
-        """1-based entry access, matching the variable indexing c[k,i,j]."""
-        return self.data[i - 1][j - 1]
-
-    def trace(self) -> CPoly:
-        t = CPoly.zero()
-        for i in range(self.n):
-            t = t + self.data[i][i]
-        return t
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
-    def is_scalar(self) -> bool:
-        """True iff all off-diagonal entries vanish and diagonal entries agree."""
-        d = self.data
-        return all(
-            x == (d[0][0] if i == j else 0) for i, row in enumerate(d) for j, x in enumerate(row)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixPoly)
-            and self.n == other.n
-            and self.data == other.data
-        )
-
-    def __add__(self, other: "MatrixPoly") -> "MatrixPoly":
-        self._check(other)
-        return MatrixPoly(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "MatrixPoly") -> "MatrixPoly":
-        self._check(other)
-        return MatrixPoly(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __neg__(self) -> "MatrixPoly":
-        return MatrixPoly([[-a for a in row] for row in self.data])
-
-    def __mul__(self, other: "MatrixPoly") -> "MatrixPoly":
-        self._check(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = CPoly.zero()
-                for t in range(n):
-                    a = self.data[i][t]
-                    b = other.data[t][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixPoly(out)
-
-    def scale(self, coeff: CPoly | Scalar) -> "MatrixPoly":
-        c = coeff if isinstance(coeff, CPoly) else CPoly.const(coeff)
-        return MatrixPoly([[c * a for a in row] for row in self.data])
-
-    def __repr__(self) -> str:
-        rows = "; ".join(", ".join(str(e) for e in row) for row in self.data)
-        return f"MatrixPoly[{self.n}x{self.n}: {rows}]"
-
-    def _check(self, other: "MatrixPoly") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n}x{self.n} vs {other.n}x{other.n}")
-
-
-def generic_matrix(k: int, n: int) -> MatrixPoly:
+def generic_matrix(k: int, n: int) -> QMatrix:
     """The n x n matrix whose (i,j) entry is the variable c[k,i,j]."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
-    return MatrixPoly(
+    return QMatrix(
         [[CPoly.variable(k, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     )
 
 
-def phi_eval(p: QuasiPoly, n: int) -> MatrixPoly:
-    """Evaluation homomorphism: x_k -> generic matrix, scalars -> scalar matrices."""
-    for (k, i, j) in {v for _, c in p.terms() for v in c.variables()}:
+def phi_eval(p: QuasiPoly, n: int) -> QMatrix:
+    """Evaluation homomorphism: x_k -> generic matrix, scalars -> scalar matrices.
+
+    Every entry of the image is a CPoly, the zero polynomial's included."""
+    terms = p.terms()
+    for (k, i, j) in {v for _, c in terms for v in c.variables()}:
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
-    cache: dict[int, MatrixPoly] = {}
-
-    def xi(k: int) -> MatrixPoly:
-        if k not in cache:
-            cache[k] = generic_matrix(k, n)
-        return cache[k]
-
-    total = MatrixPoly.zero(n)
-    for w, coeff in p.terms():
-        m = MatrixPoly.identity(n)
-        for k in w:
-            m = m * xi(k)
-        total = total + m.scale(coeff)
+    images = {k: generic_matrix(k, n) for w, _ in terms for k in w}
+    total = QMatrix([[CPoly.zero()] * n for _ in range(n)])
+    for w, coeff in terms:
+        total = total + _word_value(w, images, n).scale(coeff)
     return total
 
 
@@ -210,19 +100,26 @@ def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
     if missing:
         raise MissingAssignment(f"no matrix for generators {sorted(missing)}")
     total = QMatrix.zeros(n, n)
-    identity = QMatrix.identity(n)
     for w, coeff in p.terms():
         assignment = {
             (k, i, j): matrices[k][i - 1, j - 1] for (k, i, j) in coeff.variables()
         }
         value = coeff.eval(assignment)
-        if not value:
-            continue
-        m = identity
-        for k in w:
-            m = m * matrices[k]
-        total = total + m.scale(value)
+        if value:
+            total = total + _word_value(w, matrices, n).scale(value)
     return total
+
+
+def _word_value(w: Word, images: Mapping[int, QMatrix], n: int) -> QMatrix:
+    """The product of the images of w's letters; the identity for the empty word.
+
+    Starting at the first letter saves one product per word."""
+    if not w:
+        return QMatrix.identity(n)
+    m = images[w[0]]
+    for k in w[1:]:
+        m = m * images[k]
+    return m
 
 
 # -- trace words and trace polynomials ---------------------------------------

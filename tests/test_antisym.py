@@ -474,6 +474,17 @@ def test_realized_functions_are_antisymmetric():
             assert f.raw(tuple(swapped)) == anti.mat_scale(f.raw(tuple(args)), -1)
 
 
+def test_raw_evaluators_stay_in_integer_arithmetic():
+    # A Fraction zero seeding an accumulator leaves every value equal but
+    # slows all later arithmetic, so the entry types are checked as well.
+    rng = random.Random(10)
+    n = 3
+    for f in (anti.x_power_fn(n, 3), anti.realize_invariant_monomial(n, (1,), 2)):
+        args = tuple(anti.random_matrix(n, rng, 5) for _ in range(f.arity))
+        for value in (f.raw(args), anti.standard_value_raw(list(args), n)):
+            assert all(type(x) is int for row in value for x in row), value
+
+
 def test_realize_rank_certifies_n_2n():
     fns2 = [anti.realize_invariant_monomial(2, t, a) for t, a in anti.am_basis(2)]
     assert len(fns2) == 8

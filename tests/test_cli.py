@@ -226,6 +226,7 @@ def test_antisym_dim_accepts_n_1():
         ["--mode", "randomized", "--trials", "0", "capelli-dep", "--n", "2",
          "--expr", "x1", "--expr", "x2"],
         ["--trials", "0", "capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"],
+        ["--samples", "0", "antisym", "dim", "--n", "2"],
     ],
 )
 def test_randomized_runs_need_a_trial_and_a_nonzero_bound(argv):

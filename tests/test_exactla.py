@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasident.errors import AmbientMismatch
+from quasident.errors import AmbientMismatch, DimensionMismatch
 from quasident.exactla import QMatrix, Subspace, nullspace, nullspace_of_rows, rank, rref
 
 
@@ -167,6 +167,14 @@ def test_matrix_product_and_inverse():
 def test_singular_inverse_raises():
     with pytest.raises(ValueError):
         QMatrix([[-4, 0], [3, 0]]).inverse()
+
+
+def test_shape_mismatch_is_a_dimension_mismatch():
+    a, b = QMatrix.identity(2), QMatrix.identity(3)
+    with pytest.raises(DimensionMismatch):
+        a * b
+    with pytest.raises(DimensionMismatch):
+        a + b
 
 
 def test_trace_and_matvec():

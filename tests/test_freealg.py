@@ -108,7 +108,7 @@ def test_substitute_commutes_with_phi():
         for k, img in images.items():
             for i in (1, 2):
                 for j in (1, 2):
-                    table_all[(k, i, j)] = img.entry(i, j)
+                    table_all[(k, i, j)] = img[i - 1, j - 1]
         entries = []
         for i in range(n):
             row = []
@@ -117,7 +117,7 @@ def test_substitute_commutes_with_phi():
                 table = {v: table_all[v] for v in e.variables()}
                 row.append(e.subst(table) if table else e)
             entries.append(row)
-        assert lhs == genmat.MatrixPoly(entries)
+        assert lhs == genmat.QMatrix(entries)
 
 
 def test_multilinearize_square():

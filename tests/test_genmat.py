@@ -14,7 +14,7 @@ x = QuasiPoly.x
 c = CPoly.variable
 
 
-def det2(m: genmat.MatrixPoly) -> CPoly:
+def det2(m: QMatrix) -> CPoly:
     return m.data[0][0] * m.data[1][1] - m.data[0][1] * m.data[1][0]
 
 

@@ -1,0 +1,68 @@
+"""Property test of the evaluation map against point evaluation: the generic
+image phi_eval(p, n), specialized at a point, is the value evaluate computes
+there directly, and both equal a word-by-word reference sum."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st  # noqa: E402
+
+from quasident.exactla import QMatrix  # noqa: E402
+from quasident.freealg import QuasiPoly  # noqa: E402
+from quasident.genmat import evaluate, phi_eval  # noqa: E402
+from quasident.ratpoly import CPoly, monomial  # noqa: E402
+
+settings = hypothesis_settings(max_examples=60, deadline=None)
+GENS = (1, 2)
+
+
+@st.composite
+def cases(draw):
+    """(n, p, point): a quasi-polynomial in x1, x2 whose coefficients use the
+    entries c[k,i,j] of n x n matrices, and an integer matrix for each x_k."""
+    n = draw(st.sampled_from([2, 3]))
+    index = st.integers(1, n)
+    variables = st.tuples(st.sampled_from(GENS), index, index)
+    monomials = st.lists(st.tuples(variables, st.integers(0, 2)), max_size=2).map(monomial)
+    cpolys = st.dictionaries(monomials, st.integers(-3, 3), max_size=3).map(CPoly)
+    # Words of length 0 are the constant terms, whose image is a scalar matrix.
+    words = st.lists(st.sampled_from(GENS), max_size=3).map(tuple)
+    p = draw(st.dictionaries(words, cpolys, max_size=3).map(QuasiPoly))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    point = {k: QMatrix(draw(st.lists(row, min_size=n, max_size=n))) for k in GENS}
+    return n, p, point
+
+
+def reference_value(p, point, n, assignment):
+    """Sum of coefficient times word product, each product started at the
+    identity; shares no code with phi_eval or evaluate beyond QMatrix."""
+    total = QMatrix.zeros(n, n)
+    for w, coeff in p.terms():
+        m = QMatrix.identity(n)
+        for k in w:
+            m = m * point[k]
+        total = total + m.scale(coeff.eval(assignment))
+    return total
+
+
+POINT = {1: QMatrix([[1, 2], [3, 4]]), 2: QMatrix([[0, -1], [5, 2]])}
+
+
+@settings
+@given(cases())
+@example((2, QuasiPoly.zero(), POINT))
+@example((2, QuasiPoly({(): CPoly.const(3)}), POINT))
+@example((2, QuasiPoly({(): CPoly.variable(1, 1, 2) * CPoly.variable(2, 2, 1)}), POINT))
+def test_phi_eval_specializes_to_evaluate(case):
+    n, p, point = case
+    image = phi_eval(p, n)
+    assert all(isinstance(e, CPoly) for row in image.data for e in row)
+    assignment = {
+        (k, i, j): m[i - 1, j - 1]
+        for k, m in point.items()
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+    specialized = QMatrix([[e.eval(assignment) for e in row] for row in image.data])
+    assert specialized == evaluate(p, point, n) == reference_value(p, point, n, assignment)
