@@ -46,6 +46,7 @@ from .exactla import (
     mat_scale,
     mat_trace,
     mat_zero,
+    nullspace_of_rows,
     rank,
 )
 from . import genmat
@@ -105,10 +106,6 @@ class ExtElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {ext_degree(m) for m in self._terms}
-        return len(degs) <= 1
 
     def degree(self) -> int:
         if not self._terms:
@@ -190,7 +187,8 @@ def atilde_basis(n: int, degree: int) -> list[ExtMonomial]:
 
 
 def _merge_tsets(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Merge two ascending T-index tuples; None if they share an index.
+    """Merge two ascending tuples of odd generators (T indices, or wedge
+    basis indices); None if they share an index.
 
     The sign is the parity of interleaving transpositions: pairs (x, y) with
     x in a, y in b, x > y.
@@ -315,8 +313,7 @@ def verify_kerim(n: int, max_n: int = 4) -> dict:
     image = Subspace.from_vectors(len(cod), [matrix.column(c) for c in range(matrix.cols)])
     rv = rho_vector(n)
     kernel = _kernel_of_functional(rv)
-    comp = [Fraction(0)] * len(cod)
-    comp[cod.index(special_monomial(n))] = Fraction(1)
+    comp = {cod.index(special_monomial(n)): 1}
     rho_pi_zero = all(
         sum(rv[r] * matrix[r, c] for r in range(matrix.rows)) == 0
         for c in range(matrix.cols)
@@ -339,8 +336,6 @@ def verify_kerim(n: int, max_n: int = 4) -> dict:
 def _kernel_of_functional(values: Sequence[Fraction]) -> Subspace:
     ambient = len(values)
     row = {c: v for c, v in enumerate(values) if v}
-    from .exactla import nullspace_of_rows
-
     return Subspace.from_vectors(ambient, nullspace_of_rows([row], ambient))
 
 
@@ -486,18 +481,16 @@ def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
     def products():
         for (sa, xa), ca in a._terms.items():
             for (sb, xb), cb in b._terms.items():
-                if set(sa) & set(sb):
-                    continue
                 x = xa + xb
-                if x >= 2 * n:
+                if x >= 2 * n or len(sa) + len(sb) + x > cap:
                     continue
-                if len(sa) + len(sb) + x > cap:
+                merged = _merge_tsets(sa, sb)
+                if merged is None:
                     continue
-                inversions = sum(1 for p in sa for q in sb if p > q)
-                sign = (-1) ** inversions
+                subset, sign = merged
                 if (xa * len(sb)) % 2:
                     sign = -sign
-                yield (tuple(sorted(sa + sb)), x), sign * ca * cb
+                yield (subset, x), sign * ca * cb
 
     return _wedge_raw(n, add_terms({}, products()))
 
@@ -549,12 +542,8 @@ def ideal_component(n: int, degree: int) -> Subspace:
     cod_index = {key: r for r, key in enumerate(cod)}
     vectors = []
     for subset, a in dom:
-        v = WedgeForm.monomial(n, subset, a)
-        prod = fn_mul(v, on)
-        vec = [Fraction(0)] * len(cod)
-        for key, c in prod.terms():
-            vec[cod_index[key]] = c
-        vectors.append(vec)
+        prod = fn_mul(WedgeForm.monomial(n, subset, a), on)
+        vectors.append({cod_index[key]: c for key, c in prod._terms.items()})
     return Subspace.from_vectors(len(cod), vectors)
 
 
@@ -562,12 +551,7 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
     """The coordinate subspace of fn_basis(n, degree) spanned by the
     monomials with a given wedge size (so X power degree - size)."""
     cod = fn_basis(n, degree)
-    vectors = []
-    for r, (subset, _a) in enumerate(cod):
-        if len(subset) == size:
-            vec = [Fraction(0)] * len(cod)
-            vec[r] = Fraction(1)
-            vectors.append(vec)
+    vectors = [{r: 1} for r, (subset, _a) in enumerate(cod) if len(subset) == size]
     return Subspace.from_vectors(len(cod), vectors)
 
 
@@ -621,14 +605,6 @@ def standard_value_raw(mats: Sequence[Mat], n: int) -> Mat:
     return g[(1 << m) - 1]
 
 
-def standard_value(mats: Sequence) -> QMatrix:
-    """S_a at matrices; the empty product is a 1x1 identity placeholder."""
-    if not mats:
-        return QMatrix.identity(1)
-    raw = [mat_from(m) for m in mats]
-    return QMatrix(standard_value_raw(raw, len(raw[0])))
-
-
 @dataclass(frozen=True)
 class _Factor:
     """One wedge factor: a multilinear antisymmetric block evaluator.
@@ -677,12 +653,6 @@ def traceless_coordinates_raw(m: Mat) -> list:
         acc = acc + m[i][i]
         coords.append(acc)
     return coords
-
-
-def traceless_coordinates(m: QMatrix) -> list[Fraction]:
-    """Coordinates of a traceless matrix in traceless_basis(n): off-diagonal
-    entries in row-major order, then partial sums of the diagonal."""
-    return [Fraction(x) for x in traceless_coordinates_raw(mat_from(m))]
 
 
 @dataclass(frozen=True)
@@ -768,12 +738,6 @@ def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
     return _wedge_factors([_as_factor(f), _as_factor(g)], f.n)
 
 
-def wedge_many_fns(fns: Sequence[MultiFn]) -> MultiFn:
-    if not fns:
-        raise ValueError("empty factor list")
-    return _wedge_factors([_as_factor(f) for f in fns], fns[0].n)
-
-
 def _shuffles(total: int, arities: Sequence[int]):
     yield from _shuffles_on(tuple(range(total)), arities)
 
@@ -797,16 +761,6 @@ def _shuffles_on(indices: Sequence[int], arities: Sequence[int]):
 def x_power_fn(n: int, a: int) -> MultiFn:
     """X^a realized: the standard polynomial of the raw slots."""
     return _wedge_factors([_x_factor(n, a)] if a else [], n)
-
-
-def y_power_fn(n: int, a: int) -> MultiFn:
-    """Y^a realized: the standard polynomial of the traceless parts."""
-    return _wedge_factors([_y_factor(n, a)] if a else [], n)
-
-
-def t_scalar_fn(n: int, h: int, traceless: bool) -> MultiFn:
-    """T_h realized: tr(S_{2h+1}(...)) times the identity."""
-    return _wedge_factors([_t_factor(n, h, traceless)], n)
 
 
 def realize_ext_monomial(n: int, m: ExtMonomial) -> MultiFn:
@@ -854,7 +808,7 @@ def _linear_combination(n: int, arity: int, pieces: list[tuple[Fraction, MultiFn
     return MultiFn(arity, n, ev)
 
 
-def realize(expr: "ExtElement | WedgeForm | ExtMonomial | WedgeKey", n: int) -> MultiFn:
+def realize(expr: "ExtElement | WedgeForm | WedgeKey", n: int) -> MultiFn:
     """Dispatching realization; homogeneous linear combinations only."""
     if isinstance(expr, ExtElement):
         degree = expr.degree()
@@ -864,8 +818,6 @@ def realize(expr: "ExtElement | WedgeForm | ExtMonomial | WedgeKey", n: int) -> 
         degree = expr.degree()
         pieces = [(c, realize_wedge_monomial(n, k)) for k, c in expr.terms()]
         return _linear_combination(n, degree, pieces)
-    if isinstance(expr, tuple) and len(expr) == 3:
-        return realize_ext_monomial(n, expr)
     if isinstance(expr, tuple) and len(expr) == 2:
         return realize_wedge_monomial(n, expr)
     raise TypeError(f"cannot realize {type(expr).__name__}")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import antisym, genmat, idsolve
-from .errors import DimensionRequired, QuasidentError, QuasiSyntaxError
+from .errors import BudgetExceeded, DimensionRequired, QuasidentError, QuasiSyntaxError
 from .exactla import QMatrix
 from .freealg import QuasiPoly
 from .ratpoly import CPoly
@@ -66,10 +66,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], n: int | None):
+    def __init__(self, tokens: list[_Token], n: int | None, budget: int | None):
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.budget = budget
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -144,7 +145,17 @@ class _Parser:
             exp = self.take()
             if exp.kind != "num":
                 raise QuasiSyntaxError("expected an integer exponent", exp.line, exp.column)
-            return base ** int(exp.text)
+            e = int(exp.text)
+            count = base.term_count()
+            # count ** e bounds the power's terms.  For count >= 2 it exceeds
+            # the budget once e reaches the budget's bit length, so e is capped
+            # there and the bound stays a small integer.
+            if self.budget is not None and count ** min(e, self.budget.bit_length()) > self.budget:
+                raise BudgetExceeded(
+                    f"power of a {count}-term base to the {e} at line {tok.line}, "
+                    f"column {tok.column} exceeds the term budget {self.budget}"
+                )
+            return base ** e
         return base
 
     def parse_atom(self) -> QuasiPoly:
@@ -194,16 +205,17 @@ class _Parser:
         return int(tok.text[1:])
 
 
-def parse_quasipoly(text: str, n: int | None = None) -> QuasiPoly:
+def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) -> QuasiPoly:
     """Parse the textual grammar into a quasi-polynomial.
 
     tr(...) macros need the matrix dimension n; without it they raise
-    DimensionRequired.
+    DimensionRequired.  With a term budget, a power whose expansion could
+    exceed it raises BudgetExceeded before it is multiplied out.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise QuasiSyntaxError("empty input", 1, 1)
-    parser = _Parser(tokens, n)
+    parser = _Parser(tokens, n, budget)
     poly = parser.parse_poly()
     if parser.peek() is not None:
         tok = parser.peek()
@@ -302,7 +314,7 @@ def _cmd_verify_ch(config: RunConfig) -> dict:
 def _cmd_check(config: RunConfig, text: str) -> dict:
     n = config.n
     report = _base_report("check", config)
-    p = parse_quasipoly(text, n)
+    p = parse_quasipoly(text, n, config.budget)
     if p.term_count() > config.budget:
         raise QuasidentError(f"input has {p.term_count()} terms, budget {config.budget}")
     results: dict = {"input": format_quasipoly(p)}
@@ -363,7 +375,7 @@ def _cmd_capelli_dep(config: RunConfig, text: str) -> dict:
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            fs.append(parse_quasipoly(line, n))
+            fs.append(parse_quasipoly(line, n, config.budget))
     if not fs:
         raise QuasidentError("no polynomials in the input")
     dep = idsolve.local_lin_dep(

@@ -18,9 +18,12 @@ throughout, which matters for idsolve's systems (tens of thousands of
 near-singleton equations) and for nullspace bases, which are already
 reduced with their columns read in reverse.
 
-Subspaces are stored through their reduced-row-echelon bases, so equal
-subspaces have identical representations and equality/containment are
-direct comparisons.
+A Subspace holds only its ambient dimension and the {pivot column: sparse
+row} map that ``_rref`` returns.  That map is unique, so equal subspaces
+compare equal directly.  Vectors come in dense or as {column: value} dicts;
+``contains_vector`` reduces them against the stored pivot rows, ``sum`` and
+``intersect`` work on those rows, and the dense ``basis`` is built only when
+it is read.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import AmbientMismatch, DimensionMismatch
 from .ratpoly import CPoly, add_terms
 
 Scalar = int | Fraction
+Vector = Sequence[Scalar] | dict[int, Scalar]  # dense, or {column: value}
 Mat = tuple[tuple, ...]
 
 
@@ -98,9 +102,6 @@ class QMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> Fraction | CPoly:
         i, j = idx
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
@@ -274,94 +275,89 @@ def nullspace(m: QMatrix) -> "Subspace":
 
 
 class Subspace:
-    """Subspace of Q^ambient, held as a reduced-echelon row basis."""
+    """Subspace of Q^ambient, held as its reduced-row-echelon pivot rows:
+    ``pivots`` maps each pivot column to its sparse row (1 at the pivot)."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "pivots")
 
-    def __init__(self, ambient: int, basis: Sequence[Sequence[Scalar]]):
-        rows = []
-        for v in basis:
-            if len(v) != ambient:
-                raise AmbientMismatch(f"vector of length {len(v)} in ambient {ambient}")
-            rows.append(_sparse(v))
-        pivots = _rref(rows)
+    def __init__(self, ambient: int, vectors: Sequence[Vector]):
         self.ambient = ambient
-        self.basis: tuple[tuple[Fraction, ...], ...] = tuple(
-            _dense(pivots[c], ambient) for c in sorted(pivots)
-        )
+        self.pivots = _rref(map(self._row, vectors))
 
     @staticmethod
-    def from_vectors(ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
+    def from_vectors(ambient: int, vectors: Iterable[Vector]) -> "Subspace":
         return Subspace(ambient, list(vectors))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, [])
 
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, QMatrix.identity(ambient).data)
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced echelon basis as dense rows, in pivot order."""
+        return tuple(_dense(self.pivots[c], self.ambient) for c in sorted(self.pivots))
 
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.pivots == other.pivots
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, tuple(sorted(self.pivots))))
 
-    def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        if len(v) != self.ambient:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        pivots = {}
-        for row in self.basis:
-            prow = _sparse(row)
-            pivots[min(prow)] = prow
-        return _reduce(_sparse(v), pivots) is None
+    def contains_vector(self, v: Vector) -> bool:
+        return _reduce(self._row(v), self.pivots) is None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self.contains_vector(row) for row in other.pivots.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, [*self.pivots.values(), *other.pivots.values()])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the relation space {(a, b) : a A = b B}."""
         self._check_ambient(other)
-        da, db = self.dim(), other.dim()
-        if da == 0 or db == 0:
+        rows_a, rows_b = list(self.pivots.values()), list(other.pivots.values())
+        if not rows_a or not rows_b:
             return Subspace.zero(self.ambient)
-        # Columns 0..da-1 weigh self.basis, columns da..da+db-1 weigh other.basis.
-        rows = []
-        for col in range(self.ambient):
-            row: dict[int, Fraction] = {}
-            for i in range(da):
-                if self.basis[i][col]:
-                    row[i] = self.basis[i][col]
-            for j in range(db):
-                if other.basis[j][col]:
-                    row[da + j] = -other.basis[j][col]
-            if row:
-                rows.append(row)
+        # One relation row per ambient column: relation column i weighs
+        # rows_a[i], relation column da + j weighs rows_b[j].
+        da = len(rows_a)
+        relations: dict[int, dict[int, Fraction]] = {}
+        for i, row in enumerate(rows_a):
+            for c, x in row.items():
+                relations.setdefault(c, {})[i] = x
+        for j, row in enumerate(rows_b):
+            for c, x in row.items():
+                relations.setdefault(c, {})[da + j] = -x
         vectors = []
-        for rel in nullspace_of_rows(rows, da + db):
-            vec = [Fraction(0)] * self.ambient
-            for i in range(da):
-                if rel[i]:
-                    for j in range(self.ambient):
-                        vec[j] += rel[i] * self.basis[i][j]
+        for rel in nullspace_of_rows(relations.values(), da + len(rows_b)):
+            vec: dict[int, Fraction] = {}
+            for r, row in zip(rel, rows_a):
+                if r:
+                    add_terms(vec, ((c, r * x) for c, x in row.items()))
             vectors.append(vec)
-        return Subspace.from_vectors(self.ambient, vectors)
+        return Subspace(self.ambient, vectors)
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim()})"
+
+    def _row(self, v: Vector) -> dict[int, Scalar]:
+        """A fresh sparse copy of a dense or {column: value} vector."""
+        if isinstance(v, dict):
+            if v and not 0 <= min(v) <= max(v) < self.ambient:
+                raise AmbientMismatch(f"a column outside 0..{self.ambient - 1}")
+            return {c: x for c, x in v.items() if x}
+        if len(v) != self.ambient:
+            raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
+        return _sparse(v)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import quasident
 from quasident import genmat
 from quasident.cli import format_quasipoly, parse_quasipoly, run_command
-from quasident.errors import DimensionRequired, QuasiSyntaxError
+from quasident.errors import BudgetExceeded, DimensionRequired, QuasiSyntaxError
 from quasident.freealg import QuasiPoly
 from quasident.ratpoly import CPoly
 
@@ -257,6 +258,27 @@ def test_unreadable_input_file_is_an_error_report(tmp_path):
         assert code == 2
         assert report["error"]["type"] == "QuasidentError"
         assert str(path) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["check", "capelli-dep"])
+def test_parse_time_power_over_budget_is_refused(command):
+    # Expanded, (x1+x2+x3)^14 has 3^14 (about 4.8 million) terms, and the
+    # last exponent would make even the bound 2^e a huge integer.  The small
+    # case comes first: without the parse-time check it fails at once.
+    for budget, expr in (
+        ("100", "(x1+x2)^7"),
+        ("200000", "(x1+x2+x3)^14"),
+        ("200000", "(x1+x2)^99999999999999"),
+    ):
+        started = time.monotonic()
+        code, report = run_json(["--budget", budget, command, "--n", "2", "--expr", expr])
+        assert time.monotonic() - started < 1, expr
+        assert code == 2
+        assert report["error"]["type"] == "BudgetExceeded"
+        assert "power of a" in report["error"]["message"]
+    assert parse_quasipoly("(x1+x2)^3", budget=8).term_count() == 8
+    with pytest.raises(BudgetExceeded):
+        parse_quasipoly("(x1+x2)^3", budget=7)
 
 
 def test_randomized_mode_reported():

@@ -113,6 +113,8 @@ def test_subspace_canonical_equality():
     a = Subspace(3, [[1, 0, 1], [0, 1, 1]])
     b = Subspace(3, [[1, 1, 2], [1, -1, 0]])
     assert a == b
+    assert Subspace(3, [{0: 1, 1: 1, 2: 2}, {0: 1, 1: -1}]) == a
+    assert Subspace(3, [{0: 1, 1: 0, 2: 1}, [0, 1, 1]]) == a
     assert a.contains(b) and b.contains(a)
 
 
@@ -143,12 +145,19 @@ def test_dimension_formula():
             ambient,
             [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, 3))],
         )
-        assert a.dim() + b.dim() == a.sum(b).dim() + a.intersect(b).dim()
+        meet = a.intersect(b)
+        assert a.dim() + b.dim() == a.sum(b).dim() + meet.dim()
+        assert a.contains(meet) and b.contains(meet)
 
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         Subspace(2, [[1, 0]]).sum(Subspace(3, [[1, 0, 0]]))
+    for row in ({2: 1}, {-1: 1}, {0: 1, 5: 0}):
+        with pytest.raises(AmbientMismatch):
+            Subspace(2, [row])
+        with pytest.raises(AmbientMismatch):
+            Subspace(2, [[1, 0]]).contains_vector(row)
 
 
 def test_matrix_product_and_inverse():
@@ -254,6 +263,7 @@ def test_subspace_basis_matches_dense_reference():
         reduced, r, _ = dense_reference(m)
         space = Subspace(m.cols, m.data)
         assert space.basis == tuple(tuple(x) for x in reduced[:r]), m
+        assert Subspace(m.cols, [{j: x for j, x in enumerate(v) if x} for v in m.data]) == space
         assert all(space.contains_vector(v) for v in m.data), m
 
 
