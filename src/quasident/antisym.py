@@ -500,20 +500,13 @@ def t_form(n: int, h: int) -> WedgeForm:
     sending a tuple of traceless basis vectors to tr(S_{2h+1}(...))."""
     if not 1 <= h <= n - 1:
         raise ValueError(f"h must lie in 1..{n - 1}")
-    basis = traceless_basis(n)
-    k = 2 * h + 1
+    basis = [m.data for m in traceless_basis(n)]
     terms: dict[WedgeKey, Fraction] = {}
-    for subset in itertools.combinations(range(len(basis)), k):
-        value = _trace_of_standard(tuple(basis[i] for i in subset))
+    for subset in itertools.combinations(range(len(basis)), 2 * h + 1):
+        value = mat_trace(standard_value_raw([basis[i] for i in subset], n))
         if value:
             terms[(subset, 0)] = value
     return WedgeForm(n, terms)
-
-
-def _trace_of_standard(mats: tuple[QMatrix, ...]) -> Fraction:
-    n = mats[0].rows
-    raw = [m.data for m in mats]
-    return Fraction(mat_trace(standard_value_raw(raw, n)))
 
 
 def on_in_fn(n: int) -> WedgeForm:
@@ -564,6 +557,10 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
 # QMatrix: sampling feeds integer matrices, and every accumulator starts from
 # the int mat_zero(n), because integer arithmetic is what keeps the exhaustive
 # and randomized suites fast.  QMatrix appears only at the public boundary.
+#
+# Every standard-polynomial value (X^a, Y^a and T_h blocks, and the T_h wedge
+# forms) comes from one subset DP, standard_table; a wedge evaluation builds
+# its tables once and its factors read their blocks from them.
 
 
 def mat_from(m) -> Mat:
@@ -582,33 +579,43 @@ def mat_traceless(a: Mat) -> Mat:
     )
 
 
-def standard_value_raw(mats: Sequence[Mat], n: int) -> Mat:
-    """The standard polynomial of the given matrices by subset dynamics:
+def _mask(block: Iterable[int]) -> int:
+    return sum(1 << i for i in block)
+
+
+def standard_table(mats: Sequence[Mat], n: int, top: int) -> dict[int, Mat]:
+    """The standard polynomial of every subset of at most top matrices, keyed
+    by bitmask (bit k stands for mats[k]), by subset dynamics:
     g(S) = sum_k (-1)^(elements of S above k) g(S - k) A_k, g(empty) = I.
-    Costs m 2^(m-1) products instead of m! chains."""
-    m = len(mats)
-    if m == 0:
-        return mat_identity(n)
-    g: list[Mat | None] = [None] * (1 << m)
-    g[0] = mat_identity(n)
-    for mask in range(1, 1 << m):
-        acc: Mat | None = None
-        members = [k for k in range(m) if mask >> k & 1]
-        for pos, k in enumerate(members):
-            above = len(members) - 1 - pos
-            prev = g[mask ^ (1 << k)]
-            piece = mat_mul(prev, mats[k]) if mask ^ (1 << k) else mats[k]
-            if above % 2:
-                piece = mat_scale(piece, -1)
-            acc = piece if acc is None else mat_add(acc, piece)
-        g[mask] = acc
-    return g[(1 << m) - 1]
+    A subset of size s costs s products once its subsets are known, instead
+    of s! chains."""
+    signed = (mats, [mat_scale(m, -1) for m in mats])
+    g = {0: mat_identity(n)}
+    for size in range(1, min(top, len(mats)) + 1):
+        for members in itertools.combinations(range(len(mats)), size):
+            mask = _mask(members)
+            acc: Mat | None = None
+            for pos, k in enumerate(members):
+                rest = mask ^ (1 << k)
+                a = signed[(size - 1 - pos) % 2][k]
+                piece = mat_mul(g[rest], a) if rest else a
+                acc = piece if acc is None else mat_add(acc, piece)
+            g[mask] = acc
+    return g
+
+
+def standard_value_raw(mats: Sequence[Mat], n: int) -> Mat:
+    """The standard polynomial of all the given matrices."""
+    return standard_table(mats, n, len(mats))[(1 << len(mats)) - 1]
 
 
 @dataclass(frozen=True)
 class _Factor:
     """One wedge factor: a multilinear antisymmetric block evaluator.
 
+    ev(table, args, block) is the factor's value on the arguments at the
+    indices in block; table(traceless) is the evaluation's standard_table
+    over the raw arguments (False) or over their traceless parts (True).
     scalar=True evaluators return a plain number, matrix evaluators a Mat;
     scalars commute past everything, so the wedge only chains matrix blocks.
     """
@@ -618,41 +625,34 @@ class _Factor:
     ev: Callable
 
 
-def _x_factor(n: int, a: int) -> _Factor:
-    return _Factor(a, False, lambda args: standard_value_raw(args, n))
+def _standard_factor(a: int, traceless: bool) -> _Factor:
+    """X^a (standard polynomial of raw slots) or, traceless, Y^a."""
+    return _Factor(a, False, lambda table, args, block: table(traceless)[_mask(block)])
 
 
-def _y_factor(n: int, a: int) -> _Factor:
+def _t_factor(h: int, traceless: bool) -> _Factor:
     return _Factor(
-        a, False, lambda args: standard_value_raw([mat_traceless(m) for m in args], n)
+        2 * h + 1, True, lambda table, args, block: mat_trace(table(traceless)[_mask(block)])
     )
 
 
-def _t_factor(n: int, h: int, traceless: bool) -> _Factor:
-    k = 2 * h + 1
-
-    def ev(args):
-        mats = [mat_traceless(m) for m in args] if traceless else list(args)
-        return mat_trace(standard_value_raw(mats, n))
-
-    return _Factor(k, True, ev)
-
-
 def _dual_factor(n: int, index: int) -> _Factor:
-    def ev(args):
-        return traceless_coordinates_raw(mat_traceless(args[0]))[index]
+    """The dual basis functional b_index* on the block's one argument: an
+    entry off the diagonal, or, for e_dd - e_{d+1,d+1}, the diagonal sum
+    through d of the argument's traceless part."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if index < len(cells):
+        i, j = cells[index]
+        return _Factor(1, True, lambda table, args, block: args[block[0]][i][j])
+    d = index - len(cells)
+
+    def ev(table, args, block):
+        m = args[block[0]]
+        head = sum(m[i][i] for i in range(d + 1))
+        shift = Fraction((d + 1) * mat_trace(m), n)
+        return head - shift if shift else head
 
     return _Factor(1, True, ev)
-
-
-def traceless_coordinates_raw(m: Mat) -> list:
-    n = len(m)
-    coords = [m[i][j] for i in range(n) for j in range(n) if i != j]
-    acc = 0
-    for i in range(n - 1):
-        acc = acc + m[i][i]
-        coords.append(acc)
-    return coords
 
 
 @dataclass(frozen=True)
@@ -682,53 +682,47 @@ class MultiFn:
 def _wedge_factors(factors: Sequence[_Factor], n: int) -> MultiFn:
     """Shuffle-sum wedge of antisymmetric factors, values multiplied in factor
     order.  Equals the normalized full-symmetric-group wedge on antisymmetric
-    inputs and needs no division.  Block values are cached per evaluation, so
-    every (factor, argument subset) pair is computed once."""
+    inputs and needs no division.  Each evaluation builds at most two
+    standard_tables, on first use, up to the largest factor arity: one over
+    the raw arguments and one over their traceless parts.  X, Y and T factors
+    read their block's entry, so no standard polynomial is computed twice."""
     factors = [f for f in factors if f.arity > 0]
     if not factors:
         return MultiFn(0, n, lambda args: mat_identity(n))
     arities = [f.arity for f in factors]
-    arity = sum(arities)
+    arity, top = sum(arities), max(arities)
 
     def ev(args: tuple[Mat, ...]) -> Mat:
-        caches: list[dict] = [{} for _ in factors]
+        tables: dict[bool, dict[int, Mat]] = {}
 
-        def block_value(fi: int, block: tuple[int, ...]):
-            cache = caches[fi]
-            if block not in cache:
-                cache[block] = factors[fi].ev(tuple(args[i] for i in block))
-            return cache[block]
+        def table(traceless: bool) -> dict[int, Mat]:
+            if traceless not in tables:
+                mats = [mat_traceless(m) for m in args] if traceless else args
+                tables[traceless] = standard_table(mats, n, top)
+            return tables[traceless]
 
         total = mat_zero(n)
-        for blocks in _shuffles(arity, arities):
-            coeff = 1
+        for blocks in _shuffles_on(range(arity), arities):
+            coeff = perm_sign([i for block in blocks for i in block])
             chain: Mat | None = None
-            dead = False
-            for fi, block in enumerate(blocks):
-                value = block_value(fi, tuple(block))
-                if factors[fi].scalar:
-                    coeff = coeff * value
-                    if not coeff:
-                        dead = True
-                        break
-                else:
+            for f, block in zip(factors, blocks):
+                value = f.ev(table, args, block)
+                if not f.scalar:
                     chain = value if chain is None else mat_mul(chain, value)
-            if dead:
-                continue
-            perm = [i for block in blocks for i in block]
-            if perm_sign(perm) < 0:
-                coeff = -coeff
-            piece = mat_identity(n) if chain is None else chain
-            if coeff != 1:
-                piece = mat_scale(piece, coeff)
-            total = mat_add(total, piece)
+                elif not value:
+                    break
+                else:
+                    coeff = coeff * value
+            else:
+                piece = mat_identity(n) if chain is None else chain
+                total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
         return total
 
     return MultiFn(arity, n, ev)
 
 
 def _as_factor(f: MultiFn) -> _Factor:
-    return _Factor(f.arity, False, f.fn)
+    return _Factor(f.arity, False, lambda table, args, block: f.fn(tuple(args[i] for i in block)))
 
 
 def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
@@ -738,40 +732,31 @@ def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
     return _wedge_factors([_as_factor(f), _as_factor(g)], f.n)
 
 
-def _shuffles(total: int, arities: Sequence[int]):
-    yield from _shuffles_on(tuple(range(total)), arities)
-
-
 def _shuffles_on(indices: Sequence[int], arities: Sequence[int]):
+    """Every split of indices into ascending blocks of the given sizes."""
     if not arities:
-        if not indices:
-            yield []
+        yield ()
         return
-    first, rest = arities[0], arities[1:]
-    for block in itertools.combinations(indices, first):
-        if not rest:
-            yield [list(block)]
-            continue
-        chosen = set(block)
-        remaining = tuple(i for i in indices if i not in chosen)
-        for tail in _shuffles_on(remaining, rest):
-            yield [list(block)] + tail
+    for block in itertools.combinations(indices, arities[0]):
+        rest = [i for i in indices if i not in block]
+        for tail in _shuffles_on(rest, arities[1:]):
+            yield (block,) + tail
 
 
 def x_power_fn(n: int, a: int) -> MultiFn:
     """X^a realized: the standard polynomial of the raw slots."""
-    return _wedge_factors([_x_factor(n, a)] if a else [], n)
+    return _wedge_factors([_standard_factor(a, traceless=False)] if a else [], n)
 
 
 def realize_ext_monomial(n: int, m: ExtMonomial) -> MultiFn:
     """A formal monomial as a matrix function: T factors are traceless trace
     forms, then the X power on raw slots, then the Y power on traceless parts."""
     tset, i, j = m
-    factors = [_t_factor(n, h, traceless=True) for h in tset]
+    factors = [_t_factor(h, traceless=True) for h in tset]
     if i:
-        factors.append(_x_factor(n, i))
+        factors.append(_standard_factor(i, traceless=False))
     if j:
-        factors.append(_y_factor(n, j))
+        factors.append(_standard_factor(j, traceless=True))
     return _wedge_factors(factors, n)
 
 
@@ -784,9 +769,9 @@ def realize_invariant_monomial(
     for h in sorted(set(tset)):
         if h == 0 and traceless:
             raise ValueError("T_0 vanishes identically on traceless arguments")
-        factors.append(_t_factor(n, h, traceless=traceless))
+        factors.append(_t_factor(h, traceless=traceless))
     if xpow:
-        factors.append(_x_factor(n, xpow))
+        factors.append(_standard_factor(xpow, traceless=False))
     return _wedge_factors(factors, n)
 
 
@@ -794,7 +779,7 @@ def realize_wedge_monomial(n: int, key: WedgeKey) -> MultiFn:
     subset, a = key
     factors = [_dual_factor(n, idx) for idx in subset]
     if a:
-        factors.append(_x_factor(n, a))
+        factors.append(_standard_factor(a, traceless=False))
     return _wedge_factors(factors, n)
 
 
@@ -903,15 +888,15 @@ def basic_formula_sides(n: int, j: int) -> tuple[MultiFn, MultiFn]:
     factor is kept and vanishes on traceless arguments by itself."""
     if not 1 <= j <= 2 * n - 1:
         raise ValueError("j must lie in 1..2n-1")
-    lhs = _wedge_factors([_y_factor(n, j), _t_factor(n, n - 1, traceless=True)], n)
+    lhs = _wedge_factors(
+        [_standard_factor(j, traceless=True), _t_factor(n - 1, traceless=True)], n
+    )
     pieces: list[tuple[Fraction, MultiFn]] = []
     for i in range(1, n - j // 2 + 1):
         if 2 * i + j >= 2 * n:
             continue
-        h = n - i - 1
-        factor = _t_factor(n, h, traceless=True)
-        pieces.append(
-            (Fraction(-1), _wedge_factors([_y_factor(n, 2 * i + j), factor], n))
-        )
+        y = _standard_factor(2 * i + j, traceless=True)
+        t = _t_factor(n - i - 1, traceless=True)
+        pieces.append((Fraction(-1), _wedge_factors([y, t], n)))
     rhs = _linear_combination(n, j + 2 * n - 1, pieces)
     return lhs, rhs

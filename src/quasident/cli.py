@@ -155,6 +155,11 @@ class _Parser:
                     f"power of a {count}-term base to the {e} at line {tok.line}, "
                     f"column {tok.column} exceeds the term budget {self.budget}"
                 )
+            if self.budget is not None and base.word_degree() * e > self.budget:
+                raise BudgetExceeded(
+                    f"power to the {e} at line {tok.line}, column {tok.column} makes "
+                    f"words of length {base.word_degree() * e}, over the budget {self.budget}"
+                )
             return base ** e
         return base
 
@@ -319,6 +324,16 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
         raise QuasidentError(f"input has {p.term_count()} terms, budget {config.budget}")
     results: dict = {"input": format_quasipoly(p)}
     if config.mode == "symbolic":
+        # A word's generic-matrix product has n^(|w|+1) coefficient terms per
+        # term of its coefficient.  Capping the exponent at the budget's bit
+        # length keeps the bound a small integer and still exceeds the budget.
+        cap = config.budget.bit_length()
+        work = sum(len(c) * n ** min(len(w) + 1, cap) for w, c in p.terms())
+        if work > config.budget:
+            raise BudgetExceeded(
+                f"symbolic evaluation at n={n} builds more than the budget's "
+                f"{config.budget} coefficient terms"
+            )
         image = genmat.phi_eval(p, n)
         results["quasi_identity"] = image.is_zero()
         results["central"] = image.is_scalar()
@@ -594,7 +609,15 @@ def run_command(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> int:
-    return run_command(sys.argv[1:])
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -164,8 +164,13 @@ class QuasiPoly:
         if e < 0:
             raise ValueError("negative power")
         out = QuasiPoly.one()
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:  # a square past the top bit would outgrow the result
+                base = base * base
         return out
 
     # -- structure maps ------------------------------------------------------------

@@ -216,12 +216,6 @@ class TracePoly:
             return TracePoly.zero()
         return _trace_raw({k: c * v for k, v in self._terms.items()})
 
-    def degree_in(self, k: int) -> dict[TraceKey, int]:
-        return {
-            key: key[1].count(k) + sum(t.count(k) for t in key[0])
-            for key in self._terms
-        }
-
     def relabel(self, mapping: Mapping[int, int]) -> "TracePoly":
         def renamed(letters: Iterable[int]) -> Word:
             return tuple(mapping.get(g, g) for g in letters)

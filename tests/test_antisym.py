@@ -344,6 +344,26 @@ def test_t_form_coefficient_matches_permutation_sum():
         total += sign * prod.trace()
     assert total == 6
 
+    def signed_traces(mats, perm, prod):
+        # Sum of sign * trace over the orderings extending perm; a zero
+        # prefix product (matrix units often give one) ends every extension.
+        if prod.is_zero():
+            return 0
+        if len(perm) == len(mats):
+            return perm_sign(perm) * prod.trace()
+        return sum(
+            signed_traces(mats, perm + [i], prod * mats[i])
+            for i in range(len(mats)) if i not in perm
+        )
+
+    basis = anti.traceless_basis(3)
+    for h in (1, 2):
+        coeffs = dict(anti.t_form(3, h).terms())
+        for subset in itertools.combinations(range(len(basis)), 2 * h + 1):
+            mats = [basis[i] for i in subset]
+            total = signed_traces(mats, [], QMatrix.identity(3))
+            assert coeffs.get((subset, 0), 0) == total, (h, subset)
+
 
 def test_on_in_fn_2():
     o2 = anti.on_in_fn(2)
@@ -434,19 +454,34 @@ def test_x_power_is_standard_polynomial():
 
 
 def test_standard_value_dp_matches_permutation_sum():
+    def permutation_sum(mats, n):
+        if not mats:
+            return anti.mat_identity(n)
+        total = anti.mat_zero(n)
+        for perm in itertools.permutations(range(len(mats))):
+            prod = mats[perm[0]]
+            for idx in perm[1:]:
+                prod = anti.mat_mul(prod, mats[idx])
+            total = anti.mat_add(
+                total, anti.mat_scale(prod, perm_sign(perm))
+            )
+        return total
+
     rng = random.Random(5)
     for n in (2, 3):
-        for a in (1, 2, 3, 4):
+        for a in (1, 2, 3, 4, 5):
             mats = [anti.random_matrix(n, rng, 4) for _ in range(a)]
-            total = anti.mat_zero(n)
-            for perm in itertools.permutations(range(a)):
-                prod = mats[perm[0]]
-                for idx in perm[1:]:
-                    prod = anti.mat_mul(prod, mats[idx])
-                total = anti.mat_add(
-                    total, anti.mat_scale(prod, perm_sign(perm))
-                )
-            assert anti.standard_value_raw(mats, n) == total
+            assert anti.standard_value_raw(mats, n) == permutation_sum(mats, n)
+            for top in range(a + 1):
+                table = anti.standard_table(mats, n, top)
+                subsets = [
+                    s for size in range(top + 1)
+                    for s in itertools.combinations(range(a), size)
+                ]
+                assert len(table) == len(subsets)
+                for s in subsets:
+                    mask = sum(1 << k for k in s)
+                    assert table[mask] == permutation_sum([mats[k] for k in s], n), s
 
 
 def test_commutator_via_realization():

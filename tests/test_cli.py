@@ -281,6 +281,42 @@ def test_parse_time_power_over_budget_is_refused(command):
         parse_quasipoly("(x1+x2)^3", budget=7)
 
 
+@pytest.mark.parametrize("expr", ["(x1+x2)^10", "x1^100000"])
+def test_symbolic_check_over_the_work_budget_is_refused(expr):
+    # Both inputs are far under the term budget, but each word's generic
+    # product is n^(|w|+1) coefficient terms; unbounded, both ran past 20 s.
+    started = time.monotonic()
+    code, report = run_json(["check", "--n", "2", "--expr", expr])
+    assert time.monotonic() - started < 1, expr
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "symbolic evaluation" in report["error"]["message"]
+
+
+def test_parse_time_power_with_long_words_is_refused():
+    code, report = run_json(["--budget", "1000", "check", "--n", "1", "--expr", "x1^1001"])
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "words of length 1001" in report["error"]["message"]
+    assert parse_quasipoly("x1^1000", budget=1000).word_degree() == 1000
+
+
+def test_closed_stdout_exits_quietly():
+    # The read end closes before the report is written, as `| head -c 10`
+    # does once it has read enough.
+    src = Path(quasident.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasident.cli", "--format", "json", "verify-ch", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert stderr == b""
+
+
 def test_randomized_mode_reported():
     code, report = run_json(
         ["--mode", "randomized", "check", "--n", "2", "--expr", "x1*x2 - x2*x1"]
