@@ -324,17 +324,7 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
         raise QuasidentError(f"input has {p.term_count()} terms, budget {config.budget}")
     results: dict = {"input": format_quasipoly(p)}
     if config.mode == "symbolic":
-        # A word's generic-matrix product has n^(|w|+1) coefficient terms per
-        # term of its coefficient.  Capping the exponent at the budget's bit
-        # length keeps the bound a small integer and still exceeds the budget.
-        cap = config.budget.bit_length()
-        work = sum(len(c) * n ** min(len(w) + 1, cap) for w, c in p.terms())
-        if work > config.budget:
-            raise BudgetExceeded(
-                f"symbolic evaluation at n={n} builds more than the budget's "
-                f"{config.budget} coefficient terms"
-            )
-        image = genmat.phi_eval(p, n)
+        image = genmat.phi_eval(p, n, budget=config.budget)
         results["quasi_identity"] = image.is_zero()
         results["central"] = image.is_scalar()
     else:

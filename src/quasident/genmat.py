@@ -4,6 +4,16 @@ phi_eval sends x_k to the generic matrix whose (i,j) entry is c[k,i,j] and
 scalars to scalar matrices; a quasi-polynomial is a quasi-identity of the
 n x n matrices exactly when its image is the zero matrix.
 
+phi_eval never multiplies CPoly matrices.  Entry (i,j) of a word's product is
+the sum over index paths i = l_0, l_1, ..., l_|w| = j of the monomials
+c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient 1, so
+_word_paths walks those paths letter by letter and keeps only a variable
+multiset and an integer multiplicity per path.  phi_eval combines each
+word's paths with its coefficient's terms (integral coefficients as ints) and
+adds them in place into one term dict per image entry; the canonical
+monomials and Fraction coefficients of CPoly are built once, from the final
+dicts.  trace_word_cpoly is the diagonal of the same walk.
+
 The characteristic-polynomial identities come in two layers.  TracePoly keeps
 formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
 rotation), which is where Newton's identities and full polarization live and
@@ -19,10 +29,10 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionMismatch, MissingAssignment
+from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment
 from .exactla import QMatrix
 from .freealg import QuasiPoly, Word, perm_sign, word_key
-from .ratpoly import CPoly, Scalar, add_terms
+from .ratpoly import CPoly, Scalar, Variable, add_terms
 
 
 def generic_matrix(k: int, n: int) -> QMatrix:
@@ -34,19 +44,83 @@ def generic_matrix(k: int, n: int) -> QMatrix:
     )
 
 
-def phi_eval(p: QuasiPoly, n: int) -> QMatrix:
+def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     """Evaluation homomorphism: x_k -> generic matrix, scalars -> scalar matrices.
 
-    Every entry of the image is a CPoly, the zero polynomial's included."""
+    Every entry of the image is a CPoly, the zero polynomial's included.  With
+    a budget, an input whose image could build more than budget coefficient
+    terms raises BudgetExceeded before any is built: a word w contributes
+    n^(|w|+1) index paths per term of its coefficient, the exponent capped at
+    the budget's bit length (which keeps the count small and still over it).
+    """
     terms = p.terms()
     for (k, i, j) in {v for _, c in terms for v in c.variables()}:
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
-    images = {k: generic_matrix(k, n) for w, _ in terms for k in w}
-    total = QMatrix([[CPoly.zero()] * n for _ in range(n)])
+    if budget is not None:
+        cap = budget.bit_length()
+        if sum(len(c) * n ** min(len(w) + 1, cap) for w, c in terms) > budget:
+            raise BudgetExceeded(
+                f"symbolic evaluation at n={n} builds more than the budget's "
+                f"{budget} coefficient terms"
+            )
+    m = n + 1
+    image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for w, coeff in terms:
-        total = total + _word_value(w, images, n).scale(coeff)
-    return total
+        # Each coefficient term as (its variable codes with repetition, int or Fraction).
+        scaled = [
+            (tuple((k * m + i) * m + j for (k, i, j), e in mono for _ in range(e)),
+             c.numerator if c.denominator == 1 else c)
+            for mono, c in coeff.terms()
+        ]
+        for image_row, path_row in zip(image, _word_paths(w, n)):
+            for out, paths in zip(image_row, path_row):
+                for codes, c in scaled:
+                    add_terms(out, (
+                        (tuple(sorted(codes + key)) if codes else key, c * mult)
+                        for key, mult in paths.items()
+                    ))
+    return QMatrix([[_path_cpoly(out, n) for out in row] for row in image])
+
+
+def _word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
+    """Entry (i, j) of the product of w's generic matrices, for every start
+    row i and end column j, as {sorted tuple of variable codes: multiplicity}.
+
+    The variable c[k,l,j] has the code (k*m + l)*m + j with m = n + 1, so codes
+    sort as the triples do and hash as ints.  Each letter k extends every path
+    ending at column l by the one variable c[k,l,j]; no coefficient is
+    multiplied and no monomial is built.  Distinct paths that read the same
+    variables (a repeated letter) share a key."""
+    m = n + 1
+    cols = range(1, m)
+    out = []
+    for i in cols:
+        row: list[dict] = [{(): 1} if j == i else {} for j in cols]
+        for k in w:
+            step: list[dict] = [{} for _ in cols]
+            for l, paths in zip(cols, row):
+                for j, acc in zip(cols, step):
+                    v = ((k * m + l) * m + j,)
+                    for key, mult in paths.items():
+                        longer = tuple(sorted(key + v))
+                        acc[longer] = acc.get(longer, 0) + mult
+            row = step
+        out.append(row)
+    return out
+
+
+def _path_cpoly(terms: dict[tuple[int, ...], Scalar], n: int) -> CPoly:
+    """The CPoly of a {sorted tuple of variable codes: coefficient} dict."""
+    m = n + 1
+    variables: dict[int, Variable] = {}
+    for code in {code for key in terms for code in key}:
+        rest, j = divmod(code, m)
+        variables[code] = (*divmod(rest, m), j)
+    return CPoly({
+        tuple((variables[code], len(list(run))) for code, run in itertools.groupby(key)): c
+        for key, c in terms.items()
+    })
 
 
 def is_quasi_identity(p: QuasiPoly, n: int) -> bool:
@@ -134,17 +208,10 @@ def canonical_rotation(letters: Iterable[int]) -> Word:
 
 
 def trace_word_cpoly(letters: Iterable[int], n: int) -> CPoly:
-    """tr of the product of generic matrices along a word, as a CPoly."""
-    t = tuple(letters)
-    if not t:
-        return CPoly.const(n)
-    total = CPoly.zero()
-    for path in itertools.product(range(1, n + 1), repeat=len(t)):
-        term = CPoly.one()
-        for pos, k in enumerate(t):
-            term = term * CPoly.variable(k, path[pos], path[(pos + 1) % len(t)])
-        total = total + term
-    return total
+    """tr of the product of generic matrices along a word, as a CPoly: the
+    diagonal of the word's index paths."""
+    paths = _word_paths(tuple(letters), n)
+    return _path_cpoly(add_terms({}, (t for i in range(n) for t in paths[i][i].items())), n)
 
 
 TraceKey = tuple[tuple[Word, ...], Word]  # (sorted trace factors, free word)

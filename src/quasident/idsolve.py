@@ -225,7 +225,8 @@ def local_lin_dep(
 
     The test composes the Capelli polynomial C_{2t-1} with the fs in its
     alternating slots and fresh generators in the y slots; dependence holds
-    exactly when that composite is a quasi-identity.
+    exactly when that composite is a quasi-identity.  term_budget caps the
+    composite's terms and, in symbolic mode, the work of its evaluation.
     """
     if not fs:
         raise ValueError("fs must be nonempty")
@@ -240,7 +241,7 @@ def local_lin_dep(
     composite = _capelli_composite(fs, y_gens, term_budget)
 
     if mode == "symbolic":
-        dependent = genmat.is_quasi_identity(composite, n)
+        dependent = genmat.phi_eval(composite, n, budget=term_budget).is_zero()
         report = DependenceReport(
             verdict="dependent" if dependent else "independent",
             mode="symbolic",

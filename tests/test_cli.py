@@ -293,6 +293,17 @@ def test_symbolic_check_over_the_work_budget_is_refused(expr):
     assert "symbolic evaluation" in report["error"]["message"]
 
 
+def test_symbolic_capelli_dep_over_the_work_budget_is_refused():
+    # The composite x1^100000*x3 - x3*x1^100000 has two terms; unbounded, its
+    # symbolic evaluation ran past 10 s.
+    started = time.monotonic()
+    code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1^100000", "--expr", "1"])
+    assert time.monotonic() - started < 5
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "symbolic evaluation" in report["error"]["message"]
+
+
 def test_parse_time_power_with_long_words_is_refused():
     code, report = run_json(["--budget", "1000", "check", "--n", "1", "--expr", "x1^1001"])
     assert code == 2

@@ -243,6 +243,16 @@ def test_trace_word_canonical_rotation():
     assert genmat.trace_word_cpoly((1, 2), 2) == genmat.trace_word_cpoly((2, 1), 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trace_word_matches_generic_matrix_products(n):
+    # Repeated letters make distinct index cycles read the same monomial.
+    for w in [(), (1,), (1, 1), (1, 2, 1), (1, 1, 2, 2), (2, 1, 2, 1), (1, 1, 1, 1), (3, 1, 3)]:
+        product = QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+        for k in w:
+            product = product * genmat.generic_matrix(k, n)
+        assert genmat.trace_word_cpoly(w, n) == product.trace(), w
+
+
 def test_evaluate_matches_phi_specialization():
     rng = random.Random(3)
     n = 2

@@ -1,6 +1,7 @@
-"""Property test of the evaluation map against point evaluation: the generic
-image phi_eval(p, n), specialized at a point, is the value evaluate computes
-there directly, and both equal a word-by-word reference sum."""
+"""Property tests of the evaluation map.  The generic image phi_eval(p, n),
+specialized at a point, is the value evaluate computes there directly, and
+both equal a word-by-word reference sum; the image itself equals a reference
+that multiplies generic matrices word by word."""
 
 import pytest
 
@@ -8,9 +9,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st  # noqa: E402
 
+from fractions import Fraction  # noqa: E402
+
 from quasident.exactla import QMatrix  # noqa: E402
 from quasident.freealg import QuasiPoly  # noqa: E402
-from quasident.genmat import evaluate, phi_eval  # noqa: E402
+from quasident.genmat import evaluate, generic_matrix, phi_eval  # noqa: E402
 from quasident.ratpoly import CPoly, monomial  # noqa: E402
 
 settings = hypothesis_settings(max_examples=60, deadline=None)
@@ -66,3 +69,49 @@ def test_phi_eval_specializes_to_evaluate(case):
     }
     specialized = QMatrix([[e.eval(assignment) for e in row] for row in image.data])
     assert specialized == evaluate(p, point, n) == reference_value(p, point, n, assignment)
+
+
+def reference_image(p, n):
+    """Sum of coefficient times the product of the word's generic matrices,
+    each product started at the identity: the CPoly matrix arithmetic phi_eval
+    does without."""
+    total = QMatrix([[CPoly.zero()] * n for _ in range(n)])
+    for w, coeff in p.terms():
+        m = QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+        for k in w:
+            m = m * generic_matrix(k, n)
+        total = total + m.scale(coeff)
+    return total
+
+
+@st.composite
+def images(draw):
+    """(n, p): words of length up to 4 in x1, x2, so letters repeat and
+    distinct index paths share a monomial; coefficients are fractions times
+    monomials in the entries c[k,i,j]."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    index = st.integers(1, n)
+    variables = st.tuples(st.sampled_from(GENS), index, index)
+    monomials = st.lists(st.tuples(variables, st.integers(0, 2)), max_size=2).map(monomial)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    cpolys = st.dictionaries(monomials, fractions, max_size=3).map(CPoly)
+    words = st.lists(st.sampled_from(GENS), max_size=4).map(tuple)
+    return n, draw(st.dictionaries(words, cpolys, max_size=4).map(QuasiPoly))
+
+
+@settings
+@given(images())
+@example((2, QuasiPoly({(): CPoly.const(Fraction(1, 2))})))
+@example((3, QuasiPoly({(1, 1, 1, 1): CPoly.one(), (1, 2, 1, 2): CPoly.const(-2)})))
+@example((2, QuasiPoly({(1, 2, 1): CPoly.variable(1, 2, 1) ** 2 - CPoly.const(Fraction(3, 2))})))
+def test_phi_eval_equals_generic_matrix_products(case):
+    n, p = case
+    image = phi_eval(p, n)
+    assert image == reference_image(p, n)
+    for row in image.data:
+        for entry in row:
+            for mono, coeff in entry.terms():
+                assert type(coeff) is Fraction and coeff != 0
+                assert list(mono) == sorted(mono)
+                assert len({v for v, _ in mono}) == len(mono)
+                assert all(e > 0 for _, e in mono)
