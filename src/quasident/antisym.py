@@ -16,6 +16,9 @@ degree capped at n^2.  The fixed ordered basis of the traceless matrices is
 all e_ij (i != j) in row-major order followed by e_ii - e_{i+1,i+1}; this
 pins coordinates and signs.
 
+ExtElement and WedgeForm are ratpoly.Terms types tied to their n (_AtN):
+sums across dimensions raise DimensionMismatch.
+
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
 the slot, and T_h as the scalar form tr(S_{2h+1}(...)); the wedge of
 already-antisymmetric functions is computed as the division-free shuffle
@@ -51,7 +54,7 @@ from .exactla import (
 )
 from . import genmat
 from .freealg import perm_sign
-from .ratpoly import add_terms
+from .ratpoly import Terms, add_terms, scaled
 
 # ---------------------------------------------------------------------------
 # Formal algebra on T_1..T_{n-2}, X, Y
@@ -79,10 +82,39 @@ def ext_degree(m: ExtMonomial) -> int:
     return sum(2 * h + 1 for h in tset) + i + j
 
 
-class ExtElement:
+class _AtN(Terms):
+    """A term type tied to a dimension n: values carry n, sums and
+    differences across dimensions raise DimensionMismatch, and equal values
+    have equal n."""
+
+    __slots__ = ("n",)
+
+    def _new(self, terms: dict) -> "_AtN":
+        out = super()._new(terms)
+        out.n = self.n
+        return out
+
+    def _coerce(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.n != self.n:
+            raise DimensionMismatch(f"values live at n={self.n} and n={other.n}")
+        return other
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.n == other.n
+            and self._terms == other._terms
+        )
+
+    __hash__ = Terms.__hash__
+
+
+class ExtElement(_AtN):
     """Rational combination of normal-form monomials, tied to a dimension n."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[ExtMonomial, Fraction | int] | None = None):
         self.n = n
@@ -98,14 +130,8 @@ class ExtElement:
     def monomial(n: int, tset: Iterable[int], i: int, j: int, coeff: Fraction | int = 1) -> "ExtElement":
         return ExtElement(n, {ext_monomial(n, tset, i, j): Fraction(coeff)})
 
-    def terms(self) -> list[tuple[ExtMonomial, Fraction]]:
-        return sorted(self._terms.items())
-
     def coefficient(self, m: ExtMonomial) -> Fraction:
         return self._terms.get(m, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degree(self) -> int:
         if not self._terms:
@@ -115,38 +141,8 @@ class ExtElement:
             raise WrongDegree("element is not homogeneous")
         return degs.pop()
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        self._check(other)
-        return _ext_raw(self.n, add_terms(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "ExtElement":
-        c = Fraction(c)
-        if not c:
-            return ExtElement.zero(self.n)
-        return _ext_raw(self.n, {m: c * v for m, v in self._terms.items()})
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            f"{c}*{format_ext_monomial(m)}" for m, c in self.terms()
-        )
-
-    __repr__ = __str__
-
-    def _check(self, other: "ExtElement") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"elements live at n={self.n} and n={other.n}")
+    def _term_str(self, m: ExtMonomial, coeff: Fraction) -> str:
+        return scaled(coeff, format_ext_monomial(m))
 
 
 def format_ext_monomial(m: ExtMonomial) -> str:
@@ -157,12 +153,6 @@ def format_ext_monomial(m: ExtMonomial) -> str:
     if j:
         parts.append("Y" if j == 1 else f"Y^{j}")
     return "*".join(parts) if parts else "1"
-
-
-def _ext_raw(n: int, terms: dict[ExtMonomial, Fraction]) -> ExtElement:
-    e = ExtElement(n)
-    e._terms = terms
-    return e
 
 
 def atilde_basis(n: int, degree: int) -> list[ExtMonomial]:
@@ -232,7 +222,7 @@ def atilde_mul(a: ExtElement, b: ExtElement, n: int | None = None) -> ExtElement
                     sign = -sign
                 yield m, sign * ca * cb
 
-    return _ext_raw(n, add_terms({}, products()))
+    return a._new(add_terms({}, products()))
 
 
 def obar(n: int) -> ExtElement:
@@ -302,12 +292,16 @@ def special_monomial(n: int) -> ExtMonomial:
     return (tuple(range(1, n - 1)), 2, 2 * n - 2)
 
 
-def verify_kerim(n: int, max_n: int = 4) -> dict:
+# The largest n verify_kerim accepts.
+KERIM_MAX_N = 4
+
+
+def verify_kerim(n: int) -> dict:
     """Exact check that the image of right multiplication by obar equals the
     kernel of rho in top degree, with codimension one and the stated
     complement; returns a dimension ledger."""
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} above the configured ceiling {max_n}")
+    if n > KERIM_MAX_N:
+        raise BudgetExceeded(f"n={n} above the configured ceiling {KERIM_MAX_N}")
     cod = atilde_basis(n, n * n)
     matrix = pi_map(n)
     image = Subspace.from_vectors(len(cod), [matrix.column(c) for c in range(matrix.cols)])
@@ -360,11 +354,11 @@ def traceless_basis(n: int) -> list[QMatrix]:
 WedgeKey = tuple[tuple[int, ...], int]  # (ascending 0-based basis indices, X power)
 
 
-class WedgeForm:
+class WedgeForm(_AtN):
     """Element of the wedge algebra over the traceless dual basis with an
     adjoined odd variable X (X^{2n} = 0, degree capped at n^2)."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[WedgeKey, Fraction | int] | None = None):
         if n < 2:
@@ -386,51 +380,18 @@ class WedgeForm:
     def x_power(n: int, a: int, coeff: Fraction | int = 1) -> "WedgeForm":
         return WedgeForm(n, {((), a): Fraction(coeff)})
 
-    def terms(self) -> list[tuple[WedgeKey, Fraction]]:
-        return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         degs = {len(s) + a for (s, a) in self._terms}
         if len(degs) > 1:
             raise WrongDegree("form is not homogeneous")
         return degs.pop() if degs else 0
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WedgeForm)
-            and self.n == other.n
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: "WedgeForm") -> "WedgeForm":
-        if self.n != other.n:
-            raise DimensionMismatch("forms live at different dimensions")
-        return _wedge_raw(self.n, add_terms(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: "WedgeForm") -> "WedgeForm":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "WedgeForm":
-        c = Fraction(c)
-        if not c:
-            return WedgeForm.zero(self.n)
-        return _wedge_raw(self.n, {k: c * v for k, v in self._terms.items()})
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        def fmt(key: WedgeKey) -> str:
-            subset, a = key
-            parts = [f"b{i}*" for i in subset]
-            if a:
-                parts.append("X" if a == 1 else f"X^{a}")
-            return "^".join(parts) if parts else "1"
-        return " + ".join(f"{c}*{fmt(k)}" for k, c in self.terms())
-
-    __repr__ = __str__
+    def _term_str(self, key: WedgeKey, coeff: Fraction) -> str:
+        subset, a = key
+        parts = [f"b{i}*" for i in subset]
+        if a:
+            parts.append("X" if a == 1 else f"X^{a}")
+        return scaled(coeff, "^".join(parts) if parts else "1")
 
 
 def _wedge_key(n: int, subset: Iterable[int], a: int) -> WedgeKey:
@@ -446,12 +407,6 @@ def _wedge_key(n: int, subset: Iterable[int], a: int) -> WedgeKey:
     if len(subset) + a > n * n:
         raise ValueError("degree exceeds the cap")
     return subset, a
-
-
-def _wedge_raw(n: int, terms: dict[WedgeKey, Fraction]) -> WedgeForm:
-    w = WedgeForm(n)
-    w._terms = terms
-    return w
 
 
 def fn_basis(n: int, degree: int) -> list[WedgeKey]:
@@ -492,7 +447,7 @@ def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
                     sign = -sign
                 yield (subset, x), sign * ca * cb
 
-    return _wedge_raw(n, add_terms({}, products()))
+    return a._new(add_terms({}, products()))
 
 
 def t_form(n: int, h: int) -> WedgeForm:
@@ -516,9 +471,7 @@ def on_in_fn(n: int) -> WedgeForm:
     for i in range(0, n - 1):
         h = n - i - 1
         th = t_form(n, h)
-        shifted = _wedge_raw(
-            n, {(s, a + 2 * i): -c for (s, a), c in th._terms.items()}
-        )
+        shifted = th._new({(s, a + 2 * i): -c for (s, a), c in th._terms.items()})
         total = total + shifted
     return total
 
@@ -554,9 +507,11 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
 #
 # The evaluators below work on bare tuples-of-tuples of Python numbers (ints
 # or Fractions) through exactla's mat_* kernel, the same functions behind
-# QMatrix: sampling feeds integer matrices, and every accumulator starts from
-# the int mat_zero(n), because integer arithmetic is what keeps the exhaustive
-# and randomized suites fast.  QMatrix appears only at the public boundary.
+# QMatrix: sampling feeds integer matrices, every accumulator starts from the
+# int mat_zero(n), and QMatrix keeps int entries as given, so the traceless
+# basis behind t_form and integer QMatrix arguments arrive as int matrices
+# too.  Integer arithmetic is what keeps the exhaustive and randomized suites
+# fast.  QMatrix appears only at the public boundary.
 #
 # Every standard-polynomial value (X^a, Y^a and T_h blocks, and the T_h wedge
 # forms) comes from one subset DP, standard_table; a wedge evaluation builds

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals, on one matrix kernel.
 
 QMatrix is the package's one matrix type: a small immutable rectangular
-matrix whose entries are Fractions, or CPolys for the images of genmat's
-evaluation map.  Its arithmetic is the ``mat_*`` kernel below: plain
-functions on tuples of rows that use only ``+`` and ``*``, so they serve
-int, Fraction and CPoly entries alike.  antisym's raw evaluators call the
-same functions on int matrices, which keeps their sampling in integer
-arithmetic.
+matrix whose entries are ints, Fractions, or CPolys for the images of
+genmat's evaluation map, kept as given (any other number becomes a
+Fraction).  Its arithmetic is the ``mat_*`` kernel below: plain functions on
+tuples of rows that use only ``+`` and ``*``, so they serve int, Fraction and
+CPoly entries alike.  Integer matrices (matrix units, the traceless basis,
+random points) therefore stay in integer arithmetic, in QMatrix and in
+antisym's raw evaluators alike.
 
 Every elimination goes through one sparse kernel, ``_rref``: rows arrive as
 {column: coefficient} dicts, each is folded into a growing set of pivot rows
@@ -72,13 +73,15 @@ def mat_is_zero(a: Mat) -> bool:
 
 
 class QMatrix:
-    """Rectangular matrix with Fraction or CPoly entries.  Treated as immutable."""
+    """Rectangular matrix with int, Fraction or CPoly entries.  Treated as immutable."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[Scalar | CPoly]]):
         self.data: Mat = tuple(
-            tuple(x if isinstance(x, CPoly) else Fraction(x) for x in row) for row in data
+            tuple(x if type(x) is int or isinstance(x, (Fraction, CPoly)) else Fraction(x)
+                  for x in row)
+            for row in data
         )
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.rows else 0
@@ -99,11 +102,11 @@ class QMatrix:
             [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
         )
 
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction | CPoly:
+    def __getitem__(self, idx: tuple[int, int]) -> Scalar | CPoly:
         i, j = idx
         return self.data[i][j]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "QMatrix":
@@ -139,7 +142,7 @@ class QMatrix:
             raise ValueError("vector length mismatch")
         return tuple(x for (x,) in mat_mul(self.data, tuple((Fraction(x),) for x in v)))
 
-    def trace(self) -> Fraction | CPoly:
+    def trace(self) -> Scalar | CPoly:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         return mat_trace(self.data)
@@ -176,7 +179,7 @@ class QMatrix:
 
 
 def _wrap(data: Mat) -> QMatrix:
-    """QMatrix over kernel output, whose entries are already Fraction or CPoly."""
+    """QMatrix over kernel output, whose entries are already int, Fraction or CPoly."""
     m = QMatrix.__new__(QMatrix)
     m.data = data
     m.rows = len(data)

@@ -28,7 +28,7 @@ from .errors import (
     NotHomogeneous,
     NotMultilinear,
 )
-from .ratpoly import CPoly, Monomial, add_terms
+from .ratpoly import CPoly, Monomial, Terms, add_terms, scaled
 
 Word = tuple[int, ...]
 
@@ -48,10 +48,12 @@ def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
 
-class QuasiPoly:
+class QuasiPoly(Terms):
     """Immutable element of the free algebra over CPoly coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _order = staticmethod(lambda term: word_key(term[0]))
 
     def __init__(self, terms: Mapping[Word, CoeffLike] | None = None):
         self._terms: dict[Word, CPoly] = add_terms({}, (
@@ -82,10 +84,14 @@ class QuasiPoly:
     def from_word(w: Iterable[int], coeff: CoeffLike = 1) -> "QuasiPoly":
         return QuasiPoly({word(*w): coeff})
 
-    # -- inspection ------------------------------------------------------------
+    def _coerce(self, other: object):
+        if isinstance(other, QuasiPoly):
+            return other
+        if isinstance(other, (CPoly, int, Fraction)):
+            return QuasiPoly.const(other)
+        return NotImplemented
 
-    def terms(self) -> list[tuple[Word, CPoly]]:
-        return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
+    # -- inspection ------------------------------------------------------------
 
     def coefficient(self, w: Word) -> CPoly:
         return self._terms.get(tuple(w), CPoly.zero())
@@ -105,73 +111,29 @@ class QuasiPoly:
         """Longest word length; 0 for scalar or zero polynomials."""
         return max((len(w) for w in self._terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def has_scalar_coefficients(self) -> bool:
         return all(c.is_constant() for c in self._terms.values())
 
     def term_count(self) -> int:
         return sum(len(c) for c in self._terms.values())
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuasiPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction, CPoly)):
-            return self == QuasiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset((w, hash(c)) for w, c in self._terms.items()))
-
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other: "QuasiPoly | CoeffLike") -> "QuasiPoly":
-        return _raw(add_terms(dict(self._terms), _coerce(other)._terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuasiPoly":
-        return _raw({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: "QuasiPoly | CoeffLike") -> "QuasiPoly":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: CoeffLike) -> "QuasiPoly":
-        return _coerce(other) - self
-
     def __mul__(self, other: "QuasiPoly | CoeffLike") -> "QuasiPoly":
-        other = _coerce(other)
-        return _raw(add_terms({}, (
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(add_terms({}, (
             (wa + wb, ca * cb)
             for wa, ca in self._terms.items()
             for wb, cb in other._terms.items()
         )))
 
     def __rmul__(self, other: CoeffLike) -> "QuasiPoly":
-        return _coerce(other) * self
-
-    def scale(self, c: CoeffLike) -> "QuasiPoly":
-        return _coerce(c) * self
-
-    def __pow__(self, e: int) -> "QuasiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = QuasiPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:  # a square past the top bit would outgrow the result
-                base = base * base
-        return out
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
 
     # -- structure maps ------------------------------------------------------------
 
@@ -189,7 +151,7 @@ class QuasiPoly:
             }
             return coeff.subst(table) if table else coeff
 
-        return _raw(add_terms({}, (
+        return self._new(add_terms({}, (
             (tuple(mapping.get(k, k) for k in w), renamed(coeff))
             for w, coeff in self._terms.items()
         )))
@@ -228,46 +190,11 @@ class QuasiPoly:
 
     # -- printing ---------------------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"QuasiPoly({self})"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, coeff in self.terms():
-            wtxt = "*".join(f"x{k}" for k in w)
-            if not w:
-                body = f"({coeff})" if len(coeff) > 1 or not coeff.is_constant() else str(coeff)
-            elif coeff == CPoly.one():
-                body = wtxt
-            elif coeff == CPoly.const(-1):
-                body = f"-{wtxt}"
-            elif len(coeff) == 1 and coeff.is_constant():
-                body = f"{coeff.constant_value()}*{wtxt}"
-            else:
-                body = f"({coeff})*{wtxt}"
-            if parts and not body.startswith("-"):
-                parts.append(f"+ {body}")
-            elif parts:
-                parts.append(f"- {body[1:]}")
-            else:
-                parts.append(body)
-        return " ".join(parts)
-
-
-def _coerce(value: "QuasiPoly | CoeffLike") -> QuasiPoly:
-    if isinstance(value, QuasiPoly):
-        return value
-    if isinstance(value, (CPoly, int, Fraction)):
-        return QuasiPoly.const(value)
-    raise TypeError(f"cannot treat {type(value).__name__} as a QuasiPoly")
-
-
-def _raw(terms: dict[Word, CPoly]) -> QuasiPoly:
-    p = QuasiPoly()
-    p._terms = terms
-    return p
+    def _term_str(self, w: Word, coeff: CPoly) -> str:
+        body = "*".join(f"x{k}" for k in w)
+        if coeff.is_constant():
+            return scaled(coeff.constant_value(), body)
+        return f"({coeff})*{body}" if body else f"({coeff})"
 
 
 def _coeff_degree_in(mono: Monomial, k: int) -> int:
@@ -304,7 +231,7 @@ def multilinearize(p: QuasiPoly, generator: int, fresh: list[int]) -> QuasiPoly:
             (tuple(next(letters) if g == generator else g for g in w), coeff)
             for letters in map(iter, itertools.permutations(fresh))
         ))
-    return _raw(out)
+    return p._new(out)
 
 
 def _multilinear_atoms(p: QuasiPoly, generators: list[int]) -> None:

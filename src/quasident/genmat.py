@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment
 from .exactla import QMatrix
 from .freealg import QuasiPoly, Word, perm_sign, word_key
-from .ratpoly import CPoly, Scalar, Variable, add_terms
+from .ratpoly import CPoly, Scalar, Terms, Variable, add_terms, scaled
 
 
 def generic_matrix(k: int, n: int) -> QMatrix:
@@ -217,7 +217,7 @@ def trace_word_cpoly(letters: Iterable[int], n: int) -> CPoly:
 TraceKey = tuple[tuple[Word, ...], Word]  # (sorted trace factors, free word)
 
 
-class TracePoly:
+class TracePoly(Terms):
     """Formal trace polynomial: rational combinations of tr-products times words.
 
     Trace factors are stored in canonical cyclic rotation and sorted, so
@@ -226,7 +226,9 @@ class TracePoly:
     permutes.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _order = staticmethod(lambda term: (word_key(term[0][1]), term[0][0]))
 
     def __init__(self, terms: Mapping[TraceKey, Scalar] | None = None):
         self._terms: dict[TraceKey, Fraction] = add_terms({}, (
@@ -249,45 +251,18 @@ class TracePoly:
     def tr(letters: Iterable[int]) -> "TracePoly":
         return TracePoly({((tuple(letters),), ()): 1})
 
-    def terms(self) -> list[tuple[TraceKey, Fraction]]:
-        return sorted(
-            self._terms.items(),
-            key=lambda t: (word_key(t[0][1]), t[0][0]),
-        )
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TracePoly) and self._terms == other._terms
-
-    def __add__(self, other: "TracePoly") -> "TracePoly":
-        return _trace_raw(add_terms(dict(self._terms), other._terms.items()))
-
-    def __neg__(self) -> "TracePoly":
-        return _trace_raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "TracePoly") -> "TracePoly":
-        return self + (-other)
-
     def __mul__(self, other: "TracePoly") -> "TracePoly":
-        return _trace_raw(add_terms({}, (
+        return self._new(add_terms({}, (
             ((tuple(sorted(ta + tb)), wa + wb), ca * cb)
             for (ta, wa), ca in self._terms.items()
             for (tb, wb), cb in other._terms.items()
         )))
 
-    def scale(self, c: Scalar) -> "TracePoly":
-        c = Fraction(c)
-        if not c:
-            return TracePoly.zero()
-        return _trace_raw({k: c * v for k, v in self._terms.items()})
-
     def relabel(self, mapping: Mapping[int, int]) -> "TracePoly":
         def renamed(letters: Iterable[int]) -> Word:
             return tuple(mapping.get(g, g) for g in letters)
 
-        return _trace_raw(add_terms({}, (
+        return self._new(add_terms({}, (
             (_trace_key(map(renamed, traces), renamed(w)), c)
             for (traces, w), c in self._terms.items()
         )))
@@ -315,7 +290,7 @@ class TracePoly:
                 (_trace_key([filled(t, slots) for t in traces], filled(w, slots)), coeff)
                 for slots in map(iter, itertools.permutations(fresh))
             ))
-        return _trace_raw(out)
+        return self._new(out)
 
     def expand(self, n: int) -> QuasiPoly:
         """Expand every trace factor into generic-matrix entries."""
@@ -327,41 +302,17 @@ class TracePoly:
             total = total + QuasiPoly({w: c})
         return total
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (traces, w), coeff in self.terms():
-            factors = [f"tr({'*'.join(f'x{g}' for g in t)})" for t in traces]
-            if w:
-                factors.append("*".join(f"x{g}" for g in w))
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = f"-{body}"
-            else:
-                text = f"{coeff}*{body}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        return " ".join(parts)
-
-    __repr__ = __str__
+    def _term_str(self, key: TraceKey, coeff: Fraction) -> str:
+        traces, w = key
+        factors = [f"tr({'*'.join(f'x{g}' for g in t)})" for t in traces]
+        if w:
+            factors.append("*".join(f"x{g}" for g in w))
+        return scaled(coeff, "*".join(factors) if factors else "1")
 
 
 def _trace_key(traces: Iterable[Iterable[int]], w: Iterable[int]) -> TraceKey:
     """Canonical key: trace factors rotated to their least form and sorted."""
     return (tuple(sorted(canonical_rotation(t) for t in traces)), tuple(w))
-
-
-def _trace_raw(terms: dict[TraceKey, Fraction]) -> TracePoly:
-    t = TracePoly()
-    t._terms = terms
-    return t
 
 
 # -- classical polynomials ----------------------------------------------------
@@ -433,7 +384,7 @@ def cayley_hamilton_Q_trace(n: int) -> TracePoly:
     if n < 1:
         raise ValueError("n must be >= 1")
     global_sign = (-1) ** n
-    return _trace_raw(add_terms({}, (
+    return TracePoly()._new(add_terms({}, (
         (_cycle_key(perm), Fraction(global_sign * perm_sign(perm)))
         for perm in itertools.permutations(range(1, n + 2))
     )))

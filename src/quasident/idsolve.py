@@ -280,8 +280,8 @@ def local_lin_dep(
             raise QuasidentError("independent verdict but no witness point found")
         assignment, values = found
         report.witness = {
-            "point": {f"x{k}": m.data for k, m in sorted(assignment.items())},
-            "values": [m.data for m in values],
+            "point": {f"x{k}": m for k, m in sorted(assignment.items())},
+            "values": values,
         }
     return report
 

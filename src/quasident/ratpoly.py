@@ -7,10 +7,14 @@ constant monomial.  A CPoly maps monomials to nonzero Fractions.  Both layers
 are kept canonical after every operation, so structural equality is
 polynomial equality and printed forms are reproducible.
 
-add_terms is the one sparse term accumulator: every "dict of terms" type in
-the package (CPoly, freealg's QuasiPoly, genmat's TracePoly, antisym's
-ExtElement and WedgeForm, and exactla's elimination rows) merges terms
-through it, so a cancelled coefficient is never stored.
+Terms is the one sparse term type: CPoly, freealg's QuasiPoly, genmat's
+TracePoly and antisym's ExtElement and WedgeForm all subclass it.  It holds
+the {key: nonzero coefficient} dict and gives them one copy of addition,
+negation, scaling, powers, equality and the signed-sum printer (signed_sum,
+scaled); a subclass adds only its key checks, constructors, product and the
+printed form of one term.  add_terms is the one sparse term accumulator:
+every Terms type and exactla's elimination rows merge terms through it, so a
+cancelled coefficient is never stored.
 
 This module is deliberately context-free: it never checks variable indices
 against a matrix dimension.  Callers that care about an ambient n (genmat,
@@ -70,14 +74,136 @@ def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class CPoly:
+class Terms:
+    """Base of every sparse term type: an immutable {key: nonzero coefficient}
+    dict in the ``_terms`` slot.
+
+    A subclass validates its keys in ``__init__`` and supplies its
+    constructors, its product and ``_term_str``, the printed form of one term.
+    ``_coerce`` turns an operand into the subclass (NotImplemented when it
+    cannot), and ``_order`` is the sort key of ``terms()`` over (key,
+    coefficient) items (None: by key).  Everything else is shared.
+    """
+
+    __slots__ = ("_terms",)
+
+    _order = None
+
+    def _new(self, terms: dict) -> "Terms":
+        """A value of this type over an already-canonical term dict."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        return out
+
+    def _coerce(self, other: object):
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def terms(self) -> list[tuple]:
+        """Terms in the canonical order."""
+        return sorted(self._terms.items(), key=self._order)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(add_terms(dict(self._terms), other._terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(add_terms(dict(self._terms), ((k, -c) for k, c in other._terms.items())))
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def scale(self, c):
+        """Every coefficient multiplied by c."""
+        if not c:
+            return self._new({})
+        return self._new({k: c * v for k, v in self._terms.items()})
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power")
+        out = self._coerce(1)
+        if out is NotImplemented:  # no unit, such as a type without a product
+            return NotImplemented
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:  # a square past the top bit would outgrow the result
+                base = base * base
+        return out
+
+    def __str__(self) -> str:
+        return signed_sum(self._term_str(k, c) for k, c in self.terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def signed_sum(parts: Iterable[str]) -> str:
+    """Printed terms joined by " + " and " - "; "0" for none."""
+    out: list[str] = []
+    for text in parts:
+        if not out:
+            out.append(text)
+        elif text.startswith("-"):
+            out.append(f"- {text[1:]}")
+        else:
+            out.append(f"+ {text}")
+    return " ".join(out) or "0"
+
+
+def scaled(coeff, body: str) -> str:
+    """One printed term: body times a rational coefficient, which shows
+    alone for an empty body and is left out (or just its sign) at +-1."""
+    if not body:
+        return str(coeff)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"-{body}"
+    return f"{coeff}*{body}"
+
+
+class CPoly(Terms):
     """Immutable sparse polynomial over the rationals.
 
     Do not mutate the term dict after construction; all operations return new
     instances, so values can be shared freely between threads.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         self._terms: dict[Monomial, Fraction] = (
@@ -105,11 +231,14 @@ class CPoly:
             raise ValueError(f"variable indices must be positive, got ({k},{i},{j})")
         return CPoly({(((k, i, j), 1),): Fraction(1)})
 
-    # -- inspection --------------------------------------------------------
+    def _coerce(self, other: object):
+        if isinstance(other, CPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return CPoly.const(other)
+        return NotImplemented
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical (sorted-monomial) order."""
-        return sorted(self._terms.items())
+    # -- inspection --------------------------------------------------------
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
@@ -126,9 +255,6 @@ class CPoly:
             return 0
         return max(monomial_degree(m) for m in self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_constant(self) -> bool:
         return all(m == _ONE_MONOMIAL for m in self._terms)
 
@@ -137,65 +263,19 @@ class CPoly:
             raise ValueError("polynomial is not constant")
         return self._terms.get(_ONE_MONOMIAL, Fraction(0))
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == CPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "CPoly | Scalar") -> "CPoly":
-        if not isinstance(other, (CPoly, int, Fraction)):
-            return NotImplemented
-        return _raw(add_terms(dict(self._terms), _coerce(other)._terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CPoly":
-        return _raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "CPoly | Scalar") -> "CPoly":
-        if not isinstance(other, (CPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: Scalar) -> "CPoly":
-        return _coerce(other) - self
-
     def __mul__(self, other: "CPoly | Scalar") -> "CPoly":
-        if not isinstance(other, (CPoly, int, Fraction)):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        other = _coerce(other)
-        return _raw(add_terms({}, (
+        return self._new(add_terms({}, (
             (monomial_mul(ma, mb), ca * cb)
             for ma, ca in self._terms.items()
             for mb, cb in other._terms.items()
         )))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = CPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -225,45 +305,7 @@ class CPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"CPoly({self})"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.terms():
-            body = "*".join(
-                f"c[{k},{i},{j}]" + (f"^{e}" if e > 1 else "")
-                for (k, i, j), e in mono
-            )
-            if not body:
-                text = str(coeff)
-            elif coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = f"-{body}"
-            else:
-                text = f"{coeff}*{body}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        return " ".join(parts)
-
-
-def _coerce(value: "CPoly | Scalar") -> CPoly:
-    if isinstance(value, CPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CPoly.const(value)
-    raise TypeError(f"cannot treat {type(value).__name__} as a CPoly")
-
-
-def _raw(terms: dict[Monomial, Fraction]) -> CPoly:
-    """Wrap an already-canonical term dict without re-normalizing."""
-    p = CPoly()
-    p._terms = terms
-    return p
+    def _term_str(self, mono: Monomial, coeff: Fraction) -> str:
+        return scaled(coeff, "*".join(
+            f"c[{k},{i},{j}]" + (f"^{e}" if e > 1 else "") for (k, i, j), e in mono
+        ))

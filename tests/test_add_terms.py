@@ -1,6 +1,7 @@
 """Property tests of the one sparse term accumulator, ratpoly.add_terms, and of
-every term type built on it: no cancelled coefficient is ever stored, stored
-coefficients keep their exact type, and the ring laws hold."""
+every term type built on it (the ratpoly.Terms subclasses): no cancelled
+coefficient is ever stored, stored coefficients keep their exact type, and
+the ring laws hold."""
 
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from quasident.antisym import (  # noqa: E402
     fn_mul,
 )
 from quasident.cli import format_quasipoly, parse_quasipoly  # noqa: E402
+from quasident.errors import DimensionMismatch  # noqa: E402
 from quasident.freealg import QuasiPoly  # noqa: E402
 from quasident.genmat import TracePoly  # noqa: E402
 from quasident.ratpoly import CPoly, add_terms, monomial  # noqa: E402
@@ -117,6 +119,48 @@ def test_wedge_form_stores_no_zero_coefficient(a, b):
 def test_difference_with_itself_is_zero(p):
     assert (p - p).is_zero()
     assert (p - p).terms() == []
+
+
+any_terms = st.one_of(cpolys, quasipolys, tracepolys, ext_elements, wedge_forms)
+
+
+@settings
+@given(any_terms)
+def test_negation_and_scaling(p):
+    assert -(-p) == p
+    assert p.scale(0).is_zero()
+    assert p.scale(1) == p and p.scale(-1) == -p
+    assert p + (-p) == p - p
+
+
+@settings
+@given(any_terms)
+def test_zero_prints_as_zero(p):
+    assert str(p - p) == "0"
+
+
+@settings
+@given(st.one_of(cpolys, quasipolys))
+def test_power_is_repeated_product(p):
+    product = p ** 0
+    assert product == 1
+    for e in range(1, 4):
+        product = product * p
+        assert p ** e == product
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: ExtElement.monomial(n, (), 1, 0),
+    lambda n: WedgeForm.x_power(n, 1),
+])
+def test_sums_across_dimensions_are_refused(make):
+    a, b = make(3), make(4)
+    with pytest.raises(DimensionMismatch):
+        a + b
+    with pytest.raises(DimensionMismatch):
+        a - b
+    assert a != b and not (a == b)
+    assert a == make(3) and hash(a) == hash(make(3))
 
 
 @settings

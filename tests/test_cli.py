@@ -151,7 +151,13 @@ def test_capelli_dep_independent():
     code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"])
     assert code == 0
     assert report["results"]["verdict"] == "independent"
-    assert "point" in report["results"]["witness"]
+    witness = report["results"]["witness"]
+    assert "point" in witness
+    # Matrix entries print as exact rationals, never as JSON numbers.
+    matrices = [*witness["point"].values(), *witness["values"]]
+    assert matrices and all(
+        isinstance(e, str) for m in matrices for row in m for e in row
+    )
 
 
 def test_antisym_kerim_command():

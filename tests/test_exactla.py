@@ -14,10 +14,12 @@ def _bit_size(q: Fraction) -> int:
 def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
     """Reference: dense Gauss-Jordan elimination with smallest-bit-size pivots.
 
-    In-place reduced row echelon form; returns (rows, rank, pivot columns).
+    Reduced row echelon form of a Fraction copy of rows, so int input stays
+    exact; returns (rows, rank, pivot columns).
     """
     if not rows:
         return rows, 0, []
+    rows = [[Fraction(x) for x in row] for row in rows]
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -47,6 +49,13 @@ def random_matrix(rng, rows, cols, bound=6):
     return QMatrix(
         [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def test_int_entries_stay_int():
+    assert all(type(x) is int for x in QMatrix([[1, 2]]).data[0])
+    m = QMatrix.random(3, 3, random.Random(1))
+    assert all(type(x) is int for row in m.data for x in row)
+    assert QMatrix([[Fraction(1, 2), 0.5]]).data == ((Fraction(1, 2), Fraction(1, 2)),)
 
 
 def test_rref_identity():
