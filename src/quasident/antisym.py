@@ -292,16 +292,26 @@ def special_monomial(n: int) -> ExtMonomial:
     return (tuple(range(1, n - 1)), 2, 2 * n - 2)
 
 
-# The largest n verify_kerim accepts.
-KERIM_MAX_N = 4
+def atilde_dim(n: int, degree: int) -> int:
+    """len(atilde_basis(n, degree)), counted by the degree e a T-subset leaves
+    out of the full T product: it takes X^i Y^j, i, j <= top, i + j = r0 + e."""
+    r0, top = degree - n * n + 2 * n, 2 * n - 1
+    left_out = [1] + [0] * (2 * top - r0)  # T-subsets by e, up to r0 + e = 2 top
+    for h in range(1, n - 1):
+        for e in range(len(left_out) - 1, 2 * h, -1):
+            left_out[e] += left_out[e - 2 * h - 1]
+    return sum(c * (min(r, top) - max(0, r - top) + 1) for r, c in enumerate(left_out, r0) if r >= 0)
 
 
-def verify_kerim(n: int) -> dict:
+def verify_kerim(n: int, *, budget: int | None = None) -> dict:
     """Exact check that the image of right multiplication by obar equals the
     kernel of rho in top degree, with codimension one and the stated
-    complement; returns a dimension ledger."""
-    if n > KERIM_MAX_N:
-        raise BudgetExceeded(f"n={n} above the configured ceiling {KERIM_MAX_N}")
+    complement; returns a dimension ledger.  A pi_map of more cells than the
+    budget raises BudgetExceeded before it is built; it has at least 2n - 1
+    rows and n columns, so n^2 over the budget is refused uncounted."""
+    if budget is not None and (n * n > budget or
+                               atilde_dim(n, n * n) * atilde_dim(n, (n - 1) ** 2) > budget):
+        raise BudgetExceeded(f"pi_map at n={n} has more than the budget's {budget} cells")
     cod = atilde_basis(n, n * n)
     matrix = pi_map(n)
     image = Subspace.from_vectors(len(cod), [matrix.column(c) for c in range(matrix.cols)])

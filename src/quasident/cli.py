@@ -359,7 +359,7 @@ def _cmd_solve_multilinear(config: RunConfig, degree: int) -> dict:
     n = config.n
     report = _base_report("solve-multilinear", config)
     report["config"]["degree"] = degree
-    space, ansatz = idsolve.multilinear_identity_space(n, degree)
+    space, ansatz = idsolve.multilinear_identity_space(n, degree, budget=config.budget)
     spans_qn = False
     if degree == n:
         qvec = ansatz.coordinates(genmat.cayley_hamilton_Q(n))
@@ -406,7 +406,7 @@ def _cmd_capelli_dep(config: RunConfig, text: str) -> dict:
 def _cmd_antisym_kerim(config: RunConfig) -> dict:
     n = config.n
     report = _base_report("antisym-kerim", config)
-    res = antisym.verify_kerim(n)
+    res = antisym.verify_kerim(n, budget=config.budget)
     report["results"] = {
         "ambient": res["ambient_dim"],
         "domain": res["domain_dim"],

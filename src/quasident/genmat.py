@@ -4,22 +4,22 @@ phi_eval sends x_k to the generic matrix whose (i,j) entry is c[k,i,j] and
 scalars to scalar matrices; a quasi-polynomial is a quasi-identity of the
 n x n matrices exactly when its image is the zero matrix.
 
-phi_eval never multiplies CPoly matrices.  Entry (i,j) of a word's product is
-the sum over index paths i = l_0, l_1, ..., l_|w| = j of the monomials
+Every expansion of words into generic-matrix entries is one walk, and no
+CPoly is multiplied.  Entry (i,j) of a word's product is the sum over index
+paths i = l_0, l_1, ..., l_|w| = j of the monomials
 c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient 1, so
-_word_paths walks those paths letter by letter and keeps only a variable
-multiset and an integer multiplicity per path.  phi_eval combines each
-word's paths with its coefficient's terms (integral coefficients as ints) and
-adds them in place into one term dict per image entry; the canonical
-monomials and Fraction coefficients of CPoly are built once, from the final
-dicts.  trace_word_cpoly is the diagonal of the same walk.
+word_paths walks those paths letter by letter and keeps only a sorted tuple
+of variable codes (var_code) and an integer multiplicity per path.  phi_eval
+adds each word's paths, times its coefficient's terms, into one term dict per
+image entry; TracePoly.expand multiplies the walks' diagonals as code tuples;
+idsolve keys its equations by the codes.  CPoly monomials and Fractions are
+built once, from the final dicts.
 
 The characteristic-polynomial identities come in two layers.  TracePoly keeps
 formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
 rotation), which is where Newton's identities and full polarization live and
 what the canonical printer shows; expand() pushes a TracePoly down to a
-QuasiPoly by expanding each trace factor into the entries of generic
-matrices.  cayley_hamilton_q / cayley_hamilton_Q return the expanded forms.
+QuasiPoly.  cayley_hamilton_q / cayley_hamilton_Q return the expanded forms.
 """
 
 from __future__ import annotations
@@ -64,16 +64,15 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
                 f"symbolic evaluation at n={n} builds more than the budget's "
                 f"{budget} coefficient terms"
             )
-    m = n + 1
     image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for w, coeff in terms:
         # Each coefficient term as (its variable codes with repetition, int or Fraction).
         scaled = [
-            (tuple((k * m + i) * m + j for (k, i, j), e in mono for _ in range(e)),
+            (tuple(var_code(*v, n) for v, e in mono for _ in range(e)),
              c.numerator if c.denominator == 1 else c)
             for mono, c in coeff.terms()
         ]
-        for image_row, path_row in zip(image, _word_paths(w, n)):
+        for image_row, path_row in zip(image, word_paths(w, n)):
             for out, paths in zip(image_row, path_row):
                 for codes, c in scaled:
                     add_terms(out, (
@@ -83,17 +82,20 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     return QMatrix([[_path_cpoly(out, n) for out in row] for row in image])
 
 
-def _word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
+def var_code(k: int, i: int, j: int, n: int) -> int:
+    """The code of c[k,i,j] at size n; codes sort as the triples do."""
+    return (k * (n + 1) + i) * (n + 1) + j
+
+
+def word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
     """Entry (i, j) of the product of w's generic matrices, for every start
     row i and end column j, as {sorted tuple of variable codes: multiplicity}.
 
-    The variable c[k,l,j] has the code (k*m + l)*m + j with m = n + 1, so codes
-    sort as the triples do and hash as ints.  Each letter k extends every path
-    ending at column l by the one variable c[k,l,j]; no coefficient is
-    multiplied and no monomial is built.  Distinct paths that read the same
-    variables (a repeated letter) share a key."""
-    m = n + 1
-    cols = range(1, m)
+    Each letter k extends every path ending at column l by the one variable
+    c[k,l,j]; no coefficient is multiplied and no monomial is built.  Distinct
+    paths that read the same variables (a repeated letter) share a key.  The
+    empty word gives the identity: {(): 1} on the diagonal."""
+    cols = range(1, n + 1)
     out = []
     for i in cols:
         row: list[dict] = [{(): 1} if j == i else {} for j in cols]
@@ -101,7 +103,7 @@ def _word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
             step: list[dict] = [{} for _ in cols]
             for l, paths in zip(cols, row):
                 for j, acc in zip(cols, step):
-                    v = ((k * m + l) * m + j,)
+                    v = (var_code(k, l, j, n),)
                     for key, mult in paths.items():
                         longer = tuple(sorted(key + v))
                         acc[longer] = acc.get(longer, 0) + mult
@@ -208,10 +210,8 @@ def canonical_rotation(letters: Iterable[int]) -> Word:
 
 
 def trace_word_cpoly(letters: Iterable[int], n: int) -> CPoly:
-    """tr of the product of generic matrices along a word, as a CPoly: the
-    diagonal of the word's index paths."""
-    paths = _word_paths(tuple(letters), n)
-    return _path_cpoly(add_terms({}, (t for i in range(n) for t in paths[i][i].items())), n)
+    """tr of the product of generic matrices along a word, as a CPoly."""
+    return TracePoly.tr(letters).expand(n).coefficient(())
 
 
 TraceKey = tuple[tuple[Word, ...], Word]  # (sorted trace factors, free word)
@@ -293,14 +293,22 @@ class TracePoly(Terms):
         return self._new(out)
 
     def expand(self, n: int) -> QuasiPoly:
-        """Expand every trace factor into generic-matrix entries."""
-        total = QuasiPoly.zero()
+        """Expand every trace factor into generic-matrix entries: the
+        diagonal of its index paths, walked once per distinct factor."""
+        diagonals: dict[Word, dict] = {}
+        by_word: dict[Word, dict] = {}
         for (traces, w), coeff in self._terms.items():
-            c = CPoly.const(coeff)
+            product = {(): coeff.numerator if coeff.denominator == 1 else coeff}
             for t in traces:
-                c = c * trace_word_cpoly(t, n)
-            total = total + QuasiPoly({w: c})
-        return total
+                if t not in diagonals:
+                    paths = word_paths(t, n)
+                    diagonals[t] = add_terms({}, (p for i in range(n) for p in paths[i][i].items()))
+                product = add_terms({}, (
+                    (tuple(sorted(ka + kb)), ca * cb)
+                    for ka, ca in product.items() for kb, cb in diagonals[t].items()
+                ))
+            add_terms(by_word.setdefault(w, {}), product.items())
+        return QuasiPoly({w: _path_cpoly(terms, n) for w, terms in by_word.items()})
 
     def _term_str(self, key: TraceKey, coeff: Fraction) -> str:
         traces, w = key

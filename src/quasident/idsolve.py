@@ -12,9 +12,10 @@ coefficient monomials c[sigma(1),s1,t1]...c[sigma(k),sk,tk].  This normal
 form has no double counting, so the quasi-identities of that shape are
 exactly the nullspace of one exact homogeneous linear system: expanding the
 generic-matrix image of the ansatz is linear in the unknowns, and every
-(matrix entry, coefficient monomial) pair gives one equation.  The system is
-extremely sparse (almost every unknown meets an equation in a single path
-product), so it is fed to exactla's sparse row eliminator.
+(matrix entry, coefficient monomial) pair gives one equation, read off
+genmat's index-path walk of each word.  The system is extremely sparse
+(almost every unknown meets an equation in a single path product), so it is
+fed to exactla's sparse row eliminator.
 
 one_variable_divide peels the top word degree of a one-generator
 quasi-identity against the degree-n characteristic identity and certifies
@@ -28,10 +29,11 @@ quasi-identity, checked symbolically or by seeded random evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import genmat
 from .errors import (
@@ -42,14 +44,13 @@ from .errors import (
 )
 from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
 from .freealg import QuasiPoly, Word, perm_sign
+from .genmat import var_code, word_paths
 from .ratpoly import CPoly, Monomial
 
 # An unknown of the ansatz: (k, sigma, mu) where sigma is the permutation as a
 # tuple of images (sigma(1),...,sigma(d)) and mu fixes the entry pair (s, t)
 # chosen for each of sigma(1..k), in that order.
 Unknown = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]
-
-DEFAULT_CELL_BUDGET = 20_000_000
 
 
 class MultilinearAnsatz:
@@ -77,15 +78,12 @@ class MultilinearAnsatz:
         """The quasi-polynomial with the given ansatz coordinates."""
         if len(coords) != len(self.unknowns):
             raise ValueError("coordinate vector has wrong length")
-        total = QuasiPoly.zero()
+        terms: dict[Word, dict] = {}
         for coeff, (k, sigma, mu) in zip(coords, self.unknowns):
-            if not coeff:
-                continue
-            mono = CPoly.const(coeff)
-            for g, (s, t) in zip(sigma[:k], mu):
-                mono = mono * CPoly.variable(g, s, t)
-            total = total + QuasiPoly({tuple(sigma[k:]): mono})
-        return total
+            # sigma(1..k) ascends, so mu's variables come sorted.
+            mono = tuple(((g, s, t), 1) for g, (s, t) in zip(sigma[:k], mu))
+            terms.setdefault(sigma[k:], {})[mono] = coeff
+        return QuasiPoly({w: CPoly(c) for w, c in terms.items()})
 
     def coordinates(self, p: QuasiPoly) -> list[Fraction]:
         """Coordinates of a multilinear quasi-polynomial in this ansatz.
@@ -123,44 +121,38 @@ def _monomial_to_mu(mono: Monomial, gens: list[int]) -> tuple[tuple[int, int], .
 
 
 def multilinear_identity_space(
-    n: int, d: int, cell_budget: int = DEFAULT_CELL_BUDGET
+    n: int, d: int, *, budget: int | None = None
 ) -> tuple[Subspace, MultilinearAnsatz]:
     """All multilinear quasi-identities of degree d on M_n, in ansatz coordinates.
 
     Every (matrix entry, multilinear coefficient monomial) pair of the
     expanded generic-matrix image contributes one homogeneous equation; the
-    returned subspace is the exact nullspace.
+    returned subspace is the exact nullspace.  A system of more path terms
+    than the budget (d!/k! words of length d - k, each with n^(2k) monomials
+    mu and n^(d-k+1) paths) raises BudgetExceeded before the ansatz is built;
+    exponents, and d (d! >= 2^(d-1)), are capped at the budget's bit length.
     """
+    if budget is not None:
+        cap = budget.bit_length()
+        terms = (math.factorial(d) // math.factorial(k) * n ** min(k + d + 1, cap) for k in range(d + 1))
+        if d > cap or sum(terms) > budget:
+            raise BudgetExceeded(
+                f"multilinear system at n={n}, degree {d} has more than the budget's {budget} path terms"
+            )
     ansatz = MultilinearAnsatz(n, d)
-    cells = len(ansatz) * n ** (2 * d)
-    if cells > cell_budget:
-        raise BudgetExceeded(
-            f"ansatz of {len(ansatz)} unknowns x n^(2d) = {n ** (2 * d)} "
-            f"exceeds the budget of {cell_budget} cells"
-        )
-    # Equation key: (entry row, entry col, sorted tuple of (g, s, t) triples).
-    equations: dict[tuple[int, int, tuple], dict[int, Fraction]] = {}
-
-    def put(entry: tuple[int, int], triples: Iterable[tuple[int, int, int]], idx: int) -> None:
-        key = (entry[0], entry[1], tuple(sorted(triples)))
-        row = equations.setdefault(key, {})
-        row[idx] = row.get(idx, Fraction(0)) + 1
-
+    # Equation key: (entry row, entry col, sorted variable codes of mu and the path).
+    equations: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
+    walks: dict[Word, list] = {}
     for idx, (k, sigma, mu) in enumerate(ansatz.unknowns):
-        base = [(g, s, t) for g, (s, t) in zip(sigma[:k], mu)]
-        w: Word = tuple(sigma[k:])
-        if not w:
-            for u in range(1, n + 1):
-                put((u, u), base, idx)
-            continue
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                for path in itertools.product(range(1, n + 1), repeat=len(w) - 1):
-                    nodes = (u,) + path + (v,)
-                    triples = base + [
-                        (w[r], nodes[r], nodes[r + 1]) for r in range(len(w))
-                    ]
-                    put((u, v), triples, idx)
+        w = sigma[k:]
+        if w not in walks:
+            walks[w] = word_paths(w, n)
+        base = tuple(var_code(g, s, t, n) for g, (s, t) in zip(sigma[:k], mu))
+        for u, row in enumerate(walks[w], start=1):
+            for v, paths in enumerate(row, start=1):
+                for codes, mult in paths.items():
+                    equation = equations.setdefault((u, v, tuple(sorted(base + codes))), {})
+                    equation[idx] = equation.get(idx, 0) + mult
     basis = nullspace_of_rows(equations.values(), len(ansatz))
     return Subspace.from_vectors(len(ansatz), basis), ansatz
 

@@ -301,9 +301,26 @@ def test_verify_kerim_n2_ledger():
     assert report["complement_monomial"] == "X^2*Y^2"
 
 
-def test_verify_kerim_budget():
+def test_atilde_dim_counts_the_basis():
+    for n in range(2, 8):
+        for degree in range(n * n + 1):
+            assert anti.atilde_dim(n, degree) == len(anti.atilde_basis(n, degree)), (n, degree)
+
+
+def test_verify_kerim_budget_counts_cells():
+    # pi_map(5) has 22 rows and 50 columns.
     with pytest.raises(BudgetExceeded):
-        anti.verify_kerim(5)
+        anti.verify_kerim(5, budget=1_099)
+    report = anti.verify_kerim(5, budget=1_100)
+    assert (report["ambient_dim"], report["domain_dim"]) == (22, 50)
+    assert report["image_equals_kernel"] and report["codimension"] == 1
+    assert report["complement_spans"] and report["rho_pi_zero"]
+
+
+def test_verify_kerim_budget_refuses_large_n_at_once():
+    for n in (30, 10**6):
+        with pytest.raises(BudgetExceeded):
+            anti.verify_kerim(n, budget=200_000)
 
 
 def test_dimension_mismatch():

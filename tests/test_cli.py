@@ -106,6 +106,13 @@ def test_solve_multilinear_command():
     assert report["results"]["spans_Qn"] is True
 
 
+def test_solve_multilinear_over_the_path_term_budget_is_refused():
+    code, report = run_json(["--budget", "95498", "solve-multilinear", "--n", "3", "--degree", "4"])
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "path terms" in report["error"]["message"]
+
+
 def test_solve_multilinear_degree_one():
     code, report = run_json(["solve-multilinear", "--n", "2", "--degree", "1"])
     assert code == 0
@@ -166,6 +173,19 @@ def test_antisym_kerim_command():
     assert report["results"]["ambient"] == 7
     assert report["results"]["image_rank"] == 6
     assert report["results"]["ker_rho_equals_image"] is True
+
+
+def test_antisym_kerim_command_at_n5():
+    code, report = run_json(["antisym", "kerim", "--n", "5"])
+    assert code == 0
+    assert report["pass"] is True
+    assert report["results"]["codimension"] == 1
+
+
+def test_antisym_kerim_over_the_cell_budget_is_refused():
+    code, report = run_json(["--budget", "1099", "antisym", "kerim", "--n", "5"])
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
 
 
 def test_antisym_corollary2_command():

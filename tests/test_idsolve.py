@@ -56,9 +56,30 @@ def test_coordinates_roundtrip():
     assert ansatz.coordinates(p) == coords
 
 
-def test_budget_guard():
+@pytest.mark.parametrize("n, d, dim", [(1, 2, 4), (1, 3, 15), (2, 3, 21)])
+def test_fast_identity_dimensions(n, d, dim):
+    space, _ = idsolve.multilinear_identity_space(n, d)
+    assert space.dim() == dim
+
+
+def test_budget_counts_path_terms():
+    # sum_k d!/k! * n^(k+d+1): 608 at (2,3), 95,499 at (3,4).
     with pytest.raises(BudgetExceeded):
-        idsolve.multilinear_identity_space(3, 4)
+        idsolve.multilinear_identity_space(2, 3, budget=607)
+    space, _ = idsolve.multilinear_identity_space(2, 3, budget=608)
+    assert space.dim() == 21
+    with pytest.raises(BudgetExceeded):
+        idsolve.multilinear_identity_space(3, 4, budget=95_498)
+
+
+def test_budget_refuses_before_the_ansatz_is_built(monkeypatch):
+    def unbuilt(n, d):
+        raise AssertionError("the ansatz was enumerated")
+
+    monkeypatch.setattr(idsolve, "MultilinearAnsatz", unbuilt)
+    for n, d in ((3, 4), (4, 6), (2, 10**9), (10**9, 2)):
+        with pytest.raises(BudgetExceeded):
+            idsolve.multilinear_identity_space(n, d, budget=95_498)
 
 
 def test_one_variable_divide_unit():

@@ -1,7 +1,8 @@
 """Property tests of the evaluation map.  The generic image phi_eval(p, n),
 specialized at a point, is the value evaluate computes there directly, and
 both equal a word-by-word reference sum; the image itself equals a reference
-that multiplies generic matrices word by word."""
+that multiplies generic matrices word by word.  TracePoly.expand, which walks
+the same index paths, equals traces of generic-matrix products."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from fractions import Fraction  # noqa: E402
 
 from quasident.exactla import QMatrix  # noqa: E402
 from quasident.freealg import QuasiPoly  # noqa: E402
-from quasident.genmat import evaluate, generic_matrix, phi_eval  # noqa: E402
+from quasident.genmat import TracePoly, evaluate, generic_matrix, phi_eval  # noqa: E402
 from quasident.ratpoly import CPoly, monomial  # noqa: E402
 
 settings = hypothesis_settings(max_examples=60, deadline=None)
@@ -77,11 +78,16 @@ def reference_image(p, n):
     does without."""
     total = QMatrix([[CPoly.zero()] * n for _ in range(n)])
     for w, coeff in p.terms():
-        m = QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
-        for k in w:
-            m = m * generic_matrix(k, n)
-        total = total + m.scale(coeff)
+        total = total + generic_product(w, n).scale(coeff)
     return total
+
+
+def generic_product(w, n):
+    """The product of w's generic matrices, started at the identity."""
+    m = QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+    for k in w:
+        m = m * generic_matrix(k, n)
+    return m
 
 
 @st.composite
@@ -115,3 +121,38 @@ def test_phi_eval_equals_generic_matrix_products(case):
                 assert list(mono) == sorted(mono)
                 assert len({v for v, _ in mono}) == len(mono)
                 assert all(e > 0 for _, e in mono)
+
+
+def reference_expand(t, n):
+    """Each term's coefficient times the traces of its factors' generic
+    products, as CPoly products: the arithmetic TracePoly.expand does without."""
+    total = QuasiPoly.zero()
+    for (traces, w), coeff in t.terms():
+        c = CPoly.const(coeff)
+        for factor in traces:
+            c = c * generic_product(factor, n).trace()
+        total = total + QuasiPoly({w: c})
+    return total
+
+
+@st.composite
+def trace_polys(draw):
+    """(n, t): up to two trace factors and a word per term, letters from x1,
+    x2, so factors repeat letters and share them with the word."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    words = st.lists(st.sampled_from(GENS), max_size=3).map(tuple)
+    keys = st.tuples(st.lists(words.filter(bool), max_size=2).map(tuple), words)
+    fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    return n, draw(st.dictionaries(keys, fractions, max_size=4).map(TracePoly))
+
+
+@settings
+@given(trace_polys())
+@example((3, TracePoly({(((1, 2), (1, 1)), (2,)): Fraction(1, 2), (((1, 1), (1,)), (2,)): -1})))
+@example((2, TracePoly({(((1, 2),), ()): 1, (((2, 1),), ()): -1})))
+def test_trace_expand_equals_traces_of_generic_products(case):
+    n, t = case
+    expanded = t.expand(n)
+    assert expanded == reference_expand(t, n)
+    for _, coeff in expanded.terms():
+        assert coeff and all(type(c) is Fraction and c for _, c in coeff.terms())
