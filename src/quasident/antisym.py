@@ -64,8 +64,9 @@ ExtMonomial = tuple[tuple[int, ...], int, int]  # (ascending T indices, i, j)
 
 
 def ext_monomial(n: int, tset: Iterable[int], i: int, j: int) -> ExtMonomial:
+    tset = tuple(tset)
     ts = tuple(sorted(set(tset)))
-    if len(ts) != len(tuple(tset)):
+    if len(ts) != len(tset):
         raise ValueError("repeated T generator squares to zero; not a monomial")
     if any(not 1 <= h <= n - 2 for h in ts):
         raise ValueError(f"T indices must lie in 1..{n - 2}")
@@ -515,17 +516,23 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
 # Realization as multilinear antisymmetric matrix functions
 # ---------------------------------------------------------------------------
 #
-# The evaluators below work on bare tuples-of-tuples of Python numbers (ints
-# or Fractions) through exactla's mat_* kernel, the same functions behind
-# QMatrix: sampling feeds integer matrices, every accumulator starts from the
-# int mat_zero(n), and QMatrix keeps int entries as given, so the traceless
-# basis behind t_form and integer QMatrix arguments arrive as int matrices
-# too.  Integer arithmetic is what keeps the exhaustive and randomized suites
-# fast.  QMatrix appears only at the public boundary.
+# A realized function is data: MultiFn holds terms, each a coefficient times
+# the shuffle-sum wedge of a tuple of _Factors, and MultiFn._value is the one
+# evaluator.  The shuffle sum over splits of the arguments into ascending
+# blocks agrees with the full symmetric-group average on antisymmetric
+# factors and needs no division; it is associative, so wedge_fn concatenates
+# factor lists and linear combinations concatenate scaled terms.  X^a, Y^a
+# and T_h factors read their block from a standard_table (the one subset DP,
+# also behind the T_h wedge forms) over the raw arguments or their traceless
+# parts, each built on first use: MultiFn.raw builds its own, realize_rank
+# one per sample tuple for all functions of the tuple's arity group.
 #
-# Every standard-polynomial value (X^a, Y^a and T_h blocks, and the T_h wedge
-# forms) comes from one subset DP, standard_table; a wedge evaluation builds
-# its tables once and its factors read their blocks from them.
+# Evaluators work on bare tuples-of-tuples of ints or Fractions through
+# exactla's mat_* kernel, the one behind QMatrix: samples, the traceless
+# basis behind t_form and accumulators (from mat_zero) are int matrices, and
+# whole coefficients are ints.  Integer arithmetic is what keeps the
+# exhaustive and randomized suites fast.  QMatrix appears only at the public
+# boundary.
 
 
 def mat_from(m) -> Mat:
@@ -574,127 +581,123 @@ def standard_value_raw(mats: Sequence[Mat], n: int) -> Mat:
     return standard_table(mats, n, len(mats))[(1 << len(mats)) - 1]
 
 
+def _tables(args: tuple[Mat, ...], n: int, top: int) -> Callable[[bool], dict[int, Mat]]:
+    """table(traceless): the standard_table up to top over args, or over
+    their traceless parts, each built on first use."""
+    tables: dict[bool, dict[int, Mat]] = {}
+
+    def table(traceless: bool) -> dict[int, Mat]:
+        if traceless not in tables:
+            mats = [mat_traceless(m) for m in args] if traceless else args
+            tables[traceless] = standard_table(mats, n, top)
+        return tables[traceless]
+
+    return table
+
+
 @dataclass(frozen=True)
 class _Factor:
-    """One wedge factor: a multilinear antisymmetric block evaluator.
+    """One wedge factor of a term, as data.
 
-    ev(table, args, block) is the factor's value on the arguments at the
-    indices in block; table(traceless) is the evaluation's standard_table
-    over the raw arguments (False) or over their traceless parts (True).
-    scalar=True evaluators return a plain number, matrix evaluators a Mat;
-    scalars commute past everything, so the wedge only chains matrix blocks.
+    kind "S" is the standard polynomial of the block's arguments, or of their
+    traceless parts when traceless is set: a matrix.  "T" is its trace, and
+    "b" the dual basis functional b_index* on the block's one argument: both
+    scalars, which commute past everything, so a term chains only its "S"
+    blocks.
     """
 
+    kind: str
     arity: int
-    scalar: bool
-    ev: Callable
+    traceless: bool = False
+    index: int = 0
 
 
-def _standard_factor(a: int, traceless: bool) -> _Factor:
-    """X^a (standard polynomial of raw slots) or, traceless, Y^a."""
-    return _Factor(a, False, lambda table, args, block: table(traceless)[_mask(block)])
-
-
-def _t_factor(h: int, traceless: bool) -> _Factor:
-    return _Factor(
-        2 * h + 1, True, lambda table, args, block: mat_trace(table(traceless)[_mask(block)])
-    )
-
-
-def _dual_factor(n: int, index: int) -> _Factor:
-    """The dual basis functional b_index* on the block's one argument: an
-    entry off the diagonal, or, for e_dd - e_{d+1,d+1}, the diagonal sum
-    through d of the argument's traceless part."""
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if index < len(cells):
-        i, j = cells[index]
-        return _Factor(1, True, lambda table, args, block: args[block[0]][i][j])
-    d = index - len(cells)
-
-    def ev(table, args, block):
-        m = args[block[0]]
-        head = sum(m[i][i] for i in range(d + 1))
-        shift = Fraction((d + 1) * mat_trace(m), n)
-        return head - shift if shift else head
-
-    return _Factor(1, True, ev)
+def _dual_value(m: Mat, index: int):
+    """b_index*(m): an entry off the diagonal, or, for e_dd - e_{d+1,d+1},
+    the diagonal sum through d of m's traceless part."""
+    n = len(m)
+    d = index - n * (n - 1)
+    if d < 0:
+        i, j = divmod(index, n - 1)
+        return m[i][j + (j >= i)]
+    head = sum(m[i][i] for i in range(d + 1))
+    shift = Fraction((d + 1) * mat_trace(m), n)
+    return head - shift if shift else head
 
 
 @dataclass(frozen=True)
 class MultiFn:
-    """Multilinear antisymmetric function from d-tuples of matrices to matrices.
+    """Multilinear antisymmetric function from d-tuples of matrices to
+    matrices, held as data: terms is a tuple of (coefficient, factors), and
+    the function is the sum of each coefficient times the shuffle-sum wedge
+    of its _Factors, matrix values multiplied in factor order.
 
-    The callable works on raw tuple matrices; __call__ accepts QMatrix or
-    nested sequences and hands back a QMatrix.
+    raw works on tuple matrices and builds its own standard tables;
+    __call__ accepts QMatrix or nested sequences and hands back a QMatrix.
     """
 
     arity: int
     n: int
-    fn: Callable[[tuple[Mat, ...]], Mat]
+    terms: tuple[tuple[Fraction | int, tuple[_Factor, ...]], ...]
 
     def __call__(self, args: Sequence) -> QMatrix:
-        raw = tuple(mat_from(m) for m in args)
-        if len(raw) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} matrices, got {len(raw)}")
-        return QMatrix(self.fn(raw))
+        return QMatrix(self.raw(tuple(mat_from(m) for m in args)))
 
     def raw(self, args: tuple[Mat, ...]) -> Mat:
         if len(args) != self.arity:
             raise ArityMismatch(f"expected {self.arity} matrices, got {len(args)}")
-        return self.fn(args)
+        return self._value(args, _tables(args, self.n, self._top()))
+
+    def _top(self) -> int:
+        """The largest factor arity: the subset size the tables must reach."""
+        return max((f.arity for _c, factors in self.terms for f in factors), default=0)
+
+    def _value(self, args: tuple[Mat, ...], table: Callable[[bool], dict[int, Mat]]) -> Mat:
+        n = self.n
+        total = mat_zero(n)
+        for term_coeff, factors in self.terms:
+            for blocks in _shuffles_on(range(self.arity), [f.arity for f in factors]):
+                coeff = term_coeff * perm_sign([i for block in blocks for i in block])
+                chain: Mat | None = None
+                for f, block in zip(factors, blocks):
+                    if f.kind == "b":
+                        value = _dual_value(args[block[0]], f.index)
+                    else:
+                        value = table(f.traceless)[_mask(block)]
+                        if f.kind == "S":
+                            chain = value if chain is None else mat_mul(chain, value)
+                            continue
+                        value = mat_trace(value)
+                    if not value:
+                        break
+                    coeff = coeff * value
+                else:
+                    piece = mat_identity(n) if chain is None else chain
+                    total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
+        return total
 
 
 def _wedge_factors(factors: Sequence[_Factor], n: int) -> MultiFn:
-    """Shuffle-sum wedge of antisymmetric factors, values multiplied in factor
-    order.  Equals the normalized full-symmetric-group wedge on antisymmetric
-    inputs and needs no division.  Each evaluation builds at most two
-    standard_tables, on first use, up to the largest factor arity: one over
-    the raw arguments and one over their traceless parts.  X, Y and T factors
-    read their block's entry, so no standard polynomial is computed twice."""
-    factors = [f for f in factors if f.arity > 0]
-    if not factors:
-        return MultiFn(0, n, lambda args: mat_identity(n))
-    arities = [f.arity for f in factors]
-    arity, top = sum(arities), max(arities)
-
-    def ev(args: tuple[Mat, ...]) -> Mat:
-        tables: dict[bool, dict[int, Mat]] = {}
-
-        def table(traceless: bool) -> dict[int, Mat]:
-            if traceless not in tables:
-                mats = [mat_traceless(m) for m in args] if traceless else args
-                tables[traceless] = standard_table(mats, n, top)
-            return tables[traceless]
-
-        total = mat_zero(n)
-        for blocks in _shuffles_on(range(arity), arities):
-            coeff = perm_sign([i for block in blocks for i in block])
-            chain: Mat | None = None
-            for f, block in zip(factors, blocks):
-                value = f.ev(table, args, block)
-                if not f.scalar:
-                    chain = value if chain is None else mat_mul(chain, value)
-                elif not value:
-                    break
-                else:
-                    coeff = coeff * value
-            else:
-                piece = mat_identity(n) if chain is None else chain
-                total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
-        return total
-
-    return MultiFn(arity, n, ev)
+    """The one-term function wedging the factors in order."""
+    return MultiFn(sum(f.arity for f in factors), n, ((1, tuple(factors)),))
 
 
-def _as_factor(f: MultiFn) -> _Factor:
-    return _Factor(f.arity, False, lambda table, args, block: f.fn(tuple(args[i] for i in block)))
+def _linear_combination(n: int, arity: int, pieces: Iterable[tuple[Fraction, MultiFn]]) -> MultiFn:
+    """The scaled terms of every piece; whole coefficients become ints."""
+    terms = []
+    for c, f in pieces:
+        c = c.numerator if c.denominator == 1 else c
+        terms.extend((c * fc, factors) for fc, factors in f.terms)
+    return MultiFn(arity, n, tuple(terms))
 
 
 def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
-    """Binary shuffle wedge of realized functions."""
+    """Binary shuffle wedge of realized functions: every pair of terms
+    concatenates its factor lists."""
     if f.n != g.n:
         raise DimensionMismatch("functions live at different dimensions")
-    return _wedge_factors([_as_factor(f), _as_factor(g)], f.n)
+    terms = tuple((cf * cg, ff + gf) for cf, ff in f.terms for cg, gf in g.terms)
+    return MultiFn(f.arity + g.arity, f.n, terms)
 
 
 def _shuffles_on(indices: Sequence[int], arities: Sequence[int]):
@@ -710,18 +713,18 @@ def _shuffles_on(indices: Sequence[int], arities: Sequence[int]):
 
 def x_power_fn(n: int, a: int) -> MultiFn:
     """X^a realized: the standard polynomial of the raw slots."""
-    return _wedge_factors([_standard_factor(a, traceless=False)] if a else [], n)
+    return _wedge_factors([_Factor("S", a)] if a else [], n)
 
 
 def realize_ext_monomial(n: int, m: ExtMonomial) -> MultiFn:
     """A formal monomial as a matrix function: T factors are traceless trace
     forms, then the X power on raw slots, then the Y power on traceless parts."""
     tset, i, j = m
-    factors = [_t_factor(h, traceless=True) for h in tset]
+    factors = [_Factor("T", 2 * h + 1, traceless=True) for h in tset]
     if i:
-        factors.append(_standard_factor(i, traceless=False))
+        factors.append(_Factor("S", i))
     if j:
-        factors.append(_standard_factor(j, traceless=True))
+        factors.append(_Factor("S", j, traceless=True))
     return _wedge_factors(factors, n)
 
 
@@ -734,40 +737,28 @@ def realize_invariant_monomial(
     for h in sorted(set(tset)):
         if h == 0 and traceless:
             raise ValueError("T_0 vanishes identically on traceless arguments")
-        factors.append(_t_factor(h, traceless=traceless))
+        factors.append(_Factor("T", 2 * h + 1, traceless=traceless))
     if xpow:
-        factors.append(_standard_factor(xpow, traceless=False))
+        factors.append(_Factor("S", xpow))
     return _wedge_factors(factors, n)
 
 
 def realize_wedge_monomial(n: int, key: WedgeKey) -> MultiFn:
     subset, a = key
-    factors = [_dual_factor(n, idx) for idx in subset]
+    factors = [_Factor("b", 1, index=idx) for idx in subset]
     if a:
-        factors.append(_standard_factor(a, traceless=False))
+        factors.append(_Factor("S", a))
     return _wedge_factors(factors, n)
-
-
-def _linear_combination(n: int, arity: int, pieces: list[tuple[Fraction, MultiFn]]) -> MultiFn:
-    def ev(args: tuple[Mat, ...]) -> Mat:
-        total = mat_zero(n)
-        for coeff, f in pieces:
-            total = mat_add(total, mat_scale(f.fn(args), coeff))
-        return total
-
-    return MultiFn(arity, n, ev)
 
 
 def realize(expr: "ExtElement | WedgeForm | WedgeKey", n: int) -> MultiFn:
     """Dispatching realization; homogeneous linear combinations only."""
     if isinstance(expr, ExtElement):
-        degree = expr.degree()
-        pieces = [(c, realize_ext_monomial(n, m)) for m, c in expr.terms()]
-        return _linear_combination(n, degree, pieces)
+        pieces = ((c, realize_ext_monomial(n, m)) for m, c in expr.terms())
+        return _linear_combination(n, expr.degree(), pieces)
     if isinstance(expr, WedgeForm):
-        degree = expr.degree()
-        pieces = [(c, realize_wedge_monomial(n, k)) for k, c in expr.terms()]
-        return _linear_combination(n, degree, pieces)
+        pieces = ((c, realize_wedge_monomial(n, k)) for k, c in expr.terms())
+        return _linear_combination(n, expr.degree(), pieces)
     if isinstance(expr, tuple) and len(expr) == 2:
         return realize_wedge_monomial(n, expr)
     raise TypeError(f"cannot realize {type(expr).__name__}")
@@ -812,10 +803,14 @@ def realize_rank(
     function is evaluated at the same `samples` random tuples and the exact
     rank of the value matrix (rows = functions, columns = tuple entries) is
     accumulated.  The total is a lower bound for the dimension of the span.
+    Each tuple's standard tables are built once, up to the group's largest
+    factor arity, and read by every function of the group.
     """
     rng = random.Random(seed)
     groups: dict[int, list[MultiFn]] = {}
     for f in fns:
+        if f.n != n:
+            raise DimensionMismatch(f"a function at n={f.n} in a rank at n={n}")
         groups.setdefault(f.arity, []).append(f)
     draw = random_traceless if traceless_args else random_matrix
     total = 0
@@ -824,13 +819,13 @@ def realize_rank(
         tuples = [
             tuple(draw(n, rng, bound) for _ in range(arity)) for _ in range(samples)
         ]
-        rows = []
-        for f in group:
-            row: list[Fraction] = []
-            for tup in tuples:
-                value = f.raw(tup)
+        top = max(f._top() for f in group)
+        rows: list[list[Fraction]] = [[] for _ in group]
+        for tup in tuples:
+            table = _tables(tup, n, top)
+            for f, row in zip(group, rows):
+                value = f._value(tup, table)
                 row.extend(Fraction(value[i][j]) for i in range(n) for j in range(n))
-            rows.append(row)
         total += rank(QMatrix(rows))
     return total
 
@@ -853,15 +848,12 @@ def basic_formula_sides(n: int, j: int) -> tuple[MultiFn, MultiFn]:
     factor is kept and vanishes on traceless arguments by itself."""
     if not 1 <= j <= 2 * n - 1:
         raise ValueError("j must lie in 1..2n-1")
-    lhs = _wedge_factors(
-        [_standard_factor(j, traceless=True), _t_factor(n - 1, traceless=True)], n
-    )
-    pieces: list[tuple[Fraction, MultiFn]] = []
-    for i in range(1, n - j // 2 + 1):
-        if 2 * i + j >= 2 * n:
-            continue
-        y = _standard_factor(2 * i + j, traceless=True)
-        t = _t_factor(n - i - 1, traceless=True)
-        pieces.append((Fraction(-1), _wedge_factors([y, t], n)))
-    rhs = _linear_combination(n, j + 2 * n - 1, pieces)
+    def factors(y: int, h: int) -> tuple[_Factor, ...]:
+        return _Factor("S", y, traceless=True), _Factor("T", 2 * h + 1, traceless=True)
+
+    arity = j + 2 * n - 1
+    lhs = MultiFn(arity, n, ((1, factors(j, n - 1)),))
+    rhs = MultiFn(arity, n, tuple(
+        (-1, factors(2 * i + j, n - i - 1)) for i in range(1, n - j // 2 + 1) if 2 * i + j < 2 * n
+    ))
     return lhs, rhs

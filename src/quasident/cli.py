@@ -190,6 +190,14 @@ class _Parser:
                 raise DimensionRequired(
                     f"tr(...) at line {close.line} needs a matrix dimension n"
                 )
+            # The expansion walks the word's n^|w| diagonal index paths; the
+            # exponent is capped at the budget's bit length, as for powers.
+            k = len(letters)
+            if self.budget is not None and self.n ** min(k, self.budget.bit_length()) > self.budget:
+                raise BudgetExceeded(
+                    f"tr(...) of a {k}-letter word at line {tok.line}, column {tok.column} "
+                    f"walks {self.n}^{k} index paths, over the budget {self.budget}"
+                )
             return QuasiPoly.const(genmat.trace_word_cpoly(letters, self.n))
         if tok.text == "(":
             inner = self.parse_poly()
@@ -215,7 +223,8 @@ def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) 
 
     tr(...) macros need the matrix dimension n; without it they raise
     DimensionRequired.  With a term budget, a power whose expansion could
-    exceed it raises BudgetExceeded before it is multiplied out.
+    exceed it, or a tr(...) word with more diagonal index paths than the
+    budget, raises BudgetExceeded before it is expanded.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -321,7 +330,7 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
     report = _base_report("check", config)
     p = parse_quasipoly(text, n, config.budget)
     if p.term_count() > config.budget:
-        raise QuasidentError(f"input has {p.term_count()} terms, budget {config.budget}")
+        raise BudgetExceeded(f"input has {p.term_count()} terms, budget {config.budget}")
     results: dict = {"input": format_quasipoly(p)}
     if config.mode == "symbolic":
         image = genmat.phi_eval(p, n, budget=config.budget)

@@ -6,7 +6,7 @@ import pytest
 
 from quasident import antisym as anti
 from quasident.errors import BudgetExceeded, DimensionMismatch, WrongDegree
-from quasident.exactla import QMatrix, Subspace
+from quasident.exactla import QMatrix, Subspace, rank
 from quasident.freealg import perm_sign
 
 
@@ -92,6 +92,14 @@ def test_atilde_basis_matches_oracle_everywhere():
     for n in (2, 3, 4):
         for degree in range(0, n * n + 1):
             assert anti.atilde_basis(n, degree) == oracle_atilde_basis(n, degree)
+
+
+def test_ext_monomial_reads_its_t_subset_once():
+    assert anti.ExtElement.monomial(3, iter([1]), 0, 0) == anti.ExtElement.monomial(3, [1], 0, 0)
+    assert anti.ext_monomial(4, iter([2, 1]), 0, 1) == anti.ext_monomial(4, [1, 2], 0, 1)
+    for tset in ([1, 1], iter([1, 1])):
+        with pytest.raises(ValueError, match="repeated T generator"):
+            anti.ext_monomial(4, tset, 0, 0)
 
 
 def test_x_powers_multiply():
@@ -328,6 +336,9 @@ def test_dimension_mismatch():
         anti.atilde_mul(
             anti.ExtElement.monomial(2, (), 1, 0), anti.ExtElement.monomial(3, (), 1, 0)
         )
+    # Evaluated on 2x2 samples, a function realized at n=3 gave a rank.
+    with pytest.raises(DimensionMismatch):
+        anti.realize_rank(2, [anti.x_power_fn(3, 2)], samples=2)
 
 
 # -- concrete wedge algebra ----------------------------------------------------
@@ -546,6 +557,43 @@ def test_realize_rank_certifies_n_2n():
     assert anti.realize_rank(3, fns3, samples=5, seed=0) == 24
 
 
+def test_realize_rank_builds_one_table_pair_per_sample_and_arity_group(monkeypatch):
+    builds = []
+    standard_table = anti.standard_table
+    monkeypatch.setattr(
+        anti, "standard_table", lambda *args: builds.append(args) or standard_table(*args)
+    )
+    fns = [anti.realize_invariant_monomial(3, t, a) for t, a in anti.am_basis(3)]
+    assert anti.realize_rank(3, fns, samples=12, seed=0) == 24
+    # Arities 1..9 each hold factors over raw slots; the arity-0 identity
+    # reads no table.  Evaluated one function at a time, it was 23 * 12.
+    assert len(builds) == 9 * 12
+
+
+@pytest.mark.parametrize("traceless_args", [False, True])
+def test_realize_rank_shared_tables_match_standalone_evaluation(traceless_args):
+    n, samples, seed = 3, 5, 4
+    fns = [anti.realize(anti.ExtElement.monomial(n, *m), n) for m in anti.atilde_basis(n, 3)]
+    fns += [anti.realize(key, n) for key in anti.fn_basis(n, 2)]
+    x, y = anti.ExtElement.monomial(n, (), 1, 0), anti.ExtElement.monomial(n, (), 0, 1)
+    t1, x2y = anti.ExtElement.monomial(n, (1,), 0, 0), anti.ExtElement.monomial(n, (), 2, 1)
+    fns.append(anti.wedge_fn(anti.realize(x + y.scale(2), n), anti.realize(t1 - x2y, n)))
+    # realize_rank's draws: groups by ascending arity, each group's tuples
+    # before any evaluation; here every function builds its own tables.
+    rng = random.Random(seed)
+    draw = anti.random_traceless if traceless_args else anti.random_matrix
+    expected = 0
+    for arity in sorted({f.arity for f in fns}):
+        tuples = [tuple(draw(n, rng, 9) for _ in range(arity)) for _ in range(samples)]
+        rows = [
+            [entry for tup in tuples for row in f.raw(tup) for entry in row]
+            for f in fns if f.arity == arity
+        ]
+        expected += rank(QMatrix(rows))
+    assert expected > 10  # not a comparison of empty spans
+    assert anti.realize_rank(n, fns, samples, seed, traceless_args=traceless_args) == expected
+
+
 def test_on_vanishes_on_traceless_tuples():
     rng = random.Random(8)
     for n, cases in ((2, 25), (3, 20)):
@@ -651,6 +699,17 @@ def test_wedge_of_realized_t_forms_matches_fn_mul():
     for _ in range(3):
         args = tuple(anti.random_traceless(n, rng, 3) for _ in range(5))
         assert f_prod.raw(args) == f_wedge.raw(args)
+
+
+def test_wedge_with_a_degree_zero_realization_keeps_its_coefficient():
+    n = 2
+    g = anti.x_power_fn(n, 2)
+    rng = random.Random(14)
+    args = tuple(anti.random_matrix(n, rng) for _ in range(2))
+    five = anti.realize(anti.ExtElement.monomial(n, (), 0, 0, 5), n)
+    assert anti.wedge_fn(five, g).raw(args) == anti.mat_scale(g.raw(args), 5)
+    zero = anti.realize(anti.ExtElement.zero(n), n)
+    assert anti.wedge_fn(g, zero).raw(args) == anti.mat_zero(n)
 
 
 def test_realize_rejects_wrong_arity():

@@ -338,6 +338,29 @@ def test_parse_time_power_with_long_words_is_refused():
     assert parse_quasipoly("x1^1000", budget=1000).word_degree() == 1000
 
 
+def test_trace_atom_over_the_path_budget_is_refused_before_expansion():
+    # tr of a 12-letter word at n=3 walks 3^12 = 531,441 diagonal index paths;
+    # expanded before any budget applied, it ran 14 s and reached about 1 GB.
+    word = "*".join(f"x{i}" for i in range(1, 13))
+    started = time.monotonic()
+    code, report = run_json(["check", "--n", "3", "--expr", f"tr({word})"])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert report["error"]["type"] == "BudgetExceeded"
+    assert "3^12 index paths" in report["error"]["message"]
+    with pytest.raises(BudgetExceeded):
+        parse_quasipoly("tr(x1*x2)", 3, budget=8)
+    assert parse_quasipoly("tr(x1*x2)", 3, budget=9) == QuasiPoly.const(
+        genmat.trace_word_cpoly([1, 2], 3)
+    )
+
+
+def test_check_over_the_term_budget_is_refused():
+    code, report = run_json(["--budget", "3", "check", "--n", "2", "--expr", "x1+x2+x3+x4"])
+    assert code == 2
+    assert report["error"] == {"type": "BudgetExceeded", "message": "input has 4 terms, budget 3"}
+
+
 def test_closed_stdout_exits_quietly():
     # The read end closes before the report is written, as `| head -c 10`
     # does once it has read enough.
