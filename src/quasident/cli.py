@@ -331,11 +331,10 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
     p = parse_quasipoly(text, n, config.budget)
     if p.term_count() > config.budget:
         raise BudgetExceeded(f"input has {p.term_count()} terms, budget {config.budget}")
-    results: dict = {"input": format_quasipoly(p)}
+    # The image comes first: phi_eval's budget refusal must not wait for the
+    # input to be printed.
     if config.mode == "symbolic":
-        image = genmat.phi_eval(p, n, budget=config.budget)
-        results["quasi_identity"] = image.is_zero()
-        results["central"] = image.is_scalar()
+        values = [genmat.phi_eval(p, n, budget=config.budget)]
     else:
         import random
 
@@ -345,8 +344,12 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
             genmat.evaluate(p, {k: QMatrix.random(n, n, rng, config.bound) for k in gens}, n)
             for _ in range(config.trials)
         ]
-        results["quasi_identity"] = all(v.is_zero() for v in values)
-        results["central"] = all(v.is_scalar() for v in values)
+    results: dict = {
+        "input": format_quasipoly(p),
+        "quasi_identity": all(v.is_zero() for v in values),
+        "central": all(v.is_scalar() for v in values),
+    }
+    if config.mode != "symbolic":
         results["randomized"] = {"trials": config.trials, "bound": config.bound}
     results["ordinary_identity"] = (
         results["quasi_identity"] if p.has_scalar_coefficients() else None

@@ -15,6 +15,15 @@ image entry; TracePoly.expand multiplies the walks' diagonals as code tuples;
 idsolve keys its equations by the codes.  CPoly monomials and Fractions are
 built once, from the final dicts.
 
+Point evaluation (evaluate) walks the words once as well.  The terms are
+sorted by word, lexicographically, so the words that share a prefix are
+adjacent; a stack of raw mat_mul prefix products keeps the part a word shares
+with the one before it, which makes one matrix product per trie node past the
+first letter.  Coefficients are evaluated with CPoly.eval, which stays in int
+arithmetic at integer points; each value c, times D, the least common
+multiple of the values' denominators, scales its word's product into one n x
+n accumulator of ints (at an integer point), and D divides it once at the end.
+
 The characteristic-polynomial identities come in two layers.  TracePoly keeps
 formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
 rotation), which is where Newton's identities and full polarization live and
@@ -25,12 +34,13 @@ QuasiPoly.  cayley_hamilton_q / cayley_hamilton_Q return the expanded forms.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment
-from .exactla import QMatrix
+from .exactla import QMatrix, mat_mul
 from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Scalar, Terms, Variable, add_terms, scaled
 
@@ -168,34 +178,47 @@ def matrix_unit(i: int, j: int, n: int) -> QMatrix:
 
 
 def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
-    """Exact value of p at a tuple of rational matrices."""
+    """Exact value of p at a tuple of rational matrices, by one shared-prefix
+    walk over the words (see the module docstring); an integer point and
+    integral coefficient values give int entries."""
     for k, m in matrices.items():
         if m.shape() != (n, n):
             raise DimensionMismatch(f"matrix for x{k} has shape {m.shape()}")
     missing = p.generators() - set(matrices)
     if missing:
         raise MissingAssignment(f"no matrix for generators {sorted(missing)}")
-    total = QMatrix.zeros(n, n)
-    for w, coeff in p.terms():
-        assignment = {
-            (k, i, j): matrices[k][i - 1, j - 1] for (k, i, j) in coeff.variables()
-        }
-        value = coeff.eval(assignment)
-        if value:
-            total = total + _word_value(w, matrices, n).scale(value)
-    return total
-
-
-def _word_value(w: Word, images: Mapping[int, QMatrix], n: int) -> QMatrix:
-    """The product of the images of w's letters; the identity for the empty word.
-
-    Starting at the first letter saves one product per word."""
-    if not w:
-        return QMatrix.identity(n)
-    m = images[w[0]]
-    for k in w[1:]:
-        m = m * images[k]
-    return m
+    images = {k: m.data for k, m in matrices.items()}
+    point = {
+        (k, i, j): x
+        for k, m in images.items()
+        for i, row in enumerate(m, 1)
+        for j, x in enumerate(row, 1)
+    }
+    values = [(w, value) for w, coeff in p.terms() if (value := coeff.eval(point))]
+    d = math.lcm(*(value.denominator for _, value in values))
+    total = [[0] * n for _ in range(n)]
+    # prefix[t] is the product of the current word's first t + 1 letters.
+    prefix: list = []
+    previous: Word = ()
+    for w, value in sorted(values, key=lambda term: term[0]):
+        c = value.numerator * (d // value.denominator)
+        if not w:
+            for i in range(n):
+                total[i][i] += c
+            continue
+        shared = 0
+        for a, b in zip(previous, w):
+            if a != b:
+                break
+            shared += 1
+        del prefix[shared:]
+        for k in w[len(prefix):]:
+            prefix.append(mat_mul(prefix[-1], images[k]) if prefix else images[k])
+        previous = w
+        total = [[a + c * x for a, x in zip(acc, row)] for acc, row in zip(total, prefix[-1])]
+    if d > 1:
+        total = [[Fraction(x, d) for x in row] for row in total]
+    return QMatrix(total)
 
 
 # -- trace words and trace polynomials ---------------------------------------

@@ -279,15 +279,19 @@ class CPoly(Terms):
 
     # -- evaluation and substitution ----------------------------------------
 
-    def eval(self, assignment: Mapping[Variable, Scalar]) -> Fraction:
-        """Exact value at a point; raises MissingAssignment for uncovered variables."""
-        total = Fraction(0)
+    def eval(self, assignment: Mapping[Variable, Scalar]) -> Scalar:
+        """Exact value at a point of int or Fraction values; raises
+        MissingAssignment for uncovered variables.
+
+        Integral coefficients are read as ints, so an integer point gives an
+        int whenever every coefficient is integral."""
+        total: Scalar = 0
         for mono, coeff in self._terms.items():
-            val = coeff
+            val = coeff.numerator if coeff.denominator == 1 else coeff
             for var, exp in mono:
                 if var not in assignment:
                     raise MissingAssignment(f"no value for c[{var[0]},{var[1]},{var[2]}]")
-                val *= Fraction(assignment[var]) ** exp
+                val *= assignment[var] ** exp
             total += val
         return total
 

@@ -274,3 +274,24 @@ def test_evaluate_matches_phi_specialization():
             ]
         )
         assert value == direct
+
+
+def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
+    # The words are walked in lexicographic order with a stack of prefix
+    # products, so each distinct prefix past the first letter costs one
+    # product: 60 for S_4's 24 words, where rebuilding every word costs 72.
+    calls = []
+    mat_mul = genmat.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(genmat, "mat_mul", counted)
+    s4 = genmat.standard_poly(4)
+    words = [w for w, _ in s4.terms()]
+    prefixes = {w[:t] for w in words for t in range(1, len(w) + 1)}
+    rng = random.Random(4)
+    point = {k: QMatrix.random(2, 2, rng, 5) for k in range(1, 5)}
+    assert genmat.evaluate(s4, point, 2).is_zero()
+    assert len(calls) == len(prefixes) - len({w[0] for w in words}) == 60

@@ -1,7 +1,8 @@
 """Property tests of the evaluation map.  The generic image phi_eval(p, n),
 specialized at a point, is the value evaluate computes there directly, and
-both equal a word-by-word reference sum; the image itself equals a reference
-that multiplies generic matrices word by word.  TracePoly.expand, which walks
+both equal a word-by-word reference sum, at integer and fractional points and
+coefficients alike; the image itself equals a reference that multiplies
+generic matrices word by word.  TracePoly.expand, which walks
 the same index paths, equals traces of generic-matrix products."""
 
 import pytest
@@ -50,6 +51,16 @@ def reference_value(p, point, n, assignment):
     return total
 
 
+def assignment_of(point, n):
+    """The value of every c[k,i,j] at a point."""
+    return {
+        (k, i, j): m[i - 1, j - 1]
+        for k, m in point.items()
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    }
+
+
 POINT = {1: QMatrix([[1, 2], [3, 4]]), 2: QMatrix([[0, -1], [5, 2]])}
 
 
@@ -62,14 +73,60 @@ def test_phi_eval_specializes_to_evaluate(case):
     n, p, point = case
     image = phi_eval(p, n)
     assert all(isinstance(e, CPoly) for row in image.data for e in row)
-    assignment = {
-        (k, i, j): m[i - 1, j - 1]
-        for k, m in point.items()
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    }
+    assignment = assignment_of(point, n)
     specialized = QMatrix([[e.eval(assignment) for e in row] for row in image.data])
     assert specialized == evaluate(p, point, n) == reference_value(p, point, n, assignment)
+
+
+@st.composite
+def evaluations(draw):
+    """(n, p, point): up to eight words of length up to 4 in x1, x2, so words
+    share prefixes and the empty word appears; coefficients are fractions
+    times monomials in the point's entries, so values can vanish there and
+    have denominators; entries are all ints or all fractions."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    index = st.integers(1, n)
+    variables = st.tuples(st.sampled_from(GENS), index, index)
+    monomials = st.lists(st.tuples(variables, st.integers(0, 2)), max_size=2).map(monomial)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    cpolys = st.dictionaries(monomials, fractions, max_size=3).map(CPoly)
+    words = st.lists(st.sampled_from(GENS), max_size=4).map(tuple)
+    p = draw(st.dictionaries(words, cpolys, max_size=8).map(QuasiPoly))
+    entries = draw(st.sampled_from([
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    ]))
+    row = st.lists(entries, min_size=n, max_size=n)
+    point = {k: QMatrix(draw(st.lists(row, min_size=n, max_size=n))) for k in GENS}
+    return n, p, point
+
+
+FRACTION_POINT = {
+    1: QMatrix([[Fraction(1, 2), 2], [3, Fraction(-1, 3)]]),
+    2: QMatrix([[0, Fraction(2, 3)], [-1, 1]]),
+}
+PREFIXES = QuasiPoly({(): 2, (1,): 1, (1, 2): -1, (1, 2, 1): 3, (1, 2, 2): 1, (2, 1): -2, (2, 2, 1): 1})
+
+
+@settings
+@given(evaluations())
+@example((2, QuasiPoly.zero(), POINT))
+@example((2, PREFIXES, POINT))
+@example((2, PREFIXES, FRACTION_POINT))
+@example((2, QuasiPoly({(): Fraction(1, 6), (1,): Fraction(1, 2), (1, 2): Fraction(-2, 3)}), POINT))
+# c[1,1,1] - 1 and c[2,1,1] vanish at POINT, so only x2*x1 is left.
+@example((2, QuasiPoly({
+    (1, 2): CPoly.variable(1, 1, 1) - CPoly.const(1),
+    (2,): CPoly.variable(2, 1, 1),
+    (2, 1): CPoly.const(Fraction(3, 2)),
+}), POINT))
+def test_evaluate_equals_word_by_word_reference(case):
+    n, p, point = case
+    value = evaluate(p, point, n)
+    assert value == reference_value(p, point, n, assignment_of(point, n))
+    integer_point = all(type(x) is int for m in point.values() for row in m.data for x in row)
+    integral = all(c.denominator == 1 for _, coeff in p.terms() for _, c in coeff.terms())
+    if integer_point and integral:
+        assert all(type(x) is int for row in value.data for x in row), value
 
 
 def reference_image(p, n):

@@ -56,6 +56,14 @@ def test_eval_root():
     assert p.eval({(1, 1, 1): Fraction(1)}) == 0
 
 
+def test_eval_stays_in_integer_arithmetic_at_integer_points():
+    p = 3 * c(1, 1, 2) ** 2 - c(2, 1, 1) + 1
+    point = {(1, 1, 2): -2, (2, 1, 1): 5}
+    assert p.eval(point) == 8 and type(p.eval(point)) is int
+    assert (p + Fraction(1, 2)).eval(point) == Fraction(17, 2)
+    assert p.eval({(1, 1, 2): Fraction(1, 3), (2, 1, 1): 0}) == Fraction(4, 3)
+
+
 def test_eval_missing_assignment():
     with pytest.raises(MissingAssignment):
         c(1, 1, 2).eval({})
