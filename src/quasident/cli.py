@@ -10,11 +10,12 @@ optional, juxtaposition multiplies):
     word   := 'x'INT ('*' 'x'INT)*
     rational := INT ('/' INT)?
 
-tr(...) expands through the generic-matrix trace at the configured dimension
-and therefore needs --n.  Reports are plain text or JSON; JSON output is
-schema-stable ("quasident/1"), has sorted keys, and is byte-identical for
-identical configurations (runtimes are only included with --timings, since
-they would break reproducibility).
+Generator indices, c[...] indices and denominators start at 1; a 0 is a
+QuasiSyntaxError.  tr(...) expands through the generic-matrix trace at the
+configured dimension and therefore needs --n.  Reports are plain text or
+JSON; JSON output is schema-stable ("quasident/1"), has sorted keys, and is
+byte-identical for identical configurations (runtimes are only included with
+--timings, since they would break reproducibility).
 """
 
 from __future__ import annotations
@@ -131,10 +132,7 @@ class _Parser:
         nxt = self.peek()
         if nxt is not None and nxt.text == "/":
             self.take()
-            den = self.take()
-            if den.kind != "num":
-                raise QuasiSyntaxError("expected a denominator", den.line, den.column)
-            value /= int(den.text)
+            value /= self._positive("num", "a denominator", "denominator")
         return value
 
     def parse_factor(self) -> QuasiPoly:
@@ -166,17 +164,18 @@ class _Parser:
     def parse_atom(self) -> QuasiPoly:
         tok = self.take()
         if tok.kind == "gen":
-            return QuasiPoly.x(int(tok.text[1:]))
+            self.pos -= 1
+            return QuasiPoly.x(self._gen())
         if tok.kind == "num":
             self.pos -= 1
             return QuasiPoly.const(self.parse_rational())
         if tok.text == "c":
             self.expect("[")
-            k = self._int()
+            k = self._index()
             self.expect(",")
-            i = self._int()
+            i = self._index()
             self.expect(",")
-            j = self._int()
+            j = self._index()
             self.expect("]")
             return QuasiPoly.const(CPoly.variable(k, i, j))
         if tok.text == "tr":
@@ -205,17 +204,24 @@ class _Parser:
             return inner
         raise QuasiSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
-    def _int(self) -> int:
+    def _positive(self, kind: str, expected: str, name: str) -> int:
+        """The number in the next token, which must be of the given kind and
+        not 0: generators, c[...] indices and denominators start at 1."""
         tok = self.take()
-        if tok.kind != "num":
-            raise QuasiSyntaxError("expected an integer", tok.line, tok.column)
-        return int(tok.text)
+        if tok.kind != kind:
+            raise QuasiSyntaxError(f"expected {expected}", tok.line, tok.column)
+        value = int(tok.text.lstrip("x"))
+        if value == 0:
+            raise QuasiSyntaxError(
+                f"{name} must be positive, found {tok.text!r}", tok.line, tok.column
+            )
+        return value
+
+    def _index(self) -> int:
+        return self._positive("num", "an integer", "c[...] index")
 
     def _gen(self) -> int:
-        tok = self.take()
-        if tok.kind != "gen":
-            raise QuasiSyntaxError("expected a generator x<k>", tok.line, tok.column)
-        return int(tok.text[1:])
+        return self._positive("gen", "a generator x<k>", "generator index")
 
 
 def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) -> QuasiPoly:
@@ -242,20 +248,7 @@ def format_quasipoly(p: QuasiPoly) -> str:
     return str(p)
 
 
-# -- configuration and reports -------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    n: int | None = None
-    mode: str = "symbolic"
-    seed: int = 0
-    trials: int = 20
-    bound: int = 9
-    fmt: str = "text"
-    budget: int = 200_000
-    samples: int = 12
-    timings: bool = False
+# -- reports -------------------------------------------------------------------
 
 
 def _jsonable(value):
@@ -272,8 +265,8 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(report: dict, config: RunConfig, out) -> None:
-    if config.fmt == "json":
+def _emit(report: dict, fmt: str, out) -> None:
+    if fmt == "json":
         out.write(json.dumps(_jsonable(report), sort_keys=True, separators=(",", ":")))
         out.write("\n")
     else:
@@ -290,27 +283,28 @@ def _emit_text(report: dict, out, indent: str = "") -> None:
             out.write(f"{indent}{key}: {_jsonable(value)}\n")
 
 
-def _base_report(command: str, config: RunConfig) -> dict:
+def _base_report(command: str, args: argparse.Namespace) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "config": {
-            "n": config.n,
-            "mode": config.mode,
-            "seed": config.seed,
-            "trials": config.trials,
-            "bound": config.bound,
-            "budget": config.budget,
+            "n": args.n,
+            "mode": args.mode,
+            "seed": args.seed,
+            "trials": args.trials,
+            "bound": args.bound,
+            "budget": args.budget,
         },
     }
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each takes the parsed arguments and returns its report.
 
 
-def _cmd_verify_ch(config: RunConfig) -> dict:
-    n = config.n
-    report = _base_report("verify-ch", config)
+def _cmd_verify_ch(args: argparse.Namespace) -> dict:
+    n = args.n
+    report = _base_report("verify-ch", args)
     q = genmat.cayley_hamilton_q(n)
     Q = genmat.cayley_hamilton_Q(n)
     q_zero = genmat.is_quasi_identity(q, n)
@@ -325,37 +319,31 @@ def _cmd_verify_ch(config: RunConfig) -> dict:
     return report
 
 
-def _cmd_check(config: RunConfig, text: str) -> dict:
-    n = config.n
-    report = _base_report("check", config)
-    p = parse_quasipoly(text, n, config.budget)
-    if p.term_count() > config.budget:
-        raise BudgetExceeded(f"input has {p.term_count()} terms, budget {config.budget}")
+def _cmd_check(args: argparse.Namespace) -> dict:
+    n = args.n
+    text = args.expr if args.input is None else _read_input(args.input)
+    report = _base_report("check", args)
+    p = parse_quasipoly(text, n, args.budget)
+    if p.term_count() > args.budget:
+        raise BudgetExceeded(f"input has {p.term_count()} terms, budget {args.budget}")
     # The image comes first: phi_eval's budget refusal must not wait for the
     # input to be printed.
-    if config.mode == "symbolic":
-        values = [genmat.phi_eval(p, n, budget=config.budget)]
-    else:
-        import random
-
-        rng = random.Random(config.seed)
-        gens = sorted(p.generators())
-        values = [
-            genmat.evaluate(p, {k: QMatrix.random(n, n, rng, config.bound) for k in gens}, n)
-            for _ in range(config.trials)
-        ]
+    values = list(genmat.verdict_values(
+        p, n, mode=args.mode, seed=args.seed, trials=args.trials, bound=args.bound,
+        budget=args.budget,
+    ))
     results: dict = {
         "input": format_quasipoly(p),
         "quasi_identity": all(v.is_zero() for v in values),
         "central": all(v.is_scalar() for v in values),
     }
-    if config.mode != "symbolic":
-        results["randomized"] = {"trials": config.trials, "bound": config.bound}
+    if args.mode != "symbolic":
+        results["randomized"] = {"trials": args.trials, "bound": args.bound}
     results["ordinary_identity"] = (
         results["quasi_identity"] if p.has_scalar_coefficients() else None
     )
     if not results["central"]:
-        witness = genmat.central_witness(p, n, seed=config.seed, bound=config.bound)
+        witness = genmat.central_witness(p, n, seed=args.seed, bound=args.bound)
         if witness is not None:
             point, value = witness
             results["non_central_witness"] = {
@@ -367,11 +355,12 @@ def _cmd_check(config: RunConfig, text: str) -> dict:
     return report
 
 
-def _cmd_solve_multilinear(config: RunConfig, degree: int) -> dict:
-    n = config.n
-    report = _base_report("solve-multilinear", config)
+def _cmd_solve_multilinear(args: argparse.Namespace) -> dict:
+    n, degree = args.n, args.degree
+    _at_least("degree", degree, 1)
+    report = _base_report("solve-multilinear", args)
     report["config"]["degree"] = degree
-    space, ansatz = idsolve.multilinear_identity_space(n, degree, budget=config.budget)
+    space, ansatz = idsolve.multilinear_identity_space(n, degree, budget=args.budget)
     spans_qn = False
     if degree == n:
         qvec = ansatz.coordinates(genmat.cayley_hamilton_Q(n))
@@ -385,24 +374,32 @@ def _cmd_solve_multilinear(config: RunConfig, degree: int) -> dict:
     return report
 
 
-def _cmd_capelli_dep(config: RunConfig, text: str) -> dict:
-    n = config.n
-    report = _base_report("capelli-dep", config)
+def _cmd_capelli_dep(args: argparse.Namespace) -> dict:
+    n = args.n
+    text = "\n".join(args.expr) if args.input is None else _read_input(args.input)
+    report = _base_report("capelli-dep", args)
     fs = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
-            fs.append(parse_quasipoly(line, n, config.budget))
+            f = parse_quasipoly(line, n, args.budget)
+            # local_lin_dep's Capelli test is for ordinary polynomials.
+            if not f.has_scalar_coefficients():
+                raise QuasidentError(
+                    f"input line {lineno} has a c[k,i,j] coefficient; "
+                    "capelli-dep needs scalar coefficients"
+                )
+            fs.append(f)
     if not fs:
         raise QuasidentError("no polynomials in the input")
     dep = idsolve.local_lin_dep(
         fs,
         n,
-        mode=config.mode,
-        seed=config.seed,
-        trials=config.trials,
-        bound=config.bound,
-        term_budget=config.budget,
+        mode=args.mode,
+        seed=args.seed,
+        trials=args.trials,
+        bound=args.bound,
+        term_budget=args.budget,
     )
     report["results"] = {
         "count": len(fs),
@@ -415,10 +412,9 @@ def _cmd_capelli_dep(config: RunConfig, text: str) -> dict:
     return report
 
 
-def _cmd_antisym_kerim(config: RunConfig) -> dict:
-    n = config.n
-    report = _base_report("antisym-kerim", config)
-    res = antisym.verify_kerim(n, budget=config.budget)
+def _cmd_antisym_kerim(args: argparse.Namespace) -> dict:
+    report = _base_report("antisym-kerim", args)
+    res = antisym.verify_kerim(args.n, budget=args.budget)
     report["results"] = {
         "ambient": res["ambient_dim"],
         "domain": res["domain_dim"],
@@ -438,9 +434,9 @@ def _cmd_antisym_kerim(config: RunConfig) -> dict:
     return report
 
 
-def _cmd_antisym_corollary2(config: RunConfig) -> dict:
-    n = config.n
-    report = _base_report("antisym-corollary2", config)
+def _cmd_antisym_corollary2(args: argparse.Namespace) -> dict:
+    n = args.n
+    report = _base_report("antisym-corollary2", args)
     top = n * n
     ambient = len(antisym.fn_basis(n, top))
     ideal = antisym.ideal_component(n, top)
@@ -458,17 +454,17 @@ def _cmd_antisym_corollary2(config: RunConfig) -> dict:
     return report
 
 
-def _cmd_antisym_dim(config: RunConfig) -> dict:
-    n = config.n
-    report = _base_report("antisym-dim", config)
+def _cmd_antisym_dim(args: argparse.Namespace) -> dict:
+    n = args.n
+    report = _base_report("antisym-dim", args)
     fns = [
         antisym.realize_invariant_monomial(n, tset, a) for tset, a in antisym.am_basis(n)
     ]
     rank = antisym.realize_rank(
-        n, fns, samples=config.samples, seed=config.seed, bound=config.bound
+        n, fns, samples=args.samples, seed=args.seed, bound=args.bound
     )
     expected = n * 2**n
-    report["config"]["samples"] = config.samples
+    report["config"]["samples"] = args.samples
     report["results"] = {
         "monomials": len(fns),
         "expected": expected,
@@ -500,50 +496,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-ch", help="check the degree-n trace identities")
-    p.add_argument("--n", type=int, required=True)
+    def command(group, name: str, run, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand: every one takes --n and runs its handler."""
+        p = group.add_parser(name, **kwargs)
+        p.add_argument("--n", type=int, required=True)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("check", help="classify one quasi-polynomial")
-    p.add_argument("--n", type=int, required=True)
+    command(sub, "verify-ch", _cmd_verify_ch, help="check the degree-n trace identities")
+
+    p = command(sub, "check", _cmd_check, help="classify one quasi-polynomial")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="file with one expression (may span lines)")
     src.add_argument("--expr", help="expression given inline")
 
-    p = sub.add_parser("solve-multilinear", help="multilinear identity space")
-    p.add_argument("--n", type=int, required=True)
+    p = command(sub, "solve-multilinear", _cmd_solve_multilinear,
+                help="multilinear identity space")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("capelli-dep", help="local linear dependence test")
-    p.add_argument("--n", type=int, required=True)
+    p = command(sub, "capelli-dep", _cmd_capelli_dep, help="local linear dependence test")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="file with one expression per line")
     src.add_argument("--expr", action="append", help="expression (repeatable)")
 
     p = sub.add_parser("antisym", help="antisymmetric-identity computations")
     anti = p.add_subparsers(dest="antisym_command", required=True)
-    for name in ("kerim", "corollary2", "dim"):
-        q = anti.add_parser(name)
-        q.add_argument("--n", type=int, required=True)
+    command(anti, "kerim", _cmd_antisym_kerim)
+    command(anti, "corollary2", _cmd_antisym_corollary2)
+    command(anti, "dim", _cmd_antisym_dim)
 
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("QUASIDENT_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return RunConfig(
-        n=getattr(args, "n", None),
-        mode=args.mode,
-        seed=seed,
-        trials=args.trials,
-        bound=args.bound,
-        fmt=args.format,
-        budget=args.budget,
-        samples=args.samples,
-        timings=args.timings,
-    )
 
 
 def _read_input(path: str) -> str:
@@ -563,50 +545,31 @@ def _at_least(name: str, value: int, least: int) -> None:
 
 def run_command(argv: Sequence[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
-    config = _config_from(args)
+    args = _build_parser().parse_args(list(argv))
+    env_seed = os.environ.get("QUASIDENT_SEED")
+    if env_seed is not None:
+        args.seed = int(env_seed)
     started = time.monotonic()
     try:
         # kerim and corollary2 live in algebras defined from n = 2 on.
-        two = args.command == "antisym" and args.antisym_command != "dim"
-        _at_least("n", config.n, 2 if two else 1)
+        two = args.run in (_cmd_antisym_kerim, _cmd_antisym_corollary2)
+        _at_least("n", args.n, 2 if two else 1)
         # No trials, or bound 0 (only zero matrices), passes every input;
         # no samples certifies no rank.
-        _at_least("trials", config.trials, 1)
-        _at_least("bound", config.bound, 1)
-        _at_least("samples", config.samples, 1)
-        if args.command == "solve-multilinear":
-            _at_least("degree", args.degree, 1)
-        if args.command == "verify-ch":
-            report = _cmd_verify_ch(config)
-        elif args.command == "check":
-            text = args.expr if args.expr else _read_input(args.input)
-            report = _cmd_check(config, text)
-        elif args.command == "solve-multilinear":
-            report = _cmd_solve_multilinear(config, args.degree)
-        elif args.command == "capelli-dep":
-            text = "\n".join(args.expr) if args.expr else _read_input(args.input)
-            report = _cmd_capelli_dep(config, text)
-        elif args.command == "antisym":
-            handler = {
-                "kerim": _cmd_antisym_kerim,
-                "corollary2": _cmd_antisym_corollary2,
-                "dim": _cmd_antisym_dim,
-            }[args.antisym_command]
-            report = handler(config)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise QuasidentError(f"unknown command {args.command!r}")
+        _at_least("trials", args.trials, 1)
+        _at_least("bound", args.bound, 1)
+        _at_least("samples", args.samples, 1)
+        report = args.run(args)
     except QuasidentError as exc:
         error = {
             "schema": SCHEMA,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _emit(error, config, out)
+        _emit(error, args.format, out)
         return 2
-    if config.timings:
+    if args.timings:
         report["runtime_seconds"] = round(time.monotonic() - started, 3)
-    _emit(report, config, out)
+    _emit(report, args.format, out)
     return 0 if report.get("pass", False) else 1
 
 

@@ -24,6 +24,13 @@ arithmetic at integer points; each value c, times D, the least common
 multiple of the values' denominators, scales its word's product into one n x
 n accumulator of ints (at an integer point), and D divides it once at the end.
 
+Every verdict of the check and capelli-dep commands is decided from
+verdict_values: the one phi_eval image in symbolic mode, or the values at
+seeded random integer points in randomized mode, yielded lazily so a consumer
+may stop at the first that decides.  Every witness search (central_witness,
+idsolve's independence witness) loops over witness_points: the matrix-unit
+tuples when there are at most two generators, then seeded random tuples.
+
 The characteristic-polynomial identities come in two layers.  TracePoly keeps
 formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
 rotation), which is where Newton's identities and full polarization live and
@@ -148,26 +155,53 @@ def is_central(p: QuasiPoly, n: int) -> bool:
 def central_witness(
     p: QuasiPoly, n: int, seed: int = 0, bound: int = 9, max_trials: int = 200
 ) -> tuple[dict[int, QMatrix], QMatrix] | None:
-    """A rational point where p evaluates to a non-scalar matrix, or None.
-
-    Matrix-unit tuples are tried before random integer matrices so witnesses
-    stay small and reproducible.
-    """
-    gens = sorted(p.generators())
-    units = [matrix_unit(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
-    rng = random.Random(seed)
-    if len(gens) <= 2:
-        for combo in itertools.product(units, repeat=len(gens)):
-            assignment = dict(zip(gens, combo))
-            value = evaluate(p, assignment, n)
-            if not value.is_scalar():
-                return assignment, value
-    for _ in range(max_trials):
-        assignment = {k: QMatrix.random(n, n, rng, bound) for k in gens}
+    """A rational point where p evaluates to a non-scalar matrix, or None;
+    the points come from witness_points."""
+    for assignment in witness_points(sorted(p.generators()), n, seed, bound, max_trials):
         value = evaluate(p, assignment, n)
         if not value.is_scalar():
             return assignment, value
     return None
+
+
+def witness_points(
+    gens: Sequence[int], n: int, seed: int, bound: int, trials: int = 200
+) -> Iterator[dict[int, QMatrix]]:
+    """The points a witness search tries, as {generator: matrix}: every tuple
+    of matrix units when there are at most two generators, so witnesses stay
+    small and reproducible, then the trials points of _random_points."""
+    if len(gens) <= 2:
+        units = [matrix_unit(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for combo in itertools.product(units, repeat=len(gens)):
+            yield dict(zip(gens, combo))
+    yield from _random_points(gens, n, seed, bound, trials)
+
+
+def verdict_values(
+    p: QuasiPoly, n: int, *, mode: str, seed: int, trials: int, bound: int,
+    budget: int | None = None,
+) -> Iterator[QMatrix]:
+    """The values a verdict on p is decided from, lazily: in symbolic mode the
+    one image phi_eval(p, n, budget=budget); in randomized mode p's values at
+    the trials points of _random_points over its sorted generators.  p is
+    zero (central) when every value is."""
+    if mode == "symbolic":
+        yield phi_eval(p, n, budget=budget)
+        return
+    if mode != "randomized":
+        raise ValueError(f"unknown mode {mode!r}")
+    for point in _random_points(sorted(p.generators()), n, seed, bound, trials):
+        yield evaluate(p, point, n)
+
+
+def _random_points(
+    gens: Sequence[int], n: int, seed: int, bound: int, trials: int
+) -> Iterator[dict[int, QMatrix]]:
+    """trials points drawn from random.Random(seed): one QMatrix.random with
+    entries in [-bound, bound] per generator, in the order given."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield {k: QMatrix.random(n, n, rng, bound) for k in gens}
 
 
 def matrix_unit(i: int, j: int, n: int) -> QMatrix:

@@ -23,14 +23,15 @@ the quotient by exact re-multiplication.
 
 local_lin_dep reduces local linear dependence of ordinary noncommutative
 polynomials over the n x n matrices to one Capelli composite being a
-quasi-identity, checked symbolically or by seeded random evaluation.
+quasi-identity, checked symbolically or by seeded random evaluation through
+genmat.verdict_values; an independent verdict carries a witness point from
+genmat.witness_points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -222,8 +223,6 @@ def local_lin_dep(
     """
     if not fs:
         raise ValueError("fs must be nonempty")
-    if mode not in ("symbolic", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
     for f in fs:
         if not f.has_scalar_coefficients():
             raise ValueError("local_lin_dep expects scalar-only coefficients")
@@ -231,35 +230,16 @@ def local_lin_dep(
     used = sorted(set().union(*[f.generators() for f in fs]) | {0})
     y_gens = [max(used) + 1 + i for i in range(t - 1)]
     composite = _capelli_composite(fs, y_gens, term_budget)
-
-    if mode == "symbolic":
-        dependent = genmat.phi_eval(composite, n, budget=term_budget).is_zero()
-        report = DependenceReport(
-            verdict="dependent" if dependent else "independent",
-            mode="symbolic",
-            confidence="exact",
-        )
-    else:
-        rng = random.Random(seed)
-        gens = sorted(composite.generators())
-        dependent = True
-        for _ in range(trials):
-            point = {k: QMatrix.random(n, n, rng, bound) for k in gens}
-            if not genmat.evaluate(composite, point, n).is_zero():
-                dependent = False
-                break
-        degree = composite.word_degree()
-        per_trial = Fraction(min(degree, 2 * bound + 1), 2 * bound + 1)
-        report = DependenceReport(
-            verdict="dependent" if dependent else "independent",
-            mode="randomized",
-            confidence=(
-                "exact"
-                if not dependent
-                else f"false-dependent probability <= ({per_trial})^{trials}"
-            ),
-            trials=trials,
-        )
+    values = genmat.verdict_values(
+        composite, n, mode=mode, seed=seed, trials=trials, bound=bound, budget=term_budget
+    )
+    dependent = all(v.is_zero() for v in values)
+    report = DependenceReport(verdict="dependent" if dependent else "independent", mode=mode)
+    if mode == "randomized":
+        report.trials = trials
+        if dependent:
+            per_trial = Fraction(min(composite.word_degree(), 2 * bound + 1), 2 * bound + 1)
+            report.confidence = f"false-dependent probability <= ({per_trial})^{trials}"
     if report.verdict == "dependent":
         report.witness = {
             "capelli": f"C_{2 * t - 1}",
@@ -303,28 +283,12 @@ def _capelli_composite(
 def _independence_witness(
     fs: Sequence[QuasiPoly], n: int, seed: int, bound: int
 ) -> tuple[dict[int, QMatrix], list[QMatrix]] | None:
-    """Assignment where the values of fs are linearly independent."""
-    t = len(fs)
+    """Assignment where the values of fs are linearly independent, from
+    genmat.witness_points."""
     gens = sorted(set().union(*[f.generators() for f in fs]))
-    units = [
-        genmat.matrix_unit(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)
-    ]
-
-    def check(assignment: dict[int, QMatrix]) -> list[QMatrix] | None:
+    for assignment in genmat.witness_points(gens, n, seed, bound):
         values = [genmat.evaluate(f, assignment, n) for f in fs]
         rows = QMatrix([[m[i, j] for i in range(n) for j in range(n)] for m in values])
-        return values if qrank(rows) == t else None
-
-    if len(gens) <= 2 and len(units) ** len(gens) <= 100:
-        for combo in itertools.product(units, repeat=len(gens)):
-            assignment = dict(zip(gens, combo))
-            values = check(assignment)
-            if values is not None:
-                return assignment, values
-    rng = random.Random(seed)
-    for _ in range(200):
-        assignment = {k: QMatrix.random(n, n, rng, bound) for k in gens}
-        values = check(assignment)
-        if values is not None:
+        if qrank(rows) == len(fs):
             return assignment, values
     return None

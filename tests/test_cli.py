@@ -410,3 +410,67 @@ def test_text_format():
     code = run_command(["verify-ch", "--n", "2"], buf)
     assert code == 0
     assert "pass: True" in buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        ("x0", 1),
+        ("x1 + 3*x00", 8),
+        ("1/0", 3),
+        ("tr(x0)", 4),
+        ("c[1,0,1]*x1", 5),
+        ("c[0,1,1]*x1", 3),
+        ("", 1),
+    ],
+)
+def test_zero_indices_and_denominators_are_syntax_errors(expr, column):
+    code, report = run_json(["check", "--n", "2", "--expr", expr])
+    assert code == 2
+    assert report["error"]["type"] == "QuasiSyntaxError"
+    assert report["error"]["message"].endswith(f"(line 1, column {column})")
+
+
+def test_capelli_dep_refuses_a_coefficient_variable():
+    code, report = run_json(
+        ["capelli-dep", "--n", "2", "--expr", "x2", "--expr", "c[1,1,1]*x1"]
+    )
+    assert code == 2
+    assert report["error"]["type"] == "QuasidentError"
+    assert "line 2" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+def test_capelli_dep_witness_at_n4_is_a_matrix_unit_tuple(mode):
+    # Unit tuples are tried first for at most two generators, at every n.
+    code, report = run_json(
+        ["--mode", mode, "capelli-dep", "--n", "4", "--expr", "x1", "--expr", "x2"]
+    )
+    assert code == 0
+    assert report["results"]["verdict"] == "independent"
+    point = report["results"]["witness"]["point"]
+    for matrix in point.values():
+        entries = [e for row in matrix for e in row]
+        assert sorted(entries) == ["0"] * 15 + ["1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-ch", "--n", "2"],
+        ["--mode", "randomized", "check", "--n", "3", "--expr", "(x1*x2 - x2*x1)^2"],
+        ["capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"],
+        ["check", "--n", "2", "--expr", "x1 + @"],
+    ],
+)
+def test_timings_add_only_the_runtime(argv):
+    plain_code, plain = run_json(argv)
+    timed_code, timed = run_json(["--timings"] + argv)
+    assert timed_code == plain_code
+    if plain_code == 2:
+        # Error reports carry no runtime.
+        assert timed == plain
+        return
+    # Like every non-integer number in a report, the runtime prints as a string.
+    assert float(timed.pop("runtime_seconds")) >= 0
+    assert timed == plain

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quasident import genmat
-from quasident.errors import DimensionMismatch
+from quasident.errors import BudgetExceeded, DimensionMismatch
 from quasident.exactla import QMatrix
 from quasident.freealg import QuasiPoly
 from quasident.ratpoly import CPoly
@@ -117,6 +117,66 @@ def test_commutator_square_not_central_at_3_with_witness():
     )
     diag_differs = any(value[i, i] != value[0, 0] for i in range(1, 3))
     assert off_diag_nonzero or diag_differs
+
+
+@pytest.mark.parametrize("gens", [(), (3,), (2, 5)])
+def test_witness_points_try_every_unit_tuple_then_the_seeded_draws(gens):
+    n, seed, bound, trials = 2, 7, 4, 5
+    points = list(genmat.witness_points(gens, n, seed, bound, trials))
+    units = n ** (2 * len(gens))
+    assert len(points) == units + trials
+    unit_matrices = {genmat.matrix_unit(i, j, n) for i in (1, 2) for j in (1, 2)}
+    for point in points[:units]:
+        assert list(point) == list(gens)
+        assert all(m in unit_matrices for m in point.values())
+    assert len({tuple(point.items()) for point in points[:units]}) == units
+    rng = random.Random(seed)
+    drawn = [{k: QMatrix.random(n, n, rng, bound) for k in gens} for _ in range(trials)]
+    assert points[units:] == drawn
+
+
+def test_witness_points_skip_unit_tuples_past_two_generators():
+    rng = random.Random(3)
+    drawn = [{k: QMatrix.random(3, 3, rng, 9) for k in (1, 2, 4)} for _ in range(4)]
+    assert list(genmat.witness_points([1, 2, 4], 3, 3, 9, trials=4)) == drawn
+
+
+def test_symbolic_verdict_values_are_the_one_budgeted_image():
+    comm = x(1) * x(2) - x(2) * x(1)
+    values = genmat.verdict_values(comm, 2, mode="symbolic", seed=0, trials=5, bound=9)
+    assert list(values) == [genmat.phi_eval(comm, 2)]
+    refused = genmat.verdict_values(
+        comm ** 10, 2, mode="symbolic", seed=0, trials=5, bound=9, budget=1000
+    )
+    with pytest.raises(BudgetExceeded):
+        next(refused)
+
+
+def test_randomized_verdict_values_are_lazy(monkeypatch):
+    calls = []
+    evaluate = genmat.evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(genmat, "evaluate", counted)
+    values = genmat.verdict_values(x(1), 2, mode="randomized", seed=1, trials=20, bound=9)
+    assert calls == []
+    # x1 at a random nonzero point is nonzero, so the first value decides.
+    assert not all(v.is_zero() for v in values)
+    assert len(calls) == 1
+
+
+def test_randomized_verdict_values_follow_the_seed():
+    p = x(2) * x(1) + x(1).scale(3)
+    values = list(genmat.verdict_values(p, 2, mode="randomized", seed=4, trials=3, bound=5))
+    rng = random.Random(4)
+    expected = []
+    for _ in range(3):
+        point = {k: QMatrix.random(2, 2, rng, 5) for k in (1, 2)}
+        expected.append(genmat.evaluate(p, point, 2))
+    assert values == expected
 
 
 def test_standard_poly_s2():
