@@ -2,27 +2,29 @@
 T_1..T_{n-2}, X, Y, the concrete wedge algebra over the traceless dual basis,
 and their realizations as multilinear antisymmetric matrix functions.
 
-Formal side (Ext*): monomials are T-subset times X^i Y^j with both exponents
-below 2n and total degree at most n^2 (degree of T_h is 2h+1).  All three
-kinds of generators are odd and pairwise anticommute; powers of X (and of Y)
-accumulate without sign, which is why the algebra is not supercommutative:
-moving X^a past X^b costs nothing while the grading would predict (-1)^ab.
-Products of degree above n^2 are dropped inside multiplication, matching the
-quotient defining the algebra.
+Formal side (ExtElement): T-subsets times X^i Y^j.  Concrete side
+(WedgeForm): wedges of the traceless dual basis b_i times X^a; the fixed
+ordered basis of the traceless matrices is all e_ij (i != j) in row-major
+order followed by e_ii - e_{i+1,i+1}, which pins coordinates and signs.
 
-Concrete side (WedgeForm): the exterior algebra over the dual of the
-traceless matrices, with an adjoined odd polynomial variable X, X^{2n} = 0,
-degree capped at n^2.  The fixed ordered basis of the traceless matrices is
-all e_ij (i != j) in row-major order followed by e_ii - e_{i+1,i+1}; this
-pins coordinates and signs.
-
-ExtElement and WedgeForm are ratpoly.Terms types tied to their n (_AtN):
-sums across dimensions raise DimensionMismatch.
+Both are one graded algebra, _Graded: a ratpoly.Terms type tied to its n
+(sums across dimensions raise DimensionMismatch) with keys (odd, *powers).
+odd is an ascending tuple of odd generators that square to zero (T_h of
+degree 2h+1, or b_i of degree 1); powers are the exponents of the power
+letters, each below 2n, and the degree is at most n^2.  All letters are odd
+and distinct ones anticommute, but powers of one letter accumulate without
+sign, so the algebra is not supercommutative: moving X^a past X^b costs
+nothing where the grading would predict (-1)^ab.  A product's sign: the
+right odd block hops past the left powers, the odd blocks interleave, and
+each right power hops past the left powers of later letters.  Terms with an
+exponent of 2n or more, or degree above n^2, vanish: the quotient defining
+the algebra.
 
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
-the slot, and T_h as the scalar form tr(S_{2h+1}(...)); the wedge of
-already-antisymmetric functions is computed as the division-free shuffle
-sum, which agrees with the full symmetric-group average.
+the slot, T_h as the scalar form tr(S_{2h+1}(...)) and b_i as the dual basis
+functional; the wedge of already-antisymmetric functions is computed as the
+division-free shuffle sum, which agrees with the full symmetric-group
+average.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -57,40 +61,97 @@ from .freealg import perm_sign
 from .ratpoly import Terms, add_terms, scaled
 
 # ---------------------------------------------------------------------------
-# Formal algebra on T_1..T_{n-2}, X, Y
+# One graded algebra: odd generators and power letters
 # ---------------------------------------------------------------------------
 
-ExtMonomial = tuple[tuple[int, ...], int, int]  # (ascending T indices, i, j)
 
+class _Graded(Terms):
+    """Rational combination of normal-form keys (odd, *powers), tied to a
+    dimension n: values carry n, sums and differences across dimensions raise
+    DimensionMismatch, and equal values have equal n.
 
-def ext_monomial(n: int, tset: Iterable[int], i: int, j: int) -> ExtMonomial:
-    tset = tuple(tset)
-    ts = tuple(sorted(set(tset)))
-    if len(ts) != len(tset):
-        raise ValueError("repeated T generator squares to zero; not a monomial")
-    if any(not 1 <= h <= n - 2 for h in ts):
-        raise ValueError(f"T indices must lie in 1..{n - 2}")
-    if not (0 <= i < 2 * n and 0 <= j < 2 * n):
-        raise ValueError(f"exponents must lie in 0..{2 * n - 1}")
-    m = (ts, i, j)
-    if ext_degree(m) > n * n:
-        raise ValueError(f"degree {ext_degree(m)} exceeds the cap {n * n}")
-    return m
-
-
-def ext_degree(m: ExtMonomial) -> int:
-    tset, i, j = m
-    return sum(2 * h + 1 for h in tset) + i + j
-
-
-class _AtN(Terms):
-    """A term type tied to a dimension n: values carry n, sums and
-    differences across dimensions raise DimensionMismatch, and equal values
-    have equal n."""
+    A subclass supplies _read_odd (how it reads a key's odd tuple),
+    _generators(n) (the odd indices, by ascending weight), _weight and
+    _factor of one odd generator, _traceless (per power letter: realized on
+    traceless parts?), its constructors and _term_str.
+    """
 
     __slots__ = ("n",)
 
-    def _new(self, terms: dict) -> "_AtN":
+    _traceless: tuple[bool, ...] = ()
+
+    def __init__(self, n: int, terms: Mapping[tuple, Fraction | int] | None = None):
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        self.n = n
+        self._terms: dict[tuple, Fraction] = add_terms({}, (
+            (self._key(n, key), Fraction(c)) for key, c in terms.items()
+        )) if terms else {}
+
+    @classmethod
+    def zero(cls, n: int) -> "_Graded":
+        return cls(n)
+
+    @classmethod
+    def _key(cls, n: int, key: tuple) -> tuple:
+        """The normal-form key: the odd tuple as the subclass reads it, each
+        power below 2n, degree at most n^2."""
+        odd, *powers = key
+        odd = cls._read_odd(odd)
+        gens = cls._generators(n)
+        if odd and (odd[0] not in gens or odd[-1] not in gens):
+            raise ValueError(f"odd generator indices must lie in {gens.start}..{gens.stop - 1}")
+        if len(powers) != len(cls._traceless):
+            raise ValueError(f"a key has {len(cls._traceless)} powers, got {len(powers)}")
+        if any(not 0 <= p < 2 * n for p in powers):
+            raise ValueError(f"exponents must lie in 0..{2 * n - 1}")
+        key = (odd, *powers)
+        if cls._degree(key) > n * n:
+            raise ValueError(f"degree {cls._degree(key)} exceeds the cap {n * n}")
+        return key
+
+    @classmethod
+    def _degree(cls, key: tuple) -> int:
+        return sum(map(cls._weight, key[0])) + sum(key[1:])
+
+    def degree(self) -> int:
+        degs = {self._degree(key) for key in self._terms}
+        if len(degs) > 1:
+            raise WrongDegree("element is not homogeneous")
+        return degs.pop() if degs else 0
+
+    @classmethod
+    def _basis(cls, n: int, degree: int) -> list[tuple]:
+        """All normal-form keys of the given degree, in sorted order."""
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        if not 0 <= degree <= n * n:
+            raise ValueError(f"degree must lie in 0..{n * n}")
+        splits: dict[int, list[tuple[int, ...]]] = {}
+        for powers in itertools.product(range(2 * n), repeat=len(cls._traceless)):
+            splits.setdefault(sum(powers), []).append(powers)
+        gens = cls._generators(n)
+        weights = [cls._weight(g) for g in gens]
+        out = []
+        for size in range(len(gens) + 1):
+            # Subsets of this size weigh between the lightest and heaviest.
+            light, heavy = sum(weights[:size]), sum(weights[len(weights) - size:])
+            if light > degree or heavy + max(splits) < degree:
+                continue
+            for odd in itertools.combinations(gens, size):
+                rest = degree - sum(map(cls._weight, odd))
+                out.extend((odd, *powers) for powers in splits.get(rest, ()))
+        return sorted(out)
+
+    def _factors(self, key: tuple) -> tuple["_Factor", ...]:
+        """The realization of a key: each odd generator's _Factor, then one
+        standard-polynomial block per nonzero power."""
+        odd, *powers = key
+        return tuple(map(self._factor, odd)) + tuple(
+            _Factor("S", p, traceless=t) for p, t in zip(powers, self._traceless) if p
+        )
+
+    def _new(self, terms: dict) -> "_Graded":
         out = super()._new(terms)
         out.n = self.n
         return out
@@ -112,71 +173,6 @@ class _AtN(Terms):
     __hash__ = Terms.__hash__
 
 
-class ExtElement(_AtN):
-    """Rational combination of normal-form monomials, tied to a dimension n."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int, terms: Mapping[ExtMonomial, Fraction | int] | None = None):
-        self.n = n
-        self._terms: dict[ExtMonomial, Fraction] = add_terms({}, (
-            (ext_monomial(n, *m), Fraction(c)) for m, c in terms.items()
-        )) if terms else {}
-
-    @staticmethod
-    def zero(n: int) -> "ExtElement":
-        return ExtElement(n)
-
-    @staticmethod
-    def monomial(n: int, tset: Iterable[int], i: int, j: int, coeff: Fraction | int = 1) -> "ExtElement":
-        return ExtElement(n, {ext_monomial(n, tset, i, j): Fraction(coeff)})
-
-    def coefficient(self, m: ExtMonomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
-
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        degs = {ext_degree(m) for m in self._terms}
-        if len(degs) > 1:
-            raise WrongDegree("element is not homogeneous")
-        return degs.pop()
-
-    def _term_str(self, m: ExtMonomial, coeff: Fraction) -> str:
-        return scaled(coeff, format_ext_monomial(m))
-
-
-def format_ext_monomial(m: ExtMonomial) -> str:
-    tset, i, j = m
-    parts = [f"T{h}" for h in tset]
-    if i:
-        parts.append("X" if i == 1 else f"X^{i}")
-    if j:
-        parts.append("Y" if j == 1 else f"Y^{j}")
-    return "*".join(parts) if parts else "1"
-
-
-def atilde_basis(n: int, degree: int) -> list[ExtMonomial]:
-    """All normal-form monomials of the given degree, in sorted order."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 <= degree <= n * n:
-        raise ValueError(f"degree must lie in 0..{n * n}")
-    out = []
-    t_indices = list(range(1, n - 1))
-    for r in range(len(t_indices) + 1):
-        for tset in itertools.combinations(t_indices, r):
-            tdeg = sum(2 * h + 1 for h in tset)
-            rest = degree - tdeg
-            if rest < 0:
-                continue
-            for i in range(min(rest, 2 * n - 1) + 1):
-                j = rest - i
-                if 0 <= j <= 2 * n - 1:
-                    out.append((tset, i, j))
-    return sorted(out)
-
-
 def _merge_tsets(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Merge two ascending tuples of odd generators (T indices, or wedge
     basis indices); None if they share an index.
@@ -190,40 +186,93 @@ def _merge_tsets(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(sorted(a + b)), (-1) ** inversions
 
 
-def atilde_mul(a: ExtElement, b: ExtElement, n: int | None = None) -> ExtElement:
-    """Normal-form product in the formal algebra.
-
-    Signs: each T of the right factor hops past X^i Y^j of the left factor
-    (all odd letters), then the T blocks interleave, then the right X power
-    hops past the left Y power.  Exponents at or above 2n and total degree
-    above n^2 vanish.
-    """
-    if n is None:
-        n = a.n
-    if a.n != n or b.n != n:
+def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
+    """Normal-form product of two elements of one _Graded type, signed as
+    the module docstring says; the exponent and degree rejects come before
+    the merge of the odd blocks."""
+    if type(a) is not type(b):
+        raise TypeError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+    if a.n != b.n:
         raise DimensionMismatch("factors live at different dimensions")
-    cap = n * n
+    top, cap, degree = 2 * a.n, a.n * a.n, a._degree
+    right = [(key[0], key[1:], degree(key), c) for key, c in b._terms.items()]
 
     def products():
-        for (ta, ia, ja), ca in a._terms.items():
-            for (tb, ib, jb), cb in b._terms.items():
-                merged = _merge_tsets(ta, tb)
+        for key, ca in a._terms.items():
+            oa, pa, da = key[0], key[1:], degree(key)
+            hop = sum(pa)
+            later = [sum(pa[l + 1:]) for l in range(len(pa))]
+            for ob, pb, db, cb in right:
+                powers = tuple(map(add, pa, pb))
+                if da + db > cap or max(powers) >= top:
+                    continue
+                merged = _merge_tsets(oa, ob)
                 if merged is None:
                     continue
-                ii, jj = ia + ib, ja + jb
-                if ii >= 2 * n or jj >= 2 * n:
-                    continue
-                tset, sign = merged
-                m = (tset, ii, jj)
-                if ext_degree(m) > cap:
-                    continue
-                if (len(tb) * (ia + ja)) % 2:
-                    sign = -sign
-                if (ib * ja) % 2:
-                    sign = -sign
-                yield m, sign * ca * cb
+                odd, sign = merged
+                flips = len(ob) * hop + sum(map(mul, pb, later))
+                yield (odd, *powers), (-sign if flips % 2 else sign) * ca * cb
 
     return a._new(add_terms({}, products()))
+
+
+# ---------------------------------------------------------------------------
+# Formal algebra on T_1..T_{n-2}, X, Y
+# ---------------------------------------------------------------------------
+
+ExtMonomial = tuple[tuple[int, ...], int, int]  # (ascending T indices, i, j)
+
+
+class ExtElement(_Graded):
+    """Rational combination of normal-form monomials T-subset * X^i Y^j."""
+
+    __slots__ = ()
+
+    # T_1..T_{n-2}, T_h of weight 2h+1 and realized as a traceless trace
+    # form; X realizes on raw slots, Y on traceless parts.
+    _generators = staticmethod(lambda n: range(1, n - 1))
+    _weight = staticmethod(lambda h: 2 * h + 1)
+    _factor = staticmethod(lambda h: _Factor("T", 2 * h + 1, traceless=True))
+    _traceless = (False, True)
+
+    @staticmethod
+    def _read_odd(tset: Iterable[int]) -> tuple[int, ...]:
+        """A set: sorted, and a repeated T refused."""
+        tset = tuple(tset)
+        ts = tuple(sorted(set(tset)))
+        if len(ts) != len(tset):
+            raise ValueError("repeated T generator squares to zero; not a monomial")
+        return ts
+
+    @staticmethod
+    def monomial(n: int, tset: Iterable[int], i: int, j: int, coeff: Fraction | int = 1) -> "ExtElement":
+        return ExtElement(n, {(tuple(tset), i, j): coeff})
+
+    def _term_str(self, m: ExtMonomial, coeff: Fraction) -> str:
+        return scaled(coeff, format_ext_monomial(m))
+
+
+def ext_monomial(n: int, tset: Iterable[int], i: int, j: int) -> ExtMonomial:
+    return ExtElement._key(n, (tset, i, j))
+
+
+ext_degree = ExtElement._degree
+atilde_basis = ExtElement._basis
+
+
+def format_ext_monomial(m: ExtMonomial) -> str:
+    tset, i, j = m
+    parts = [f"T{h}" for h in tset]
+    if i:
+        parts.append("X" if i == 1 else f"X^{i}")
+    if j:
+        parts.append("Y" if j == 1 else f"Y^{j}")
+    return "*".join(parts) if parts else "1"
+
+
+def atilde_mul(a: ExtElement, b: ExtElement) -> ExtElement:
+    """Normal-form product in the formal algebra."""
+    return _graded_mul(a, b)
 
 
 def obar(n: int) -> ExtElement:
@@ -365,37 +414,34 @@ def traceless_basis(n: int) -> list[QMatrix]:
 WedgeKey = tuple[tuple[int, ...], int]  # (ascending 0-based basis indices, X power)
 
 
-class WedgeForm(_AtN):
+class WedgeForm(_Graded):
     """Element of the wedge algebra over the traceless dual basis with an
     adjoined odd variable X (X^{2n} = 0, degree capped at n^2)."""
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Mapping[WedgeKey, Fraction | int] | None = None):
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        self.n = n
-        self._terms: dict[WedgeKey, Fraction] = add_terms({}, (
-            (_wedge_key(n, *key), Fraction(c)) for key, c in terms.items()
-        )) if terms else {}
+    # b_0..b_{n^2-2}, each of weight 1 and realized as its dual basis
+    # functional; X realizes on raw slots.
+    _generators = staticmethod(lambda n: range(n * n - 1))
+    _weight = staticmethod(lambda index: 1)
+    _factor = staticmethod(lambda index: _Factor("b", 1, index=index))
+    _traceless = (False,)
 
     @staticmethod
-    def zero(n: int) -> "WedgeForm":
-        return WedgeForm(n)
+    def _read_odd(subset: Iterable[int]) -> tuple[int, ...]:
+        """Strictly increasing, as given."""
+        subset = tuple(subset)
+        if any(x >= y for x, y in zip(subset, subset[1:])):
+            raise ValueError(f"wedge indices must strictly increase: {subset}")
+        return subset
 
     @staticmethod
     def monomial(n: int, subset: Iterable[int], a: int, coeff: Fraction | int = 1) -> "WedgeForm":
-        return WedgeForm(n, {(tuple(subset), a): Fraction(coeff)})
+        return WedgeForm(n, {(tuple(subset), a): coeff})
 
     @staticmethod
     def x_power(n: int, a: int, coeff: Fraction | int = 1) -> "WedgeForm":
-        return WedgeForm(n, {((), a): Fraction(coeff)})
-
-    def degree(self) -> int:
-        degs = {len(s) + a for (s, a) in self._terms}
-        if len(degs) > 1:
-            raise WrongDegree("form is not homogeneous")
-        return degs.pop() if degs else 0
+        return WedgeForm(n, {((), a): coeff})
 
     def _term_str(self, key: WedgeKey, coeff: Fraction) -> str:
         subset, a = key
@@ -405,60 +451,18 @@ class WedgeForm(_AtN):
         return scaled(coeff, "^".join(parts) if parts else "1")
 
 
-def _wedge_key(n: int, subset: Iterable[int], a: int) -> WedgeKey:
-    """Validate a wedge monomial times X^a at dimension n."""
-    subset = tuple(subset)
-    dim = n * n - 1
-    if list(subset) != sorted(set(subset)):
-        raise ValueError(f"wedge indices must strictly increase: {subset}")
-    if subset and not (0 <= subset[0] and subset[-1] < dim):
-        raise ValueError(f"wedge index out of range 0..{dim - 1}")
-    if not 0 <= a < 2 * n:
-        raise ValueError(f"X exponent {a} out of range")
-    if len(subset) + a > n * n:
-        raise ValueError("degree exceeds the cap")
-    return subset, a
+fn_basis = WedgeForm._basis
 
 
-def fn_basis(n: int, degree: int) -> list[WedgeKey]:
-    """Wedge monomials times X powers of the given total degree."""
-    if not 0 <= degree <= n * n:
-        raise ValueError(f"degree must lie in 0..{n * n}")
-    dim = n * n - 1
-    out = []
-    for a in range(min(degree, 2 * n - 1) + 1):
-        size = degree - a
-        if size > dim:
-            continue
-        for subset in itertools.combinations(range(dim), size):
-            out.append((subset, a))
-    return sorted(out)
+def fn_dim(n: int, degree: int) -> int:
+    """len(fn_basis(n, degree)), counted: for each X power a, the wedges of
+    degree - a of the n^2 - 1 dual basis functionals."""
+    return sum(comb(n * n - 1, degree - a) for a in range(min(degree, 2 * n - 1) + 1))
 
 
 def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
-    """Graded product: the right factor's wedge block hops past the left X
-    power; shared wedge indices kill the term; X powers accumulate with
-    X^{2n} = 0 and the degree cap n^2."""
-    if a.n != b.n:
-        raise DimensionMismatch("forms live at different dimensions")
-    n = a.n
-    cap = n * n
-
-    def products():
-        for (sa, xa), ca in a._terms.items():
-            for (sb, xb), cb in b._terms.items():
-                x = xa + xb
-                if x >= 2 * n or len(sa) + len(sb) + x > cap:
-                    continue
-                merged = _merge_tsets(sa, sb)
-                if merged is None:
-                    continue
-                subset, sign = merged
-                if (xa * len(sb)) % 2:
-                    sign = -sign
-                yield (subset, x), sign * ca * cb
-
-    return a._new(add_terms({}, products()))
+    """Normal-form product in the wedge algebra."""
+    return _graded_mul(a, b)
 
 
 def t_form(n: int, h: int) -> WedgeForm:
@@ -682,15 +686,6 @@ def _wedge_factors(factors: Sequence[_Factor], n: int) -> MultiFn:
     return MultiFn(sum(f.arity for f in factors), n, ((1, tuple(factors)),))
 
 
-def _linear_combination(n: int, arity: int, pieces: Iterable[tuple[Fraction, MultiFn]]) -> MultiFn:
-    """The scaled terms of every piece; whole coefficients become ints."""
-    terms = []
-    for c, f in pieces:
-        c = c.numerator if c.denominator == 1 else c
-        terms.extend((c * fc, factors) for fc, factors in f.terms)
-    return MultiFn(arity, n, tuple(terms))
-
-
 def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
     """Binary shuffle wedge of realized functions: every pair of terms
     concatenates its factor lists."""
@@ -716,18 +711,6 @@ def x_power_fn(n: int, a: int) -> MultiFn:
     return _wedge_factors([_Factor("S", a)] if a else [], n)
 
 
-def realize_ext_monomial(n: int, m: ExtMonomial) -> MultiFn:
-    """A formal monomial as a matrix function: T factors are traceless trace
-    forms, then the X power on raw slots, then the Y power on traceless parts."""
-    tset, i, j = m
-    factors = [_Factor("T", 2 * h + 1, traceless=True) for h in tset]
-    if i:
-        factors.append(_Factor("S", i))
-    if j:
-        factors.append(_Factor("S", j, traceless=True))
-    return _wedge_factors(factors, n)
-
-
 def realize_invariant_monomial(
     n: int, tset: Iterable[int], xpow: int, traceless: bool = False
 ) -> MultiFn:
@@ -743,25 +726,20 @@ def realize_invariant_monomial(
     return _wedge_factors(factors, n)
 
 
-def realize_wedge_monomial(n: int, key: WedgeKey) -> MultiFn:
-    subset, a = key
-    factors = [_Factor("b", 1, index=idx) for idx in subset]
-    if a:
-        factors.append(_Factor("S", a))
-    return _wedge_factors(factors, n)
-
-
-def realize(expr: "ExtElement | WedgeForm | WedgeKey", n: int) -> MultiFn:
-    """Dispatching realization; homogeneous linear combinations only."""
-    if isinstance(expr, ExtElement):
-        pieces = ((c, realize_ext_monomial(n, m)) for m, c in expr.terms())
-        return _linear_combination(n, expr.degree(), pieces)
-    if isinstance(expr, WedgeForm):
-        pieces = ((c, realize_wedge_monomial(n, k)) for k, c in expr.terms())
-        return _linear_combination(n, expr.degree(), pieces)
-    if isinstance(expr, tuple) and len(expr) == 2:
-        return realize_wedge_monomial(n, expr)
-    raise TypeError(f"cannot realize {type(expr).__name__}")
+def realize(expr: "_Graded | WedgeKey", n: int) -> MultiFn:
+    """A homogeneous element at dimension n (a bare WedgeKey is one wedge
+    monomial) as the sum of its keys' factor lists; whole coefficients
+    become ints."""
+    if isinstance(expr, tuple):
+        expr = WedgeForm(n, {expr: 1})
+    if not isinstance(expr, _Graded):
+        raise TypeError(f"cannot realize {type(expr).__name__}")
+    if expr.n != n:
+        raise DimensionMismatch(f"an element at n={expr.n} realized at n={n}")
+    terms = tuple(
+        (c.numerator if c.denominator == 1 else c, expr._factors(key)) for key, c in expr.terms()
+    )
+    return MultiFn(expr.degree(), n, terms)
 
 
 def random_matrix(n: int, rng: random.Random, bound: int = 9) -> Mat:

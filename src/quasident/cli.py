@@ -76,11 +76,18 @@ class _Parser:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def here(self) -> tuple[int, int]:
+        """The line and column of the next token, or just past the last one."""
+        tok = self.peek()
+        if tok is not None:
+            return tok.line, tok.column
+        last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
+        return last.line, last.column + len(last.text)
+
     def take(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise QuasiSyntaxError("unexpected end of input", last.line, last.column + len(last.text))
+            raise QuasiSyntaxError("unexpected end of input", *self.here())
         self.pos += 1
         return tok
 
@@ -121,9 +128,7 @@ class _Parser:
             product = product * self.parse_factor()
             saw_anything = True
         if not saw_anything:
-            tok = self.peek()
-            line, col = (tok.line, tok.column) if tok else (1, 1)
-            raise QuasiSyntaxError("empty term", line, col)
+            raise QuasiSyntaxError("empty term", *self.here())
         return product
 
     def parse_rational(self) -> Fraction:
@@ -380,9 +385,10 @@ def _cmd_capelli_dep(args: argparse.Namespace) -> dict:
     report = _base_report("capelli-dep", args)
     fs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            f = parse_quasipoly(line, n, args.budget)
+        code = line.split("#", 1)[0]
+        if code.strip():
+            # Leading newlines make syntax errors report the input's own line.
+            f = parse_quasipoly("\n" * (lineno - 1) + code, n, args.budget)
             # local_lin_dep's Capelli test is for ordinary polynomials.
             if not f.has_scalar_coefficients():
                 raise QuasidentError(
@@ -438,7 +444,16 @@ def _cmd_antisym_corollary2(args: argparse.Namespace) -> dict:
     n = args.n
     report = _base_report("antisym-corollary2", args)
     top = n * n
-    ambient = len(antisym.fn_basis(n, top))
+    # The ideal's spanning matrix: one row per generator, one column per
+    # ambient monomial.  It has at least n^2 columns, so n^2 over the budget
+    # is refused uncounted.
+    if n * n > args.budget or (
+        antisym.fn_dim(n, top - 2 * n + 1) * antisym.fn_dim(n, top) > args.budget
+    ):
+        raise BudgetExceeded(
+            f"the ideal's spanning matrix at n={n} has more than the budget's {args.budget} cells"
+        )
+    ambient = antisym.fn_dim(n, top)
     ideal = antisym.ideal_component(n, top)
     block = antisym.wedge_component_subspace(n, top, top - 2)
     meet = ideal.intersect(block)
@@ -546,11 +561,14 @@ def _at_least(name: str, value: int, least: int) -> None:
 def run_command(argv: Sequence[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _build_parser().parse_args(list(argv))
-    env_seed = os.environ.get("QUASIDENT_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
     started = time.monotonic()
     try:
+        env_seed = os.environ.get("QUASIDENT_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise QuasidentError(f"QUASIDENT_SEED must be an integer, got {env_seed!r}") from None
         # kerim and corollary2 live in algebras defined from n = 2 on.
         two = args.run in (_cmd_antisym_kerim, _cmd_antisym_corollary2)
         _at_least("n", args.n, 2 if two else 1)

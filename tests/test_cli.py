@@ -154,6 +154,22 @@ def test_capelli_dep_command(tmp_path):
     assert report["results"]["verdict"] == "dependent"
 
 
+def test_capelli_dep_syntax_errors_report_the_input_position(tmp_path):
+    # The k-th --expr is line k; a file's line keeps its own columns.  An
+    # error at the end of a line is placed just past its last token.
+    for expr, where in (("x2 @", "(line 2, column 4)"), ("x2 +", "(line 2, column 5)")):
+        code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1", "--expr", expr])
+        assert code == 2
+        assert report["error"]["message"].endswith(where)
+    path = tmp_path / "fs.txt"
+    path.write_text("1\nx1\n  x0 # c\n")
+    code, report = run_json(["capelli-dep", "--n", "2", "--input", str(path)])
+    assert code == 2
+    assert report["error"]["message"] == (
+        "generator index must be positive, found 'x0' (line 3, column 3)"
+    )
+
+
 def test_capelli_dep_independent():
     code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"])
     assert code == 0
@@ -197,6 +213,19 @@ def test_antisym_corollary2_command():
     assert report["results"]["intersection_dim"] == 0
 
 
+def test_antisym_corollary2_over_the_cell_budget_is_refused():
+    # The ideal's spanning matrix has 26,569 cells at n = 3 and 276,661,792
+    # at n = 4; a refusal comes before any basis or product is built.
+    start = time.monotonic()
+    code, report = run_json(["antisym", "corollary2", "--n", "4"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and report["error"]["type"] == "BudgetExceeded"
+    code, report = run_json(["--budget", "26568", "antisym", "corollary2", "--n", "3"])
+    assert code == 2 and report["error"]["type"] == "BudgetExceeded"
+    code, report = run_json(["--budget", "26569", "antisym", "corollary2", "--n", "3"])
+    assert code == 0 and report["results"]["intersection_dim"] == 0
+
+
 def test_antisym_dim_command():
     code, report = run_json(["antisym", "dim", "--n", "2"])
     assert code == 0
@@ -216,6 +245,16 @@ def test_seed_env_override(monkeypatch):
     code, report = run_json(["antisym", "dim", "--n", "2"])
     assert code == 0
     assert report["config"]["seed"] == 77
+
+
+def test_seed_env_that_is_not_an_integer_is_an_error_report(monkeypatch):
+    monkeypatch.setenv("QUASIDENT_SEED", "abc")
+    code, report = run_json(["verify-ch", "--n", "2"])
+    assert code == 2
+    assert report["error"] == {
+        "type": "QuasidentError",
+        "message": "QUASIDENT_SEED must be an integer, got 'abc'",
+    }
 
 
 def test_error_report_is_machine_readable():
