@@ -20,6 +20,14 @@ each right power hops past the left powers of later letters.  Terms with an
 exponent of 2n or more, or degree above n^2, vanish: the quotient defining
 the algebra.
 
+The paper's two top-degree computations are one map: multiplication by a
+degree 2n-1 element (obar, or O_n in the wedge algebra) from degree (n-1)^2
+into degree n^2.  verify_kerim (its image is ker rho) and corollary2 (the
+ideal meets the top wedge block only in 0) span that image through one
+helper, _multiples, as sparse rows over the _Graded basis, and both refuse
+through one cell budget, _top_cells_within, before any element or basis is
+built.  Each returns the ledger its CLI command prints.
+
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
 the slot, T_h as the scalar form tr(S_{2h+1}(...)) and b_i as the dual basis
 functional; the wedge of already-antisymmetric functions is computed as the
@@ -33,7 +41,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -312,31 +320,6 @@ def rho(n: int, m: ExtMonomial) -> Fraction:
     return Fraction(0)
 
 
-def rho_vector(n: int) -> tuple[Fraction, ...]:
-    return tuple(rho(n, m) for m in atilde_basis(n, n * n))
-
-
-def pi_map(n: int, side: str = "right") -> QMatrix:
-    """Matrix of multiplication by obar(n) from degree n^2-2n+1 to degree n^2.
-
-    side="right" is a -> a * obar (the convention used everywhere);
-    side="left" is a -> obar * a, exposed for cross-checking.
-    """
-    dom = atilde_basis(n, n * n - 2 * n + 1)
-    cod = atilde_basis(n, n * n)
-    cod_index = {m: r for r, m in enumerate(cod)}
-    ob = obar(n)
-    cols = []
-    for m in dom:
-        a = ExtElement.monomial(n, m[0], m[1], m[2])
-        prod = atilde_mul(a, ob) if side == "right" else atilde_mul(ob, a)
-        col = [Fraction(0)] * len(cod)
-        for mm, c in prod.terms():
-            col[cod_index[mm]] = c
-        cols.append(col)
-    return QMatrix(list(zip(*cols))) if cols else QMatrix.zeros(len(cod), 0)
-
-
 def special_monomial(n: int) -> ExtMonomial:
     """The complement generator: the full T product times X^2 Y^(2n-2)."""
     return (tuple(range(1, n - 1)), 2, 2 * n - 2)
@@ -353,44 +336,56 @@ def atilde_dim(n: int, degree: int) -> int:
     return sum(c * (min(r, top) - max(0, r - top) + 1) for r, c in enumerate(left_out, r0) if r >= 0)
 
 
+def _top_cells_within(n: int, dim: Callable[[int, int], int], budget: int | None) -> None:
+    """Refuse, before anything is built, a top-degree multiplication map whose
+    matrix, dim(n, (n-1)^2) generators by dim(n, n^2) monomials, has more
+    cells than the budget.  Both maps have at least n^2 cells (kerim's at
+    least n generators and 2n - 1 monomials, corollary 2's at least n^2
+    monomials), so n^2 over the budget is refused uncounted."""
+    if budget is not None and (
+        n * n > budget or dim(n, (n - 1) ** 2) * dim(n, n * n) > budget
+    ):
+        raise BudgetExceeded(
+            f"the top-degree multiplication map at n={n} has more than the budget's {budget} cells"
+        )
+
+
+def _multiples(factor: _Graded, degree: int, times: Callable[[_Graded, _Graded], _Graded]) -> Subspace:
+    """The span of times(v, factor), v over the basis of the complementary
+    degree, as one sparse row per v over the basis of the given degree.
+    times is the product of factor's type, looked up by the caller."""
+    cls, n = type(factor), factor.n
+    cod = cls._basis(n, degree)
+    index = {key: r for r, key in enumerate(cod)}
+    rows = (
+        {index[key]: c for key, c in times(cls(n, {v: 1}), factor)._terms.items()}
+        for v in cls._basis(n, degree - factor.degree())
+    )
+    return Subspace.from_vectors(len(cod), rows)
+
+
 def verify_kerim(n: int, *, budget: int | None = None) -> dict:
     """Exact check that the image of right multiplication by obar equals the
     kernel of rho in top degree, with codimension one and the stated
-    complement; returns a dimension ledger.  A pi_map of more cells than the
-    budget raises BudgetExceeded before it is built; it has at least 2n - 1
-    rows and n columns, so n^2 over the budget is refused uncounted."""
-    if budget is not None and (n * n > budget or
-                               atilde_dim(n, n * n) * atilde_dim(n, (n - 1) ** 2) > budget):
-        raise BudgetExceeded(f"pi_map at n={n} has more than the budget's {budget} cells")
+    complement; returns the dimension ledger.  A map of more cells than the
+    budget is refused first.  rho vanishes on the image exactly when it
+    vanishes on the image's basis."""
+    _top_cells_within(n, atilde_dim, budget)
+    image = _multiples(obar(n), n * n, atilde_mul)
     cod = atilde_basis(n, n * n)
-    matrix = pi_map(n)
-    image = Subspace.from_vectors(len(cod), [matrix.column(c) for c in range(matrix.cols)])
-    rv = rho_vector(n)
-    kernel = _kernel_of_functional(rv)
-    comp = {cod.index(special_monomial(n)): 1}
-    rho_pi_zero = all(
-        sum(rv[r] * matrix[r, c] for r in range(matrix.rows)) == 0
-        for c in range(matrix.cols)
-    )
-    together = image.sum(Subspace.from_vectors(len(cod), [comp]))
+    rho_row = {r: v for r, key in enumerate(cod) if (v := rho(n, key))}
+    kernel = Subspace.from_vectors(len(cod), nullspace_of_rows([rho_row], len(cod)))
+    comp = Subspace.from_vectors(len(cod), [{cod.index(special_monomial(n)): 1}])
     return {
-        "n": n,
-        "ambient_dim": len(cod),
-        "domain_dim": matrix.cols,
-        "image_dim": image.dim(),
-        "kernel_rho_dim": kernel.dim(),
-        "rho_pi_zero": rho_pi_zero,
-        "image_equals_kernel": image == kernel,
+        "ambient": len(cod),
+        "domain": atilde_dim(n, (n - 1) ** 2),
+        "image_rank": image.dim(),
+        "ker_rho_equals_image": image == kernel,
+        "rho_pi_zero": kernel.contains(image),
         "codimension": len(cod) - image.dim(),
-        "complement_spans": together.dim() == len(cod),
+        "complement_spans": image.sum(comp).dim() == len(cod),
         "complement_monomial": format_ext_monomial(special_monomial(n)),
     }
-
-
-def _kernel_of_functional(values: Sequence[Fraction]) -> Subspace:
-    ambient = len(values)
-    row = {c: v for c, v in enumerate(values) if v}
-    return Subspace.from_vectors(ambient, nullspace_of_rows([row], ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +492,7 @@ def ideal_component(n: int, degree: int) -> Subspace:
     odd, so left multiples span the component."""
     if degree < 2 * n - 1:
         raise ValueError(f"degree must be at least {2 * n - 1}")
-    on = on_in_fn(n)
-    dom = fn_basis(n, degree - (2 * n - 1))
-    cod = fn_basis(n, degree)
-    cod_index = {key: r for r, key in enumerate(cod)}
-    vectors = []
-    for subset, a in dom:
-        prod = fn_mul(WedgeForm.monomial(n, subset, a), on)
-        vectors.append({cod_index[key]: c for key, c in prod._terms.items()})
-    return Subspace.from_vectors(len(cod), vectors)
+    return _multiples(on_in_fn(n), degree, fn_mul)
 
 
 def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
@@ -514,6 +501,25 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
     cod = fn_basis(n, degree)
     vectors = [{r: 1} for r, (subset, _a) in enumerate(cod) if len(subset) == size]
     return Subspace.from_vectors(len(cod), vectors)
+
+
+def corollary2(n: int, *, budget: int | None = None) -> dict:
+    """Corollary 2 in top degree n^2: the ideal of O_n meets the block of
+    wedge size n^2 - 2 (X power 2) only in 0; returns the dimension ledger.
+    A map of more cells than the budget is refused first."""
+    _top_cells_within(n, fn_dim, budget)
+    top = n * n
+    ideal = ideal_component(n, top)
+    block = wedge_component_subspace(n, top, top - 2)
+    meet = ideal.intersect(block)
+    return {
+        "degree": top,
+        "ambient": ideal.ambient,
+        "ideal_dim": ideal.dim(),
+        "block_dim": block.dim(),
+        "intersection_dim": meet.dim(),
+        "new_quasi_identities": block.dim() - meet.dim(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +779,8 @@ def realize_rank(
     seed: int = 0,
     bound: int = 9,
     traceless_args: bool = False,
+    *,
+    budget: int | None = None,
 ) -> int:
     """Exact rank certificate for a family of realized functions.
 
@@ -783,6 +791,10 @@ def realize_rank(
     accumulated.  The total is a lower bound for the dimension of the span.
     Each tuple's standard tables are built once, up to the group's largest
     factor arity, and read by every function of the group.
+
+    With a budget, a family whose evaluations walk more shuffle terms than
+    it (samples times, per term, arity! / prod(factor arity!)) raises
+    BudgetExceeded before any tuple is drawn.
     """
     rng = random.Random(seed)
     groups: dict[int, list[MultiFn]] = {}
@@ -790,6 +802,16 @@ def realize_rank(
         if f.n != n:
             raise DimensionMismatch(f"a function at n={f.n} in a rank at n={n}")
         groups.setdefault(f.arity, []).append(f)
+    if budget is not None:
+        walks = samples * sum(
+            factorial(f.arity) // prod(factorial(g.arity) for g in factors)
+            for f in fns for _c, factors in f.terms
+        )
+        if walks > budget:
+            raise BudgetExceeded(
+                f"the rank certificate at n={n} walks {walks} shuffle terms, "
+                f"over the budget {budget}"
+            )
     draw = random_traceless if traceless_args else random_matrix
     total = 0
     for arity in sorted(groups):

@@ -194,13 +194,14 @@ class _Parser:
                 raise DimensionRequired(
                     f"tr(...) at line {close.line} needs a matrix dimension n"
                 )
-            # The expansion walks the word's n^|w| diagonal index paths; the
-            # exponent is capped at the budget's bit length, as for powers.
-            k = len(letters)
-            if self.budget is not None and self.n ** min(k, self.budget.bit_length()) > self.budget:
+            # The expansion walks n^|w| index paths from each of n start
+            # rows, as phi_eval counts the constant; the exponent is capped
+            # at the budget's bit length, as for powers.
+            e = len(letters) + 1
+            if self.budget is not None and self.n ** min(e, self.budget.bit_length()) > self.budget:
                 raise BudgetExceeded(
-                    f"tr(...) of a {k}-letter word at line {tok.line}, column {tok.column} "
-                    f"walks {self.n}^{k} index paths, over the budget {self.budget}"
+                    f"tr(...) of a {len(letters)}-letter word at line {tok.line}, column {tok.column} "
+                    f"walks {self.n}^{e} index paths, over the budget {self.budget}"
                 )
             return QuasiPoly.const(genmat.trace_word_cpoly(letters, self.n))
         if tok.text == "(":
@@ -234,8 +235,8 @@ def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) 
 
     tr(...) macros need the matrix dimension n; without it they raise
     DimensionRequired.  With a term budget, a power whose expansion could
-    exceed it, or a tr(...) word with more diagonal index paths than the
-    budget, raises BudgetExceeded before it is expanded.
+    exceed it, or a tr(w) atom whose n^(|w|+1) index paths outnumber it,
+    raises BudgetExceeded before it is expanded.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -420,52 +421,20 @@ def _cmd_capelli_dep(args: argparse.Namespace) -> dict:
 
 def _cmd_antisym_kerim(args: argparse.Namespace) -> dict:
     report = _base_report("antisym-kerim", args)
-    res = antisym.verify_kerim(args.n, budget=args.budget)
-    report["results"] = {
-        "ambient": res["ambient_dim"],
-        "domain": res["domain_dim"],
-        "image_rank": res["image_dim"],
-        "ker_rho_equals_image": res["image_equals_kernel"],
-        "rho_pi_zero": res["rho_pi_zero"],
-        "codimension": res["codimension"],
-        "complement_monomial": res["complement_monomial"],
-        "complement_spans": res["complement_spans"],
-    }
+    results = report["results"] = antisym.verify_kerim(args.n, budget=args.budget)
     report["pass"] = (
-        res["image_equals_kernel"]
-        and res["codimension"] == 1
-        and res["complement_spans"]
-        and res["rho_pi_zero"]
+        results["ker_rho_equals_image"]
+        and results["codimension"] == 1
+        and results["complement_spans"]
+        and results["rho_pi_zero"]
     )
     return report
 
 
 def _cmd_antisym_corollary2(args: argparse.Namespace) -> dict:
-    n = args.n
     report = _base_report("antisym-corollary2", args)
-    top = n * n
-    # The ideal's spanning matrix: one row per generator, one column per
-    # ambient monomial.  It has at least n^2 columns, so n^2 over the budget
-    # is refused uncounted.
-    if n * n > args.budget or (
-        antisym.fn_dim(n, top - 2 * n + 1) * antisym.fn_dim(n, top) > args.budget
-    ):
-        raise BudgetExceeded(
-            f"the ideal's spanning matrix at n={n} has more than the budget's {args.budget} cells"
-        )
-    ambient = antisym.fn_dim(n, top)
-    ideal = antisym.ideal_component(n, top)
-    block = antisym.wedge_component_subspace(n, top, top - 2)
-    meet = ideal.intersect(block)
-    report["results"] = {
-        "degree": top,
-        "ambient": ambient,
-        "ideal_dim": ideal.dim(),
-        "block_dim": block.dim(),
-        "intersection_dim": meet.dim(),
-        "new_quasi_identities": block.dim() - meet.dim(),
-    }
-    report["pass"] = meet.dim() == 0 and block.dim() > 0
+    results = report["results"] = antisym.corollary2(args.n, budget=args.budget)
+    report["pass"] = results["intersection_dim"] == 0 and results["block_dim"] > 0
     return report
 
 
@@ -476,7 +445,7 @@ def _cmd_antisym_dim(args: argparse.Namespace) -> dict:
         antisym.realize_invariant_monomial(n, tset, a) for tset, a in antisym.am_basis(n)
     ]
     rank = antisym.realize_rank(
-        n, fns, samples=args.samples, seed=args.seed, bound=args.bound
+        n, fns, samples=args.samples, seed=args.seed, bound=args.bound, budget=args.budget
     )
     expected = n * 2**n
     report["config"]["samples"] = args.samples
@@ -577,6 +546,7 @@ def run_command(argv: Sequence[str], out=None) -> int:
         _at_least("trials", args.trials, 1)
         _at_least("bound", args.bound, 1)
         _at_least("samples", args.samples, 1)
+        _at_least("budget", args.budget, 1)
         report = args.run(args)
     except QuasidentError as exc:
         error = {

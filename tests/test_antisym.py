@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -11,6 +12,20 @@ from quasident.freealg import perm_sign
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def obar_products(n, left=False):
+    """Multiplication by obar(n) from degree (n-1)^2 into degree n^2, one
+    dense column per domain monomial over atilde_basis(n, n^2), each built
+    with atilde_mul: a * obar, or obar * a when left is set."""
+    ob = anti.obar(n)
+    cod = anti.atilde_basis(n, n * n)
+    cols = []
+    for key in anti.atilde_basis(n, (n - 1) ** 2):
+        a = anti.ExtElement(n, {key: 1})
+        terms = dict((anti.atilde_mul(ob, a) if left else anti.atilde_mul(a, ob)).terms())
+        cols.append([terms.get(m, Fraction(0)) for m in cod])
+    return cols
 
 
 def oracle_sign_and_normal_form(letters, n):
@@ -250,11 +265,8 @@ def test_alternative_rho_reading_breaks_containment():
             return Fraction(n)
         return Fraction(0)
 
-    m = anti.pi_map(n)
     alt = [rho_alt(b) for b in basis]
-    composed = [
-        sum(alt[r] * m[r, col] for r in range(m.rows)) for col in range(m.cols)
-    ]
+    composed = [sum(map(mul, alt, col)) for col in obar_products(n)]
     assert any(composed), "alternative reading would also annihilate the image"
 
 
@@ -267,9 +279,8 @@ def test_pi_map_n2_products():
 
 
 def test_pi_map_n2_image():
-    m = anti.pi_map(2)
     basis = anti.atilde_basis(2, 4)
-    image = Subspace.from_vectors(len(basis), [m.column(c) for c in range(m.cols)])
+    image = Subspace.from_vectors(len(basis), obar_products(2))
     x3y = [Fraction(int(b == ((), 3, 1))) for b in basis]
     xy3 = [Fraction(int(b == ((), 1, 3))) for b in basis]
     x2y2 = [Fraction(int(b == ((), 2, 2))) for b in basis]
@@ -280,18 +291,16 @@ def test_pi_map_n2_image():
 
 def test_rho_pi_composition_is_zero():
     for n in (2, 3, 4):
-        m = anti.pi_map(n)
-        rv = anti.rho_vector(n)
-        for col in range(m.cols):
-            assert sum(rv[r] * m[r, col] for r in range(m.rows)) == 0
+        rv = [anti.rho(n, m) for m in anti.atilde_basis(n, n * n)]
+        for col in obar_products(n):
+            assert sum(map(mul, rv, col)) == 0
 
 
 def test_pi_left_and_right_images_agree():
     for n in (2, 3, 4):
-        right = anti.pi_map(n, "right")
-        left = anti.pi_map(n, "left")
-        sr = Subspace.from_vectors(right.rows, [right.column(c) for c in range(right.cols)])
-        sl = Subspace.from_vectors(left.rows, [left.column(c) for c in range(left.cols)])
+        ambient = len(anti.atilde_basis(n, n * n))
+        sr = Subspace.from_vectors(ambient, obar_products(n))
+        sl = Subspace.from_vectors(ambient, obar_products(n, left=True))
         assert sr == sl
 
 
@@ -299,8 +308,8 @@ def test_verify_kerim():
     expected_ambient = {2: 3, 3: 7, 4: 13}
     for n in (2, 3, 4):
         report = anti.verify_kerim(n)
-        assert report["ambient_dim"] == expected_ambient[n]
-        assert report["image_equals_kernel"]
+        assert report["ambient"] == expected_ambient[n]
+        assert report["ker_rho_equals_image"]
         assert report["codimension"] == 1
         assert report["complement_spans"]
         assert report["rho_pi_zero"]
@@ -308,8 +317,8 @@ def test_verify_kerim():
 
 def test_verify_kerim_n2_ledger():
     report = anti.verify_kerim(2)
-    assert report["ambient_dim"] == 3
-    assert report["image_dim"] == 2
+    assert report["ambient"] == 3
+    assert report["image_rank"] == 2
     assert report["complement_monomial"] == "X^2*Y^2"
 
 
@@ -320,12 +329,12 @@ def test_atilde_dim_counts_the_basis():
 
 
 def test_verify_kerim_budget_counts_cells():
-    # pi_map(5) has 22 rows and 50 columns.
+    # Multiplication by obar(5) maps 50 monomials into 22.
     with pytest.raises(BudgetExceeded):
         anti.verify_kerim(5, budget=1_099)
     report = anti.verify_kerim(5, budget=1_100)
-    assert (report["ambient_dim"], report["domain_dim"]) == (22, 50)
-    assert report["image_equals_kernel"] and report["codimension"] == 1
+    assert (report["ambient"], report["domain"]) == (22, 50)
+    assert report["ker_rho_equals_image"] and report["codimension"] == 1
     assert report["complement_spans"] and report["rho_pi_zero"]
 
 
@@ -371,7 +380,7 @@ def test_fn_mul_runs_once_per_ideal_generator_and_never_in_the_formal_algebra(mo
     monkeypatch.setattr(anti, "fn_mul", lambda a, b: calls.append(1) or fn_mul(a, b))
     assert anti.ideal_component(2, 4).dim() == 4
     assert len(calls) == 4 == len(anti.fn_basis(2, 1))
-    assert anti.verify_kerim(3)["image_equals_kernel"]
+    assert anti.verify_kerim(3)["ker_rho_equals_image"]
     assert len(calls) == 4
 
 
@@ -491,6 +500,22 @@ def test_corollary2_n3_stretch():
     assert len(anti.fn_basis(3, 9)) == 163
     assert block.dim() == 8
     assert J.intersect(block).dim() == 0
+
+
+def test_top_degree_budget_refuses_before_anything_is_built(monkeypatch):
+    # Corollary 2's map has 276,661,792 cells at n = 4, and n^2 alone is
+    # over the budget for kerim at n = 500: neither O_n, its T_h forms,
+    # obar nor any basis may be built first.
+    def built(*_args):
+        raise AssertionError("built before the budget refused")
+
+    for name in ("on_in_fn", "t_form", "obar"):
+        monkeypatch.setattr(anti, name, built)
+    monkeypatch.setattr(anti._Graded, "_basis", classmethod(built))
+    with pytest.raises(BudgetExceeded):
+        anti.corollary2(4, budget=200_000)
+    with pytest.raises(BudgetExceeded):
+        anti.verify_kerim(500, budget=200_000)
 
 
 # -- realization ----------------------------------------------------------------

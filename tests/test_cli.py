@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quasident
-from quasident import cli, genmat
+from quasident import antisym, cli, genmat
 from quasident.cli import format_quasipoly, parse_quasipoly, run_command
 from quasident.errors import BudgetExceeded, DimensionRequired, QuasiSyntaxError
 from quasident.freealg import QuasiPoly
@@ -226,11 +226,43 @@ def test_antisym_corollary2_over_the_cell_budget_is_refused():
     assert code == 0 and report["results"]["intersection_dim"] == 0
 
 
+def test_antisym_ledgers_are_the_library_ledgers():
+    code, report = run_json(["antisym", "kerim", "--n", "3"])
+    assert code == 0 and report["results"] == antisym.verify_kerim(3)
+    code, report = run_json(["antisym", "corollary2", "--n", "2"])
+    assert code == 0 and report["results"] == antisym.corollary2(2)
+
+
+def test_antisym_kerim_and_corollary2_refuse_with_one_message():
+    # n^2 = 9 is under the budget 20, so both maps' cells are counted.
+    messages = set()
+    for command in ("kerim", "corollary2"):
+        code, report = run_json(["--budget", "20", "antisym", command, "--n", "3"])
+        assert code == 2 and report["error"]["type"] == "BudgetExceeded"
+        messages.add(report["error"]["message"])
+    assert messages == {
+        "the top-degree multiplication map at n=3 has more than the budget's 20 cells"
+    }
+
+
 def test_antisym_dim_command():
     code, report = run_json(["antisym", "dim", "--n", "2"])
     assert code == 0
     assert report["results"]["expected"] == 8
     assert report["results"]["certified"] is True
+
+
+def test_antisym_dim_over_the_shuffle_budget_is_refused():
+    # The rank certificate walks 13,932 shuffle terms at n = 3 and
+    # 125,619,384 at n = 4; unbudgeted, n = 4 ran past 300 s.
+    start = time.monotonic()
+    code, report = run_json(["antisym", "dim", "--n", "4"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and report["error"]["type"] == "BudgetExceeded"
+    code, report = run_json(["--budget", "13931", "antisym", "dim", "--n", "3"])
+    assert code == 2 and report["error"]["type"] == "BudgetExceeded"
+    code, report = run_json(["--budget", "13932", "antisym", "dim", "--n", "3"])
+    assert code == 0 and report["results"]["certified"] is True
 
 
 def test_json_determinism():
@@ -293,10 +325,12 @@ def test_antisym_dim_accepts_n_1():
          "--expr", "x1", "--expr", "x2"],
         ["--trials", "0", "capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"],
         ["--samples", "0", "antisym", "dim", "--n", "2"],
+        ["--budget", "0", "verify-ch", "--n", "2"],
     ],
 )
 def test_randomized_runs_need_a_trial_and_a_nonzero_bound(argv):
-    # Zero trials, or bound 0 (only zero matrices), would pass every input.
+    # Zero trials, or bound 0 (only zero matrices), would pass every input;
+    # no samples certify no rank, and no budget admits any work.
     code, report = run_json(argv)
     assert code == 2
     assert report["error"]["type"] == "QuasidentError"
@@ -397,18 +431,19 @@ def test_parse_time_power_with_long_words_is_refused():
 
 
 def test_trace_atom_over_the_path_budget_is_refused_before_expansion():
-    # tr of a 12-letter word at n=3 walks 3^12 = 531,441 diagonal index paths;
-    # expanded before any budget applied, it ran 14 s and reached about 1 GB.
+    # tr of a 12-letter word at n=3 walks 3^12 index paths from each of 3
+    # start rows, 3^13 in all; expanded before any budget applied, it ran
+    # 14 s and reached about 1 GB.
     word = "*".join(f"x{i}" for i in range(1, 13))
     started = time.monotonic()
     code, report = run_json(["check", "--n", "3", "--expr", f"tr({word})"])
     assert time.monotonic() - started < 1
     assert code == 2
     assert report["error"]["type"] == "BudgetExceeded"
-    assert "3^12 index paths" in report["error"]["message"]
+    assert "3^13 index paths" in report["error"]["message"]
     with pytest.raises(BudgetExceeded):
-        parse_quasipoly("tr(x1*x2)", 3, budget=8)
-    assert parse_quasipoly("tr(x1*x2)", 3, budget=9) == QuasiPoly.const(
+        parse_quasipoly("tr(x1*x2)", 3, budget=26)
+    assert parse_quasipoly("tr(x1*x2)", 3, budget=27) == QuasiPoly.const(
         genmat.trace_word_cpoly([1, 2], 3)
     )
 
