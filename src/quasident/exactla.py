@@ -13,8 +13,18 @@ Every elimination goes through one sparse kernel, ``_rref``: rows arrive as
 {column: coefficient} dicts, each is folded into a growing set of pivot rows
 (its leading column strictly increases while it is reduced), and the pivot
 rows are then back-substituted into the unique reduced row echelon form.
-``rref``, ``rank``, ``QMatrix.inverse``, ``nullspace_of_rows`` and
-``Subspace`` all call it, so they agree exactly.  Rows stay sparse
+The fold runs modulo the prime P = 2^61 - 1 in int arithmetic, reducing
+each row as it arrives.  Every entry of the modular result is then
+rationally reconstructed as r/s with |r| and s at most sqrt(P/2), and the
+result R is certified over Q: every input row m must equal the sum over
+pivot columns c of m[c] * R_c.  Rows with p-integral entries have
+rank_P <= rank_Q, so the certificate proves that the row spaces agree and
+that R is the RREF over Q.  Where an input denominator is divisible by P,
+a reconstruction fails or the certificate does, the same fold runs again in
+Fraction arithmetic (``_rref_over_q``).  ``rref``, ``rank``,
+``QMatrix.inverse``, ``nullspace_of_rows`` and ``Subspace`` all call the
+kernel, so they agree exactly; ``rank`` stops at the modular fold when its
+rank is min(rows, cols), since rank_P <= rank_Q.  Rows stay sparse
 throughout, which matters for idsolve's systems (tens of thousands of
 near-singleton equations) and for nullspace bases, which are already
 reduced with their columns read in reverse.
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DimensionMismatch
@@ -188,10 +199,19 @@ def _wrap(data: Mat) -> QMatrix:
 
 
 _ZERO = Fraction(0)
+_P = 2**61 - 1
+_HALF = isqrt(_P // 2)  # reconstruction bound on |numerator| and denominator
 
 
 def _sparse(v: Sequence[Scalar]) -> dict[int, Scalar]:
     return {j: x for j, x in enumerate(v) if x}
+
+
+def _in_ambient(row: dict[int, Scalar], ambient: int) -> dict[int, Scalar]:
+    """row itself, once its columns are known to lie in 0..ambient-1."""
+    if row and not 0 <= min(row) <= max(row) < ambient:
+        raise AmbientMismatch(f"a column outside 0..{ambient - 1}")
+    return row
 
 
 def _dense(row: dict[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
@@ -204,7 +224,17 @@ def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]) 
     add_terms(row, ((c, g * v) for c, v in prow.items()))
 
 
-def _reduce(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) -> int | None:
+def _subtract_mod(row: dict[int, int], f: int, prow: dict[int, int]) -> None:
+    """row -= f * prow modulo _P, in place, dropping the entries that cancel."""
+    for c, v in prow.items():
+        x = (row.get(c, 0) - f * v) % _P
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _reduce(row: dict, pivots: dict[int, dict], subtract=_subtract) -> int | None:
     """Reduce row in place against the pivot rows until its leading column
     has no pivot; return that column, or None when the row vanishes."""
     while row:
@@ -212,18 +242,155 @@ def _reduce(row: dict[int, Fraction], pivots: dict[int, dict[int, Fraction]]) ->
         prow = pivots.get(lead)
         if prow is None:
             return lead
-        _subtract(row, row[lead], prow)
+        subtract(row, row[lead], prow)
     return None
 
 
-def _rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Fraction]]:
-    """Reduced row echelon form of the row space of sparse rows.
+def _back_substitute(pivots: dict[int, dict], subtract) -> None:
+    """Clear the other pivot columns from each pivot row, largest pivot
+    first, so that every row subtracted is already reduced."""
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            subtract(row, row[c], pivots[c])
 
-    Returns {pivot column: row with 1 at the pivot}.  The rows are folded in
-    one at a time, then each pivot row is cleared from the rows of smaller
-    pivots, largest pivot first.  The result is unique: it does not depend
-    on the order or the spanning set the rows came in.
+
+def _fold_mod(
+    rows: Iterable[dict[int, Scalar]], kept: list[dict[int, Scalar]]
+) -> dict[int, dict[int, int]] | None:
+    """Forward-fold the rows modulo _P, appending each input row to kept.
+
+    Returns the pivot rows modulo _P (1 at the pivot), or None when an entry
+    has a denominator divisible by _P; every row still ends up in kept.
     """
+    pivots: dict[int, dict[int, int]] = {}
+    rows = iter(rows)
+    for incoming in rows:
+        kept.append(incoming)
+        row = {}
+        for c, v in incoming.items():
+            if type(v) is not int:
+                v = Fraction(v)
+                den = v.denominator % _P
+                if not den:
+                    kept.extend(rows)
+                    return None
+                v = v.numerator * pow(den, -1, _P)
+            v %= _P
+            if v:
+                row[c] = v
+        lead = _reduce(row, pivots, _subtract_mod)
+        if lead is not None:
+            inv = pow(row[lead], -1, _P)
+            pivots[lead] = {c: v * inv % _P for c, v in row.items()}
+    return pivots
+
+
+def _rational(a: int) -> tuple[int, int] | None:
+    """(r, s) with |r|, s <= _HALF, gcd 1 and r = a*s modulo _P, or None.
+
+    Wang's rational reconstruction: the half-extended Euclidean algorithm on
+    (_P, a), stopped at the first remainder within the bound.  Since
+    2 * _HALF**2 < _P there is at most one such fraction.
+    """
+    r0, r1, s0, s1 = _P, a, 0, 1
+    while r1 > _HALF:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > _HALF or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _lift(
+    pivots: dict[int, dict[int, int]] | None, kept: list[dict[int, Scalar]]
+) -> dict[int, dict[int, Fraction]]:
+    """The RREF over Q of the rows kept, from their modular fold pivots.
+
+    Back-substitutes modulo _P, reconstructs every entry and certifies the
+    result R: each kept row m must equal the sum over pivot columns c of
+    m[c] * R_c, exactly.  Reducing p-integral rows modulo _P cannot raise
+    their rank, so rank_Q(M) >= rank_P(M) = len(R) >= rank_Q(M) once
+    rowspace(M) lies in rowspace(R): the spaces are equal and R is the RREF.
+    Anything short of that runs the rational fold on the kept rows.  Each
+    pivot row is replaced in place, so one copy of R is alive at a time.
+    """
+    if pivots is not None:
+        _back_substitute(pivots, _subtract_mod)
+        dens = _reconstruct(pivots)
+        if dens is not None and _certified(pivots, dens, kept):
+            whole: dict[int, Fraction] = {}
+            for lead, row in pivots.items():
+                d = dens.get(lead)
+                pivots[lead] = (
+                    {c: whole.get(v) or whole.setdefault(v, Fraction(v)) for c, v in row.items()}
+                    if d is None else {c: Fraction(v, d) for c, v in row.items()}
+                )
+            return pivots
+    return _rref_over_q(kept)
+
+
+def _reconstruct(pivots: dict[int, dict[int, int]]) -> dict[int, int] | None:
+    """Replace each pivot row modulo _P by the int row n with R_c = n / d_c.
+
+    Returns {c: d_c} for the rows whose d_c is not 1, or None when an entry
+    has no reconstruction (the rows are then left half replaced).
+    """
+    dens: dict[int, int] = {}
+    seen: dict[int, tuple[int, int] | None] = {}
+    for lead, prow in pivots.items():
+        row, d = {}, 1
+        for c, v in prow.items():
+            q = seen.get(v)
+            if q is None:
+                q = seen[v] = _rational(v)
+                if q is None:
+                    return None
+            row[c] = q
+            if q[1] != 1:
+                d = lcm(d, q[1])
+        if d != 1:
+            dens[lead] = d
+        pivots[lead] = {c: num * (d // den) for c, (num, den) in row.items()}
+    return dens
+
+
+def _certified(
+    pivots: dict[int, dict[int, int]], dens: dict[int, int], kept: list[dict[int, Scalar]]
+) -> bool:
+    """Whether every kept row m is the sum over pivot columns c of m[c] * R_c,
+    for R_c = pivots[c] / dens.get(c, 1), checked in int arithmetic."""
+    for m in map(_int_multiple, kept):
+        den = 1
+        for c in m:
+            if c in dens:
+                den = lcm(den, dens[c])
+        acc: dict[int, int] = {}
+        for c, x in m.items():
+            n = pivots.get(c)
+            if n is not None and x:
+                f = x * (den // dens.get(c, 1))
+                for j, v in n.items():
+                    acc[j] = acc.get(j, 0) + f * v
+        if any(acc.pop(c, 0) != x * den for c, x in m.items()) or any(acc.values()):
+            return False
+    return True
+
+
+def _int_multiple(row: dict[int, Scalar]) -> dict[int, int]:
+    """row times the lcm of its denominators; row itself when its entries are ints."""
+    if all(type(x) is int for x in row.values()):
+        return row
+    row = {c: Fraction(x) for c, x in row.items()}
+    d = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in row.items()}
+
+
+def _rref_over_q(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Fraction]]:
+    """The rational fold: ``_rref`` in Fraction arithmetic throughout."""
     pivots: dict[int, dict[int, Fraction]] = {}
     for incoming in rows:
         row = {c: Fraction(v) for c, v in incoming.items() if v}
@@ -231,12 +398,23 @@ def _rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Fraction]]:
         if lead is not None:
             inv = 1 / row[lead]
             pivots[lead] = {c: v * inv for c, v in row.items()}
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, orow in pivots.items():
-            if other_lead < lead and lead in orow:
-                _subtract(orow, orow[lead], prow)
+    _back_substitute(pivots, _subtract)
     return pivots
+
+
+def _rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of the row space of sparse rows.
+
+    Returns {pivot column: row with 1 at the pivot}.  The rows are folded in
+    modulo _P one at a time and back-substituted, and the entries are
+    rationally reconstructed and certified over Q against every input row
+    (``_lift``); the rational fold ``_rref_over_q`` runs instead where that
+    fails.  The input rows are read twice, so they are kept by reference,
+    never copied.  The result is unique: it does not depend on the order or
+    the spanning set the rows came in.
+    """
+    kept: list[dict[int, Scalar]] = []
+    return _lift(_fold_mod(rows, kept), kept)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int, list[int]]:
@@ -248,7 +426,13 @@ def rref(m: QMatrix) -> tuple[QMatrix, int, list[int]]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(_rref(map(_sparse, m.data)))
+    """Rank over Q; a modular rank of min(rows, cols) is already it, as
+    rank_P <= rank_Q <= min(rows, cols)."""
+    kept: list[dict[int, Scalar]] = []
+    pivots = _fold_mod(map(_sparse, m.data), kept)
+    if pivots is not None and len(pivots) == min(m.rows, m.cols):
+        return len(pivots)
+    return len(_lift(pivots, kept))
 
 
 def nullspace_of_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -258,7 +442,7 @@ def nullspace_of_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[t
     free-column construction over the reduced echelon form gives the
     canonical basis: one vector per free column, with that coordinate 1.
     """
-    pivots = _rref(rows)
+    pivots = _rref(_in_ambient(row, ncols) for row in rows)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -355,9 +539,7 @@ class Subspace:
     def _row(self, v: Vector) -> dict[int, Scalar]:
         """A fresh sparse copy of a dense or {column: value} vector."""
         if isinstance(v, dict):
-            if v and not 0 <= min(v) <= max(v) < self.ambient:
-                raise AmbientMismatch(f"a column outside 0..{self.ambient - 1}")
-            return {c: x for c, x in v.items() if x}
+            return {c: x for c, x in _in_ambient(v, self.ambient).items() if x}
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
         return _sparse(v)

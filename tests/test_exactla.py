@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from quasident import exactla
 from quasident.errors import AmbientMismatch, DimensionMismatch
 from quasident.exactla import QMatrix, Subspace, nullspace, nullspace_of_rows, rank, rref
+
+P = 2**61 - 1  # the modular fold's prime
+RATIONAL_FOLD = exactla._rref_over_q
 
 
 def _bit_size(q: Fraction) -> int:
@@ -159,6 +163,14 @@ def test_dimension_formula():
         assert a.contains(meet) and b.contains(meet)
 
 
+def test_nullspace_of_rows_refuses_columns_outside_the_ambient():
+    # {5: 1} at 3 columns once gave all of Q^3, and {-1: 1, 0: 1} at 2
+    # columns wrote through vec[-1] and gave (1, -1), which it does not kill.
+    for rows, ncols in (([{5: 1}], 3), ([{-1: 1, 0: 1}], 2), ([{0: 1}, {0: 1, 3: 0}], 3)):
+        with pytest.raises(AmbientMismatch, match="outside"):
+            nullspace_of_rows(rows, ncols)
+
+
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         Subspace(2, [[1, 0]]).sum(Subspace(3, [[1, 0, 0]]))
@@ -305,3 +317,92 @@ def test_inverse_matches_dense_reference():
         else:
             assert m.inverse() == QMatrix([row[n:] for row in reduced]), m
     assert 0 < singular < len(squares)
+
+
+def pivot_rows(m: QMatrix) -> dict[int, dict[int, Fraction]]:
+    """The dense reference as ``_rref``'s {pivot column: sparse row} map."""
+    reduced, _, pivots = dense_reference(m)
+    return {c: {j: x for j, x in enumerate(row) if x} for c, row in zip(pivots, reduced)}
+
+
+@pytest.fixture
+def rational_folds(monkeypatch):
+    """Every call of the rational fold, which still computes as before."""
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return RATIONAL_FOLD(rows)
+
+    monkeypatch.setattr(exactla, "_rref_over_q", spy)
+    return calls
+
+
+def random_sparse_system(rng, rows, cols, entry):
+    """Sparse rows, some of them combinations of earlier ones."""
+    system = []
+    for _ in range(rows):
+        if system and rng.random() < 0.3:
+            a, b = rng.choice(system), rng.choice(system)
+            k = entry(rng)
+            row = {j: a.get(j, 0) + k * b.get(j, 0) for j in a.keys() | b.keys()}
+        else:
+            row = {j: entry(rng) for j in rng.sample(range(cols), rng.randint(0, min(4, cols)))}
+        system.append(row)
+    return system
+
+
+@pytest.mark.parametrize("entry, within_bound", [
+    (lambda rng: rng.randint(-5, 5), True),
+    (lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 7)), False),
+], ids=["int", "fraction"])
+def test_modular_and_rational_folds_match_dense_reference(entry, within_bound, rational_folds):
+    rng = random.Random(11)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        system = random_sparse_system(rng, rows, cols, entry)
+        expected = pivot_rows(QMatrix([[row.get(j, 0) for j in range(cols)] for row in system]))
+        assert exactla._rref(system) == expected == RATIONAL_FOLD(system), system
+    if within_bound:
+        # The fresh rows (at most 6, each with at most 4 ints up to 5) span
+        # every system, so by Hadamard's bound their minors stay under 10^6:
+        # every RREF entry is within the reconstruction bound and no nonzero
+        # minor vanishes modulo P, so no int system falls back.
+        assert not rational_folds
+
+
+@pytest.mark.parametrize("rows", [
+    # A denominator divisible by P has no residue.
+    [[Fraction(1, P), 1, 0], [1, 0, 2]],
+    # The row is (0, 1) modulo P, so its modular pivot is column 1 and the
+    # certificate fails on the row itself.
+    [[P, 1]],
+    # The RREF entry 1/(2^31 - 1) is past the bound, and no fraction within
+    # it has that residue.
+    [[2**31 - 1, 1]],
+    # 2^-40 is 2^21 modulo P: a reconstruction the certificate refuses.
+    [[2**40, 1]],
+], ids=["denominator", "certificate", "reconstruction", "wrong-reconstruction"])
+def test_each_fallback_matches_dense_reference(rows, rational_folds):
+    m = QMatrix(rows)
+    assert exactla._rref(map(exactla._sparse, m.data)) == pivot_rows(m)
+    assert len(rational_folds) == 1
+    reduced, r, pivots = dense_reference(m)
+    assert rref(m) == (QMatrix(reduced), r, pivots)
+
+
+def test_fallback_branches_are_the_ones_named():
+    assert exactla._rational(pow(2**31 - 1, -1, P)) is None
+    assert exactla._rational(pow(2**40, -1, P)) == (2**21, 1)
+    assert exactla._rational(P - 2) == (-2, 1)
+    assert exactla._rational(pow(2, -1, P) * 3 % P) == (3, 2)
+
+
+def test_full_modular_rank_skips_the_rational_fold(rational_folds):
+    full = QMatrix([[3**50, 1, 7], [1, 5**30, 2]])
+    assert rank(full) == rank(full.transpose()) == 2
+    assert not rational_folds
+    deficient = QMatrix([[3**50, 1, 7], [2 * 3**50, 2, 14], [1, 5**30, 2]])
+    _, r, _ = dense_reference(deficient)
+    assert rank(deficient) == r == 2
+    assert len(rational_folds) == 1
