@@ -26,8 +26,8 @@ Fraction arithmetic (``_rref_over_q``).  ``rref``, ``rank``,
 kernel, so they agree exactly; ``rank`` stops at the modular fold when its
 rank is min(rows, cols), since rank_P <= rank_Q.  Rows stay sparse
 throughout, which matters for idsolve's systems (tens of thousands of
-near-singleton equations) and for nullspace bases, which are already
-reduced with their columns read in reverse.
+near-singleton equations).  ``nullspace_of_rows`` reads the columns in
+reverse, so its basis is already the sparse reduced rows a Subspace stores.
 
 A Subspace holds only its ambient dimension and the {pivot column: sparse
 row} map that ``_rref`` returns.  That map is unique, so equal subspaces
@@ -435,25 +435,22 @@ def rank(m: QMatrix) -> int:
     return len(_lift(pivots, kept))
 
 
-def nullspace_of_rows(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Nullspace basis of a sparse homogeneous system.
+def nullspace_of_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int, Fraction]]:
+    """Nullspace basis of a sparse system of {column: coefficient} rows.
 
-    Each row maps column index -> nonzero coefficient.  The standard
-    free-column construction over the reduced echelon form gives the
-    canonical basis: one vector per free column, with that coordinate 1.
+    With the columns read in reverse, each pivot row R_p leads at its
+    largest column p, so free column f's vector, 1 at f and -R_p[f] at each
+    pivot p > f, has f as its smallest column, where every other vector is
+    0: the basis is the sparse reduced rows that Subspace keeps.
     """
-    pivots = _rref(_in_ambient(row, ncols) for row in rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [_ZERO] * ncols
-        vec[f] = Fraction(1)
-        for lead, prow in pivots.items():
-            if f in prow:
-                vec[lead] = -prow[f]
-        basis.append(tuple(vec))
-    return basis
+    flip = list(range(ncols - 1, -1, -1))  # one int object per column, shared by all rows
+    pivots = _rref({flip[c]: v for c, v in _in_ambient(row, ncols).items()} for row in rows)
+    kernel = {f: {f: Fraction(1)} for f in range(ncols) if flip[f] not in pivots}
+    for lead, prow in pivots.items():
+        for c, x in prow.items():
+            if c != lead:
+                kernel[flip[c]][flip[lead]] = -x
+    return list(kernel.values())
 
 
 def nullspace(m: QMatrix) -> "Subspace":
@@ -498,7 +495,8 @@ class Subspace:
         return hash((self.ambient, tuple(sorted(self.pivots))))
 
     def contains_vector(self, v: Vector) -> bool:
-        return _reduce(self._row(v), self.pivots) is None
+        # _reduce works in place, and on a row with no zero entries.
+        return _reduce({c: x for c, x in self._row(v).items() if x}, self.pivots) is None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -527,9 +525,9 @@ class Subspace:
         vectors = []
         for rel in nullspace_of_rows(relations.values(), da + len(rows_b)):
             vec: dict[int, Fraction] = {}
-            for r, row in zip(rel, rows_a):
-                if r:
-                    add_terms(vec, ((c, r * x) for c, x in row.items()))
+            for i, r in rel.items():
+                if i < da:
+                    add_terms(vec, ((c, r * x) for c, x in rows_a[i].items()))
             vectors.append(vec)
         return Subspace(self.ambient, vectors)
 
@@ -537,9 +535,9 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim()})"
 
     def _row(self, v: Vector) -> dict[int, Scalar]:
-        """A fresh sparse copy of a dense or {column: value} vector."""
+        """A {column: value} vector as given, or a dense one as a sparse copy."""
         if isinstance(v, dict):
-            return {c: x for c, x in _in_ambient(v, self.ambient).items() if x}
+            return _in_ambient(v, self.ambient)
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
         return _sparse(v)

@@ -154,7 +154,8 @@ def multilinear_identity_space(
                 for codes, mult in paths.items():
                     equation = equations.setdefault((u, v, tuple(sorted(base + codes))), {})
                     equation[idx] = equation.get(idx, 0) + mult
-    basis = nullspace_of_rows(equations.values(), len(ansatz))
+    # Pop each equation as the eliminator reads it, so no row is held twice.
+    basis = nullspace_of_rows(map(equations.pop, list(equations)), len(ansatz))
     return Subspace.from_vectors(len(ansatz), basis), ansatz
 
 

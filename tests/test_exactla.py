@@ -49,6 +49,22 @@ def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int, l
     return rows, len(pivots), pivots
 
 
+def free_column_vectors(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Reference nullspace basis: per free column f of the dense RREF, the
+    vector with 1 at f and -R[f] at each pivot column.  It is reduced only
+    with the columns read in reverse."""
+    reduced, _, pivots = dense_rref(rows)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for p, row in zip(pivots, reduced):
+                v[p] = -row[f]
+            vectors.append(v)
+    return vectors
+
+
 def random_matrix(rng, rows, cols, bound=6):
     return QMatrix(
         [[Fraction(rng.randint(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
@@ -118,8 +134,28 @@ def test_sparse_nullspace_matches_dense():
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
-        sparse = Subspace.from_vectors(m.cols, nullspace_of_rows(rows, m.cols))
-        assert sparse == nullspace(m)
+        reduced, k, _ = dense_rref(free_column_vectors([list(r) for r in m.data], m.cols))
+        expected = [{j: x for j, x in enumerate(row) if x} for row in reduced[:k]]
+        assert nullspace_of_rows(rows, m.cols) == expected, m
+
+
+def test_sparse_nullspace_is_the_subspace_canonical_form():
+    # The kernel comes out as Subspace's own pivot rows, each keyed by its
+    # smallest column, so a Subspace built from it has nothing to eliminate.
+    rng = random.Random(12)
+    systems = [([], 0), ([], 4), ([{0: 0}], 2), ([{0: 1}, {1: 2}, {0: 1, 1: 1, 2: 3}], 3)]
+    for entry in (lambda r: r.randint(-5, 5), lambda r: Fraction(r.randint(-6, 6), r.randint(1, 7))):
+        for _ in range(80):
+            cols = rng.randint(1, 8)
+            systems.append((random_sparse_system(rng, rng.randint(0, 9), cols, entry), cols))
+    no_free_column = 0
+    for system, cols in systems:
+        kernel = nullspace_of_rows(system, cols)
+        leads = [min(row) for row in kernel]
+        assert leads == sorted(set(leads)), system
+        assert Subspace.from_vectors(cols, kernel).pivots == dict(zip(leads, kernel)), system
+        no_free_column += cols > 0 and not kernel
+    assert no_free_column > 1
 
 
 def test_subspace_canonical_equality():
@@ -129,6 +165,8 @@ def test_subspace_canonical_equality():
     assert Subspace(3, [{0: 1, 1: 1, 2: 2}, {0: 1, 1: -1}]) == a
     assert Subspace(3, [{0: 1, 1: 0, 2: 1}, [0, 1, 1]]) == a
     assert a.contains(b) and b.contains(a)
+    # A stored zero entry must not stop a dict row from reducing to zero.
+    assert Subspace(3, [[1, 0, 1]]).contains_vector({0: 2, 1: 0, 2: 2})
 
 
 def test_subspace_self_intersection():
@@ -258,8 +296,8 @@ def differential_cases():
         QMatrix([[a * b for b in row] for a in (1, -2, 3)]),
         QMatrix([[1, 2], [2, 4]]),
     ]
-    # Nullspace bases come out in reduced echelon form with the columns read
-    # in reverse; Subspace re-reduces them whenever idsolve returns one.
+    # Free-column nullspace bases, in reduced echelon form only with the
+    # columns read in reverse, so Subspace has to re-reduce them.
     for _ in range(40):
         cols = rng.randint(2, 9)
         system = [
@@ -269,7 +307,7 @@ def differential_cases():
             }
             for _ in range(rng.randint(1, cols - 1))
         ]
-        basis = nullspace_of_rows(system, cols)
+        basis = free_column_vectors([[row.get(j, 0) for j in range(cols)] for row in system], cols)
         if basis:
             cases.append(QMatrix(basis))
     return cases

@@ -56,7 +56,9 @@ def test_coordinates_roundtrip():
     assert ansatz.coordinates(p) == coords
 
 
-@pytest.mark.parametrize("n, d, dim", [(1, 2, 4), (1, 3, 15), (2, 3, 21), (2, 4, 259)])
+@pytest.mark.parametrize(
+    "n, d, dim", [(1, 2, 4), (1, 3, 15), (2, 3, 21), (2, 4, 259), (3, 4, 48), (2, 5, 2587)]
+)
 def test_fast_identity_dimensions(n, d, dim):
     space, _ = idsolve.multilinear_identity_space(n, d)
     assert space.dim() == dim
