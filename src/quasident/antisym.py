@@ -65,7 +65,6 @@ from .exactla import (
     rank,
 )
 from . import genmat
-from .freealg import perm_sign
 from .ratpoly import Terms, add_terms, scaled
 
 # ---------------------------------------------------------------------------
@@ -84,7 +83,7 @@ class _Graded(Terms):
     traceless parts?), its constructors and _term_str.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_split")
 
     _traceless: tuple[bool, ...] = ()
 
@@ -122,8 +121,17 @@ class _Graded(Terms):
     def _degree(cls, key: tuple) -> int:
         return sum(map(cls._weight, key[0])) + sum(key[1:])
 
+    def _parts(self) -> list[tuple]:
+        """(odd, powers, degree, coefficient) per term, split once per element
+        and kept: a fixed factor multiplied by many elements is read once."""
+        try:
+            return self._split
+        except AttributeError:
+            self._split = [(key[0], key[1:], self._degree(key), c) for key, c in self._terms.items()]
+            return self._split
+
     def degree(self) -> int:
-        degs = {self._degree(key) for key in self._terms}
+        degs = {d for _odd, _powers, d, _c in self._parts()}
         if len(degs) > 1:
             raise WrongDegree("element is not homogeneous")
         return degs.pop() if degs else 0
@@ -202,12 +210,10 @@ def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
         raise TypeError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
     if a.n != b.n:
         raise DimensionMismatch("factors live at different dimensions")
-    top, cap, degree = 2 * a.n, a.n * a.n, a._degree
-    right = [(key[0], key[1:], degree(key), c) for key, c in b._terms.items()]
+    top, cap, right = 2 * a.n, a.n * a.n, b._parts()
 
     def products():
-        for key, ca in a._terms.items():
-            oa, pa, da = key[0], key[1:], degree(key)
+        for oa, pa, da, ca in a._parts():
             hop = sum(pa)
             later = [sum(pa[l + 1:]) for l in range(len(pa))]
             for ob, pb, db, cb in right:
@@ -535,7 +541,15 @@ def corollary2(n: int, *, budget: int | None = None) -> dict:
 # and T_h factors read their block from a standard_table (the one subset DP,
 # also behind the T_h wedge forms) over the raw arguments or their traceless
 # parts, each built on first use: MultiFn.raw builds its own, realize_rank
-# one per sample tuple for all functions of the tuple's arity group.
+# one per sample tuple for all functions of the tuple's arity group.  A table
+# costs one stacked product per subset.
+#
+# The evaluator walks the shuffles as tuples of bitmasks, with signs from the
+# enumeration itself (_signed_shuffles), and in scalars only: T and b blocks
+# multiply the shuffle's coefficient (each trace read once per call), and
+# the coefficient joins a sum keyed by the chain of its S blocks' masks.
+# Each distinct chain with a nonzero sum then costs one product chain, one
+# scale and one add, however many shuffles and terms share it.
 #
 # Evaluators work on bare tuples-of-tuples of ints or Fractions through
 # exactla's mat_* kernel, the one behind QMatrix: samples, the traceless
@@ -569,20 +583,24 @@ def standard_table(mats: Sequence[Mat], n: int, top: int) -> dict[int, Mat]:
     """The standard polynomial of every subset of at most top matrices, keyed
     by bitmask (bit k stands for mats[k]), by subset dynamics:
     g(S) = sum_k (-1)^(elements of S above k) g(S - k) A_k, g(empty) = I.
-    A subset of size s costs s products once its subsets are known, instead
-    of s! chains."""
+
+    A singleton stores its matrix as it is.  A larger S is one product of
+    stacked blocks: the rows of the g(S - k) side by side (n x n|S|) times
+    the signed A_k one above the other (n|S| x n), in place of |S| products
+    and |S| - 1 sums, and instead of |S|! chains."""
     signed = (mats, [mat_scale(m, -1) for m in mats])
     g = {0: mat_identity(n)}
-    for size in range(1, min(top, len(mats)) + 1):
+    if top:
+        g.update((1 << k, m) for k, m in enumerate(mats))
+    for size in range(2, min(top, len(mats)) + 1):
         for members in itertools.combinations(range(len(mats)), size):
             mask = _mask(members)
-            acc: Mat | None = None
-            for pos, k in enumerate(members):
-                rest = mask ^ (1 << k)
-                a = signed[(size - 1 - pos) % 2][k]
-                piece = mat_mul(g[rest], a) if rest else a
-                acc = piece if acc is None else mat_add(acc, piece)
-            g[mask] = acc
+            # Tuples of exact size only: one built from a generator is made
+            # at a guessed size, resized, and freed into the free list of its
+            # final size, which then fills for every width n|S|.
+            left = zip(*[g[mask ^ (1 << k)] for k in members])
+            right = (signed[(size - 1 - pos) % 2][k] for pos, k in enumerate(members))
+            g[mask] = mat_mul(tuple(sum(rows, ()) for rows in left), sum(right, ()))
     return g
 
 
@@ -650,6 +668,13 @@ class MultiFn:
     n: int
     terms: tuple[tuple[Fraction | int, tuple[_Factor, ...]], ...]
 
+    def __post_init__(self):
+        # The shuffle walk splits all arity arguments among a term's factors.
+        for _c, factors in self.terms:
+            taken = sum(f.arity for f in factors)
+            if taken != self.arity:
+                raise ArityMismatch(f"a term's factors take {taken} matrices, the function {self.arity}")
+
     def __call__(self, args: Sequence) -> QMatrix:
         return QMatrix(self.raw(tuple(mat_from(m) for m in args)))
 
@@ -663,27 +688,43 @@ class MultiFn:
         return max((f.arity for _c, factors in self.terms for f in factors), default=0)
 
     def _value(self, args: tuple[Mat, ...], table: Callable[[bool], dict[int, Mat]]) -> Mat:
-        n = self.n
-        total = mat_zero(n)
+        """One scalar walk over every term's signed shuffles, then one product
+        chain per distinct chain of S blocks (see the section comment)."""
+        traces: dict[tuple[bool, int], object] = {}
+        chains: dict[tuple[tuple[bool, int], ...], object] = {}
+        bits = [1 << i for i in range(self.arity)]
         for term_coeff, factors in self.terms:
-            for blocks in _shuffles_on(range(self.arity), [f.arity for f in factors]):
-                coeff = term_coeff * perm_sign([i for block in blocks for i in block])
-                chain: Mat | None = None
-                for f, block in zip(factors, blocks):
+            for sign, masks in _signed_shuffles(bits, [f.arity for f in factors]):
+                coeff = term_coeff if sign > 0 else -term_coeff
+                chain = []
+                for f, mask in zip(factors, masks):
+                    if f.kind == "S":
+                        chain.append((f.traceless, mask))
+                        continue
                     if f.kind == "b":
-                        value = _dual_value(args[block[0]], f.index)
+                        value = _dual_value(args[mask.bit_length() - 1], f.index)
                     else:
-                        value = table(f.traceless)[_mask(block)]
-                        if f.kind == "S":
-                            chain = value if chain is None else mat_mul(chain, value)
-                            continue
-                        value = mat_trace(value)
+                        key = (f.traceless, mask)
+                        if key not in traces:
+                            traces[key] = mat_trace(table(f.traceless)[mask])
+                        value = traces[key]
                     if not value:
                         break
                     coeff = coeff * value
                 else:
-                    piece = mat_identity(n) if chain is None else chain
-                    total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
+                    key = tuple(chain)
+                    chains[key] = chains.get(key, 0) + coeff
+        n = self.n
+        total = mat_zero(n)
+        for chain, coeff in chains.items():
+            if not coeff:
+                continue
+            piece: Mat | None = None
+            for traceless, mask in chain:
+                value = table(traceless)[mask]
+                piece = value if piece is None else mat_mul(piece, value)
+            piece = mat_identity(n) if piece is None else piece
+            total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
         return total
 
 
@@ -701,15 +742,23 @@ def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
     return MultiFn(f.arity + g.arity, f.n, terms)
 
 
-def _shuffles_on(indices: Sequence[int], arities: Sequence[int]):
-    """Every split of indices into ascending blocks of the given sizes."""
-    if not arities:
-        yield ()
+def _signed_shuffles(bits: Sequence[int], arities: Sequence[int]):
+    """Every split of the free arguments (bits: their masks, ascending) into
+    ascending blocks of the given sizes, lazily, as (sign, block masks); the
+    sign is that of the permutation listing the blocks in order.  A block at
+    positions p_0 < ... < p_{k-1} among the free arguments passes p_i - i of
+    the others each, so it contributes (-1)^(sum p_i - C(k, 2)); the last
+    block takes what is left, in order."""
+    if len(arities) < 2:
+        yield 1, (sum(bits),) if arities else ()
         return
-    for block in itertools.combinations(indices, arities[0]):
-        rest = [i for i in indices if i not in block]
-        for tail in _shuffles_on(rest, arities[1:]):
-            yield (block,) + tail
+    k, tail = arities[0], arities[1:]
+    shift = k * (k - 1) // 2
+    for chosen in itertools.combinations(range(len(bits)), k):
+        mask = sum(map(bits.__getitem__, chosen))
+        sign = -1 if (sum(chosen) - shift) & 1 else 1
+        for tail_sign, masks in _signed_shuffles([b for b in bits if not b & mask], tail):
+            yield sign * tail_sign, (mask,) + masks
 
 
 def x_power_fn(n: int, a: int) -> MultiFn:

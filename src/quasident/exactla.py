@@ -42,6 +42,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DimensionMismatch
@@ -63,7 +64,7 @@ def mat_zero(n: int) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+        tuple(sum(map(mul, row, col)) for col in cols) for row in a
     )
 
 

@@ -384,6 +384,19 @@ def test_fn_mul_runs_once_per_ideal_generator_and_never_in_the_formal_algebra(mo
     assert len(calls) == 4
 
 
+def test_a_fixed_factor_is_split_once(monkeypatch):
+    # _multiples multiplies every generator by one factor; the factor's keys
+    # are split into odd block, powers and degree once, not once per product.
+    factor = anti.on_in_fn(3)
+    degree = anti.WedgeForm._degree
+    seen = []
+    counted = staticmethod(lambda key: seen.append(key) or degree(key))
+    monkeypatch.setattr(anti.WedgeForm, "_degree", counted)
+    span = anti._multiples(factor, 7, anti.fn_mul)
+    assert span.dim() == len(anti.fn_basis(3, 2)) == 37
+    assert sorted(key for key in seen if key in factor._terms) == sorted(factor._terms)
+
+
 def test_fn_basis_top_degree_blocks():
     # Degree n^2 splits as wedge-size blocks indexed by the X power 1..2n-1.
     for n in (2, 3):
@@ -545,21 +558,150 @@ def test_standard_value_dp_matches_permutation_sum():
             )
         return total
 
+    def traceless_part(n, rng, bound):
+        return anti.mat_traceless(anti.random_matrix(n, rng, bound))
+
     rng = random.Random(5)
+    for n in (2, 3, 4):
+        # Raw int matrices, and traceless parts with Fraction diagonals.
+        for draw in (anti.random_matrix, traceless_part):
+            for a in (1, 2, 3, 4, 5):
+                mats = [draw(n, rng, 4) for _ in range(a)]
+                assert anti.standard_value_raw(mats, n) == permutation_sum(mats, n)
+                for top in range(a + 1):
+                    table = anti.standard_table(mats, n, top)
+                    subsets = [
+                        s for size in range(top + 1)
+                        for s in itertools.combinations(range(a), size)
+                    ]
+                    assert len(table) == len(subsets)
+                    for s in subsets:
+                        mask = sum(1 << k for k in s)
+                        assert table[mask] == permutation_sum([mats[k] for k in s], n), s
+
+
+# -- the shuffle walk against the per-shuffle evaluator it replaced --------------
+
+
+def shuffles_on(indices, arities):
+    """Every split of indices into ascending blocks of the given sizes."""
+    if not arities:
+        yield ()
+        return
+    for block in itertools.combinations(indices, arities[0]):
+        rest = [i for i in indices if i not in block]
+        for tail in shuffles_on(rest, arities[1:]):
+            yield (block,) + tail
+
+
+def reference_value(f, args):
+    """f at args one shuffle at a time: a perm_sign, a product chain, a scale
+    and an add per shuffle, reading the same standard tables."""
+    n = f.n
+    table = anti._tables(args, n, f._top())
+    total = anti.mat_zero(n)
+    for term_coeff, factors in f.terms:
+        for blocks in shuffles_on(range(f.arity), [g.arity for g in factors]):
+            coeff = term_coeff * perm_sign([i for block in blocks for i in block])
+            chain = None
+            for g, block in zip(factors, blocks):
+                if g.kind == "b":
+                    value = anti._dual_value(args[block[0]], g.index)
+                else:
+                    value = table(g.traceless)[sum(1 << i for i in block)]
+                    if g.kind == "S":
+                        chain = value if chain is None else anti.mat_mul(chain, value)
+                        continue
+                    value = anti.mat_trace(value)
+                if not value:
+                    break
+                coeff = coeff * value
+            else:
+                piece = anti.mat_identity(n) if chain is None else chain
+                total = anti.mat_add(total, piece if coeff == 1 else anti.mat_scale(piece, coeff))
+    return total
+
+
+def compositions(d):
+    """Every list of positive block sizes summing to d."""
+    if not d:
+        yield ()
+    for first in range(1, d + 1):
+        for rest in compositions(d - first):
+            yield (first,) + rest
+
+
+def test_signed_shuffles_match_perm_sign_over_every_split():
+    checked = 0
+    for d in range(8):
+        bits = [1 << i for i in range(d)]
+        for sizes in compositions(d):
+            expected = [
+                (perm_sign([i for block in blocks for i in block]),
+                 tuple(sum(1 << i for i in block) for block in blocks))
+                for blocks in shuffles_on(range(d), sizes)
+            ]
+            assert list(anti._signed_shuffles(bits, sizes)) == expected, sizes
+            checked += len(expected)
+    assert checked == 52610  # ordered set partitions of 0..7 elements: Fubini numbers
+
+
+def entry_types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+def test_shuffle_walk_matches_per_shuffle_evaluation():
+    rng = random.Random(15)
+    cases = []
     for n in (2, 3):
-        for a in (1, 2, 3, 4, 5):
-            mats = [anti.random_matrix(n, rng, 4) for _ in range(a)]
-            assert anti.standard_value_raw(mats, n) == permutation_sum(mats, n)
-            for top in range(a + 1):
-                table = anti.standard_table(mats, n, top)
-                subsets = [
-                    s for size in range(top + 1)
-                    for s in itertools.combinations(range(a), size)
-                ]
-                assert len(table) == len(subsets)
-                for s in subsets:
-                    mask = sum(1 << k for k in s)
-                    assert table[mask] == permutation_sum([mats[k] for k in s], n), s
+        # The invariant algebra's basis, over raw int slots.
+        cases += [(anti.realize_invariant_monomial(n, t, a), anti.random_matrix) for t, a in anti.am_basis(n)]
+        # Traceless S and T slots fed raw matrices: Fraction entries, and the
+        # kept T_0 = tr(Y) factor reads 0 on every shuffle.
+        for j in range(1, 2 * n):
+            cases += [(side, anti.random_matrix) for side in anti.basic_formula_sides(n, j)]
+        # Chains of two S blocks, over one table and over both.
+        cases.append((anti.wedge_fn(anti.x_power_fn(n, 2), anti.x_power_fn(n, 3)), anti.random_matrix))
+        x2y = anti.realize(anti.ExtElement.monomial(n, (), 2, 1), n)
+        x = anti.realize(anti.ExtElement.monomial(n, (), 1, 0), n)
+        cases.append((anti.wedge_fn(x2y, x), anti.random_matrix))
+    # Realized wedge forms (b factors) on their traceless domain.
+    t1 = anti.t_form(3, 1)
+    for form in (anti.t_form(2, 1), anti.on_in_fn(2), anti.fn_mul(anti.WedgeForm.x_power(3, 2), t1), t1):
+        cases.append((anti.realize(form, form.n), anti.random_traceless))
+    assert len(cases) == 8 + 24 + 2 * (3 + 5) + 4 + 4
+    for f, draw in cases:
+        for _ in range(2):
+            args = tuple(draw(f.n, rng, 4) for _ in range(f.arity))
+            value = f.raw(args)
+            expected = reference_value(f, args)
+            assert value == expected
+            assert entry_types(value) == entry_types(expected)
+    # A term whose T block reads 0 on one of its two shuffles: 3 tr(x1) x2 -
+    # 3 tr(x2) x1 at a traceless x1 and x2 = I.
+    for n in (2, 3):
+        tr_x = anti.MultiFn(2, n, ((3, (anti._Factor("T", 1), anti._Factor("S", 1))),))
+        args = (anti.random_traceless(n, rng, 4), anti.mat_identity(n))
+        assert tr_x.raw(args) == reference_value(tr_x, args) == anti.mat_scale(args[0], -3 * n)
+
+
+def test_shuffle_walk_on_raw_slots_of_wedge_forms():
+    # On raw slots the diagonal functionals read Fractions.  A chain whose
+    # shuffle coefficients cancel adds nothing, so its int entries stay int;
+    # the per-shuffle sum left Fraction zeros behind.  Values always agree.
+    rng = random.Random(16)
+    t1 = anti.t_form(3, 1)
+    for form in (anti.t_form(2, 1), anti.on_in_fn(2), anti.fn_mul(anti.WedgeForm.x_power(3, 2), t1)):
+        f = anti.realize(form, form.n)
+        for _ in range(3):
+            args = tuple(anti.random_matrix(f.n, rng, 4) for _ in range(f.arity))
+            assert f.raw(args) == reference_value(f, args)
+    # Traceless parts linearly dependent: b0* ^ b1* ^ b2* cancels to zero.
+    f = anti.realize(anti.on_in_fn(2), 2)
+    args = (((1, 2), (-1, 1)), ((3, 4), (-2, -1)), ((-1, -4), (2, -3)))
+    assert f.raw(args) == reference_value(f, args) == ((0, -8), (-4, 0))
+    assert entry_types(f.raw(args)) == [[int, int], [int, int]]
+    assert entry_types(reference_value(f, args)) == [[Fraction, Fraction], [Fraction, Fraction]]
 
 
 def test_commutator_via_realization():
@@ -768,3 +910,6 @@ def test_realize_rejects_wrong_arity():
     f = anti.x_power_fn(2, 2)
     with pytest.raises(ArityMismatch):
         f.raw((anti.mat_identity(2),))
+    # Every term's factors must take all the arguments between them.
+    with pytest.raises(ArityMismatch):
+        anti.MultiFn(3, 2, ((1, (anti._Factor("S", 1),)),))

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -548,3 +549,23 @@ def test_timings_add_only_the_runtime(argv):
     # Like every non-integer number in a report, the runtime prints as a string.
     assert float(timed.pop("runtime_seconds")) >= 0
     assert timed == plain
+
+
+def readme_usage_lines():
+    """The quasident lines of README's command-line usage block that read no
+    input file."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        line for line in block.splitlines()
+        if line.startswith("quasident ") and "--input" not in line
+    ]
+
+
+def test_readme_usage_block_runs_as_written():
+    lines = readme_usage_lines()
+    assert len(lines) >= 6, lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert run_command(argv[1:], io.StringIO()) == 0, line
