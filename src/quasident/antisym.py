@@ -1,13 +1,15 @@
-"""Antisymmetric invariants of matrix tuples: the formal algebra on
+"""Antisymmetric invariants of matrix tuples: the invariant algebra on
+T_0..T_{n-2}, X over the full matrix space, the formal algebra on
 T_1..T_{n-2}, X, Y, the concrete wedge algebra over the traceless dual basis,
 and their realizations as multilinear antisymmetric matrix functions.
 
-Formal side (ExtElement): T-subsets times X^i Y^j.  Concrete side
-(WedgeForm): wedges of the traceless dual basis b_i times X^a; the fixed
-ordered basis of the traceless matrices is all e_ij (i != j) in row-major
-order followed by e_ii - e_{i+1,i+1}, which pins coordinates and signs.
+Invariant algebra (AmElement) and formal side (ExtElement): T-subsets times
+X^a, or X^i Y^j.  Concrete side (WedgeForm): wedges of the traceless dual
+basis b_i times X^a; the fixed ordered basis of the traceless matrices is
+all e_ij (i != j) in row-major order followed by e_ii - e_{i+1,i+1}, which
+pins coordinates and signs.
 
-Both are one graded algebra, _Graded: a ratpoly.Terms type tied to its n
+All three are one graded algebra, _Graded: a ratpoly.Terms type tied to its n
 (sums across dimensions raise DimensionMismatch) with keys (odd, *powers).
 odd is an ascending tuple of odd generators that square to zero (T_h of
 degree 2h+1, or b_i of degree 1); powers are the exponents of the power
@@ -18,7 +20,7 @@ nothing where the grading would predict (-1)^ab.  A product's sign: the
 right odd block hops past the left powers, the odd blocks interleave, and
 each right power hops past the left powers of later letters.  Terms with an
 exponent of 2n or more, or degree above n^2, vanish: the quotient defining
-the algebra.
+the algebra.  One count, _Graded._dim, sizes every basis from the weights.
 
 The paper's two top-degree computations are one map: multiplication by a
 degree 2n-1 element (obar, or O_n in the wedge algebra) from degree (n-1)^2
@@ -29,10 +31,10 @@ through one cell budget, _top_cells_within, before any element or basis is
 built.  Each returns the ledger its CLI command prints.
 
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
-the slot, T_h as the scalar form tr(S_{2h+1}(...)) and b_i as the dual basis
-functional; the wedge of already-antisymmetric functions is computed as the
-division-free shuffle sum, which agrees with the full symmetric-group
-average.
+the slot, T_h as the scalar form tr(S_{2h+1}(...)) (of traceless parts in
+ExtElement) and b_i as the dual basis functional; the wedge of
+already-antisymmetric functions is computed as the division-free shuffle
+sum, which agrees with the full symmetric-group average.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -77,19 +79,20 @@ class _Graded(Terms):
     dimension n: values carry n, sums and differences across dimensions raise
     DimensionMismatch, and equal values have equal n.
 
-    A subclass supplies _read_odd (how it reads a key's odd tuple),
-    _generators(n) (the odd indices, by ascending weight), _weight and
-    _factor of one odd generator, _traceless (per power letter: realized on
-    traceless parts?), its constructors and _term_str.
+    A subclass supplies _generators(n) (the odd indices, by ascending
+    weight), _weight and _factor of one odd generator, _traceless (per power
+    letter: realized on traceless parts?), _least_n and its constructors.
+    The default _read_odd and _term_str read and print T-subsets.
     """
 
     __slots__ = ("n", "_split")
 
     _traceless: tuple[bool, ...] = ()
+    _least_n = 2
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction | int] | None = None):
-        if n < 2:
-            raise ValueError("n must be >= 2")
+        if n < self._least_n:
+            raise ValueError(f"n must be >= {self._least_n}")
         self.n = n
         self._terms: dict[tuple, Fraction] = add_terms({}, (
             (self._key(n, key), Fraction(c)) for key, c in terms.items()
@@ -98,6 +101,15 @@ class _Graded(Terms):
     @classmethod
     def zero(cls, n: int) -> "_Graded":
         return cls(n)
+
+    @staticmethod
+    def _read_odd(tset: Iterable[int]) -> tuple[int, ...]:
+        """A set: sorted, and a repeated T refused."""
+        tset = tuple(tset)
+        ts = tuple(sorted(set(tset)))
+        if len(ts) != len(tset):
+            raise ValueError("repeated T generator squares to zero; not a monomial")
+        return ts
 
     @classmethod
     def _key(cls, n: int, key: tuple) -> tuple:
@@ -139,8 +151,8 @@ class _Graded(Terms):
     @classmethod
     def _basis(cls, n: int, degree: int) -> list[tuple]:
         """All normal-form keys of the given degree, in sorted order."""
-        if n < 2:
-            raise ValueError("n must be >= 2")
+        if n < cls._least_n:
+            raise ValueError(f"n must be >= {cls._least_n}")
         if not 0 <= degree <= n * n:
             raise ValueError(f"degree must lie in 0..{n * n}")
         splits: dict[int, list[tuple[int, ...]]] = {}
@@ -159,6 +171,22 @@ class _Graded(Terms):
                 out.extend((odd, *powers) for powers in splits.get(rest, ()))
         return sorted(out)
 
+    @classmethod
+    def _dim(cls, n: int, degree: int) -> int:
+        """len(_basis(n, degree)), counted: the coefficient of t^degree in
+        prod_g (1 + t^weight(g)) * (1 + t + ... + t^(2n-1))^(power letters),
+        and 0 outside 0..n^2."""
+        if not 0 <= degree <= n * n:
+            return 0
+        counts = [1] + [0] * degree
+        for g in cls._generators(n):
+            w = cls._weight(g)
+            for e in range(degree, w - 1, -1):
+                counts[e] += counts[e - w]
+        for _ in cls._traceless:
+            counts = [sum(counts[max(0, e - 2 * n + 1):e + 1]) for e in range(degree + 1)]
+        return counts[degree]
+
     def _factors(self, key: tuple) -> tuple["_Factor", ...]:
         """The realization of a key: each odd generator's _Factor, then one
         standard-polynomial block per nonzero power."""
@@ -166,6 +194,9 @@ class _Graded(Terms):
         return tuple(map(self._factor, odd)) + tuple(
             _Factor("S", p, traceless=t) for p, t in zip(powers, self._traceless) if p
         )
+
+    def _term_str(self, key: tuple, coeff: Fraction) -> str:
+        return scaled(coeff, format_ext_monomial(key))
 
     def _new(self, terms: dict) -> "_Graded":
         out = super()._new(terms)
@@ -231,6 +262,31 @@ def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
 
 
 # ---------------------------------------------------------------------------
+# Invariant algebra on T_0..T_{n-2}, X over the full matrix space
+# ---------------------------------------------------------------------------
+
+
+class AmElement(_Graded):
+    """T-subsets of T_0..T_{n-2} times X^a, from n = 1 on; the top degree
+    (n-1)^2 + 2n - 1 is n^2, so the cap never cuts a monomial."""
+
+    __slots__ = ()
+
+    # T_h of weight 2h+1, T_0 = tr, and X all realize on raw slots.
+    _generators = staticmethod(lambda n: range(n - 1))
+    _weight = staticmethod(lambda h: 2 * h + 1)
+    _factor = staticmethod(lambda h: _Factor("T", 2 * h + 1))
+    _traceless = (False,)
+    _least_n = 1
+
+
+def am_basis(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The n 2^n monomials of AmElement, every degree, sorted: their
+    realizations span the antisymmetric functions on M_n."""
+    return sorted(key for d in range(n * n + 1) for key in AmElement._basis(n, d))
+
+
+# ---------------------------------------------------------------------------
 # Formal algebra on T_1..T_{n-2}, X, Y
 # ---------------------------------------------------------------------------
 
@@ -250,20 +306,8 @@ class ExtElement(_Graded):
     _traceless = (False, True)
 
     @staticmethod
-    def _read_odd(tset: Iterable[int]) -> tuple[int, ...]:
-        """A set: sorted, and a repeated T refused."""
-        tset = tuple(tset)
-        ts = tuple(sorted(set(tset)))
-        if len(ts) != len(tset):
-            raise ValueError("repeated T generator squares to zero; not a monomial")
-        return ts
-
-    @staticmethod
     def monomial(n: int, tset: Iterable[int], i: int, j: int, coeff: Fraction | int = 1) -> "ExtElement":
         return ExtElement(n, {(tuple(tset), i, j): coeff})
-
-    def _term_str(self, m: ExtMonomial, coeff: Fraction) -> str:
-        return scaled(coeff, format_ext_monomial(m))
 
 
 def ext_monomial(n: int, tset: Iterable[int], i: int, j: int) -> ExtMonomial:
@@ -274,13 +318,11 @@ ext_degree = ExtElement._degree
 atilde_basis = ExtElement._basis
 
 
-def format_ext_monomial(m: ExtMonomial) -> str:
-    tset, i, j = m
+def format_ext_monomial(m: tuple) -> str:
+    """A T-subset key as T-subset times X^i (times Y^j when it has two powers)."""
+    tset, *powers = m
     parts = [f"T{h}" for h in tset]
-    if i:
-        parts.append("X" if i == 1 else f"X^{i}")
-    if j:
-        parts.append("Y" if j == 1 else f"Y^{j}")
+    parts += [x if p == 1 else f"{x}^{p}" for x, p in zip("XY", powers) if p]
     return "*".join(parts) if parts else "1"
 
 
@@ -331,25 +373,17 @@ def special_monomial(n: int) -> ExtMonomial:
     return (tuple(range(1, n - 1)), 2, 2 * n - 2)
 
 
-def atilde_dim(n: int, degree: int) -> int:
-    """len(atilde_basis(n, degree)), counted by the degree e a T-subset leaves
-    out of the full T product: it takes X^i Y^j, i, j <= top, i + j = r0 + e."""
-    r0, top = degree - n * n + 2 * n, 2 * n - 1
-    left_out = [1] + [0] * (2 * top - r0)  # T-subsets by e, up to r0 + e = 2 top
-    for h in range(1, n - 1):
-        for e in range(len(left_out) - 1, 2 * h, -1):
-            left_out[e] += left_out[e - 2 * h - 1]
-    return sum(c * (min(r, top) - max(0, r - top) + 1) for r, c in enumerate(left_out, r0) if r >= 0)
+atilde_dim = ExtElement._dim
 
 
-def _top_cells_within(n: int, dim: Callable[[int, int], int], budget: int | None) -> None:
-    """Refuse, before anything is built, a top-degree multiplication map whose
-    matrix, dim(n, (n-1)^2) generators by dim(n, n^2) monomials, has more
-    cells than the budget.  Both maps have at least n^2 cells (kerim's at
-    least n generators and 2n - 1 monomials, corollary 2's at least n^2
-    monomials), so n^2 over the budget is refused uncounted."""
+def _top_cells_within(cls: type[_Graded], n: int, budget: int | None) -> None:
+    """Refuse, before anything is built, a top-degree multiplication map of
+    cls whose matrix, cls._dim(n, (n-1)^2) generators by cls._dim(n, n^2)
+    monomials, has more cells than the budget.  Both maps have at least n^2
+    cells (kerim's at least n generators and 2n - 1 monomials, corollary 2's
+    at least n^2 monomials), so n^2 over the budget is refused uncounted."""
     if budget is not None and (
-        n * n > budget or dim(n, (n - 1) ** 2) * dim(n, n * n) > budget
+        n * n > budget or cls._dim(n, (n - 1) ** 2) * cls._dim(n, n * n) > budget
     ):
         raise BudgetExceeded(
             f"the top-degree multiplication map at n={n} has more than the budget's {budget} cells"
@@ -376,7 +410,7 @@ def verify_kerim(n: int, *, budget: int | None = None) -> dict:
     complement; returns the dimension ledger.  A map of more cells than the
     budget is refused first.  rho vanishes on the image exactly when it
     vanishes on the image's basis."""
-    _top_cells_within(n, atilde_dim, budget)
+    _top_cells_within(ExtElement, n, budget)
     image = _multiples(obar(n), n * n, atilde_mul)
     cod = atilde_basis(n, n * n)
     rho_row = {r: v for r, key in enumerate(cod) if (v := rho(n, key))}
@@ -453,12 +487,7 @@ class WedgeForm(_Graded):
 
 
 fn_basis = WedgeForm._basis
-
-
-def fn_dim(n: int, degree: int) -> int:
-    """len(fn_basis(n, degree)), counted: for each X power a, the wedges of
-    degree - a of the n^2 - 1 dual basis functionals."""
-    return sum(comb(n * n - 1, degree - a) for a in range(min(degree, 2 * n - 1) + 1))
+fn_dim = WedgeForm._dim
 
 
 def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
@@ -484,11 +513,9 @@ def on_in_fn(n: int) -> WedgeForm:
     """The minimal antisymmetric identity inside the wedge algebra:
     n X^{2n-1} - sum_{i=0}^{n-2} X^{2i} ^ T_{n-i-1}."""
     total = WedgeForm.x_power(n, 2 * n - 1, n)
-    for i in range(0, n - 1):
-        h = n - i - 1
-        th = t_form(n, h)
-        shifted = th._new({(s, a + 2 * i): -c for (s, a), c in th._terms.items()})
-        total = total + shifted
+    for i in range(n - 1):
+        th = t_form(n, n - i - 1)
+        add_terms(total._terms, (((s, a + 2 * i), -c) for (s, a), c in th._terms.items()))
     return total
 
 
@@ -513,7 +540,7 @@ def corollary2(n: int, *, budget: int | None = None) -> dict:
     """Corollary 2 in top degree n^2: the ideal of O_n meets the block of
     wedge size n^2 - 2 (X power 2) only in 0; returns the dimension ledger.
     A map of more cells than the budget is refused first."""
-    _top_cells_within(n, fn_dim, budget)
+    _top_cells_within(WedgeForm, n, budget)
     top = n * n
     ideal = ideal_component(n, top)
     block = wedge_component_subspace(n, top, top - 2)
@@ -728,11 +755,6 @@ class MultiFn:
         return total
 
 
-def _wedge_factors(factors: Sequence[_Factor], n: int) -> MultiFn:
-    """The one-term function wedging the factors in order."""
-    return MultiFn(sum(f.arity for f in factors), n, ((1, tuple(factors)),))
-
-
 def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
     """Binary shuffle wedge of realized functions: every pair of terms
     concatenates its factor lists."""
@@ -762,23 +784,14 @@ def _signed_shuffles(bits: Sequence[int], arities: Sequence[int]):
 
 
 def x_power_fn(n: int, a: int) -> MultiFn:
-    """X^a realized: the standard polynomial of the raw slots."""
-    return _wedge_factors([_Factor("S", a)] if a else [], n)
+    """X^a realized: the standard polynomial of the raw slots.  a may reach
+    2n and beyond (the Amitsur-Levitzki checks), outside AmElement."""
+    return MultiFn(a, n, ((1, (_Factor("S", a),) if a else ()),))
 
 
-def realize_invariant_monomial(
-    n: int, tset: Iterable[int], xpow: int, traceless: bool = False
-) -> MultiFn:
-    """T-subset times X-power monomial of the invariant algebra over the full
-    matrix space; T_0 = tr is allowed when traceless=False."""
-    factors = []
-    for h in sorted(set(tset)):
-        if h == 0 and traceless:
-            raise ValueError("T_0 vanishes identically on traceless arguments")
-        factors.append(_Factor("T", 2 * h + 1, traceless=traceless))
-    if xpow:
-        factors.append(_Factor("S", xpow))
-    return _wedge_factors(factors, n)
+def realize_invariant_monomial(n: int, tset: Iterable[int], xpow: int) -> MultiFn:
+    """The AmElement monomial T-subset times X^xpow, realized."""
+    return realize(AmElement(n, {(tuple(tset), xpow): 1}), n)
 
 
 def realize(expr: "_Graded | WedgeKey", n: int) -> MultiFn:
@@ -877,17 +890,6 @@ def realize_rank(
                 row.extend(Fraction(value[i][j]) for i in range(n) for j in range(n))
         total += rank(QMatrix(rows))
     return total
-
-
-def am_basis(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """The n 2^n monomials (T-subset from T_0..T_{n-2}, X power below 2n)
-    spanning the invariant algebra over the full matrix space."""
-    out = []
-    for r in range(n):
-        for tset in itertools.combinations(range(0, n - 1), r):
-            for a in range(2 * n):
-                out.append((tset, a))
-    return sorted(out)
 
 
 def basic_formula_sides(n: int, j: int) -> tuple[MultiFn, MultiFn]:

@@ -103,13 +103,11 @@ class _Parser:
         if tok is not None and tok.text in "+-":
             self.take()
             lead = 1 if tok.text == "+" else -1
-        total = self.parse_term(sign=lead)
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text not in "+-":
-                return total
+        terms = [self.parse_term(sign=lead)]
+        while (tok := self.peek()) is not None and tok.text in "+-":
             self.take()
-            total = total + self.parse_term(sign=1 if tok.text == "+" else -1)
+            terms.append(self.parse_term(sign=1 if tok.text == "+" else -1))
+        return QuasiPoly.sum_of(terms)
 
     def parse_term(self, sign: int) -> QuasiPoly:
         product = QuasiPoly.const(sign)

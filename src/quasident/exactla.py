@@ -33,8 +33,8 @@ A Subspace holds only its ambient dimension and the {pivot column: sparse
 row} map that ``_rref`` returns.  That map is unique, so equal subspaces
 compare equal directly.  Vectors come in dense or as {column: value} dicts;
 ``contains_vector`` reduces them against the stored pivot rows, ``sum`` and
-``intersect`` work on those rows, and the dense ``basis`` is built only when
-it is read.
+``intersect`` (one elimination of doubled rows, Zassenhaus) work on those
+rows, and the dense ``basis`` is built only when it is read.
 """
 
 from __future__ import annotations
@@ -117,9 +117,6 @@ class QMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> Scalar | CPoly:
         i, j = idx
         return self.data[i][j]
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(list(zip(*self.data)) if self.rows else [])
@@ -508,29 +505,22 @@ class Subspace:
         return Subspace(self.ambient, [*self.pivots.values(), *other.pivots.values()])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the relation space {(a, b) : a A = b B}."""
+        """Intersection in one elimination (Zassenhaus): the rows (a, a) of
+        the smaller space and (b, 0) of the other span {(a + b, a)}, whose
+        vectors with first half 0 are (0, A meet B).  The reduced rows that
+        lead in the second half, shifted back, are A meet B's own."""
         self._check_ambient(other)
-        rows_a, rows_b = list(self.pivots.values()), list(other.pivots.values())
-        if not rows_a or not rows_b:
-            return Subspace.zero(self.ambient)
-        # One relation row per ambient column: relation column i weighs
-        # rows_a[i], relation column da + j weighs rows_b[j].
-        da = len(rows_a)
-        relations: dict[int, dict[int, Fraction]] = {}
-        for i, row in enumerate(rows_a):
-            for c, x in row.items():
-                relations.setdefault(c, {})[i] = x
-        for j, row in enumerate(rows_b):
-            for c, x in row.items():
-                relations.setdefault(c, {})[da + j] = -x
-        vectors = []
-        for rel in nullspace_of_rows(relations.values(), da + len(rows_b)):
-            vec: dict[int, Fraction] = {}
-            for i, r in rel.items():
-                if i < da:
-                    add_terms(vec, ((c, r * x) for c, x in rows_a[i].items()))
-            vectors.append(vec)
-        return Subspace(self.ambient, vectors)
+        small, large = sorted((self, other), key=Subspace.dim)
+        m = self.ambient
+        rows = [{**row, **{m + c: x for c, x in row.items()}} for row in small.pivots.values()]
+        meet = object.__new__(Subspace)
+        meet.ambient = m
+        meet.pivots = {
+            lead - m: {c - m: x for c, x in row.items()}
+            for lead, row in _rref(rows + list(large.pivots.values())).items()
+            if lead >= m
+        }
+        return meet
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim()})"

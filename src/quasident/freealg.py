@@ -28,7 +28,7 @@ from .errors import (
     NotHomogeneous,
     NotMultilinear,
 )
-from .ratpoly import CPoly, Monomial, Terms, add_terms, scaled
+from .ratpoly import CPoly, Monomial, Terms, add_terms, monomial, scaled
 
 Word = tuple[int, ...]
 
@@ -84,6 +84,12 @@ class QuasiPoly(Terms):
     def from_word(w: Iterable[int], coeff: CoeffLike = 1) -> "QuasiPoly":
         return QuasiPoly({word(*w): coeff})
 
+    @staticmethod
+    def sum_of(parts: Iterable["QuasiPoly"]) -> "QuasiPoly":
+        """The sum of the parts, accumulated in one term dict rather than
+        copied into a new running total per part."""
+        return QuasiPoly()._new(add_terms({}, (t for part in parts for t in part._terms.items())))
+
     def _coerce(self, other: object):
         if isinstance(other, QuasiPoly):
             return other
@@ -110,6 +116,15 @@ class QuasiPoly(Terms):
     def word_degree(self) -> int:
         """Longest word length; 0 for scalar or zero polynomials."""
         return max((len(w) for w in self._terms), default=0)
+
+    def check_indices(self, n: int) -> None:
+        """Raise DimensionMismatch, naming the least such variable, when a
+        coefficient variable c[k,i,j] has i or j outside 1..n."""
+        bad = [v for c in self._terms.values() for v in c.variables()
+               if not 1 <= min(v[1:]) <= max(v[1:]) <= n]
+        if bad:
+            k, i, j = min(bad)
+            raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
 
     def has_scalar_coefficients(self) -> bool:
         return all(c.is_constant() for c in self._terms.values())
@@ -145,11 +160,11 @@ class QuasiPoly(Terms):
         """
 
         def renamed(coeff: CPoly) -> CPoly:
-            table = {
-                (k, i, j): CPoly.variable(mapping.get(k, k), i, j)
-                for (k, i, j) in coeff.variables()
-            }
-            return coeff.subst(table) if table else coeff
+            # monomial merges the variables a non-injective rename joins.
+            return coeff._new(add_terms({}, (
+                (monomial(((mapping.get(k, k), i, j), e) for (k, i, j), e in mono), c)
+                for mono, c in coeff._terms.items()
+            )))
 
         return self._new(add_terms({}, (
             (tuple(mapping.get(k, k) for k in w), renamed(coeff))
@@ -169,24 +184,17 @@ class QuasiPoly(Terms):
         missing = needed - set(subs)
         if missing:
             raise MissingAssignment(f"no substitute for generators {sorted(missing)}")
-        for coeff in self._terms.values():
-            for (k, i, j) in coeff.variables():
-                if not (1 <= i <= n and 1 <= j <= n):
-                    raise DimensionMismatch(
-                        f"coefficient variable c[{k},{i},{j}] exceeds n={n}"
-                    )
+        self.check_indices(n)
         images = {k: genmat.phi_eval(subs[k], n) for k in needed}
-        out = QuasiPoly.zero()
-        for w, coeff in self._terms.items():
-            table = {}
-            for (k, i, j) in coeff.variables():
-                table[(k, i, j)] = images[k][i - 1, j - 1]
-            new_coeff = coeff.subst(table) if table else coeff
-            piece = QuasiPoly.const(new_coeff)
+
+        def piece(w: Word, coeff: CPoly) -> QuasiPoly:
+            table = {(k, i, j): images[k][i - 1, j - 1] for (k, i, j) in coeff.variables()}
+            out = QuasiPoly.const(coeff.subst(table) if table else coeff)
             for k in w:
-                piece = piece * subs[k]
-            out = out + piece
-        return out
+                out = out * subs[k]
+            return out
+
+        return QuasiPoly.sum_of(piece(w, coeff) for w, coeff in self._terms.items())
 
     # -- printing ---------------------------------------------------------------
 
@@ -266,11 +274,10 @@ def antisymmetrize(
         raise ValueError("generators must be distinct")
     _multilinear_atoms(p, list(generators))
     h = len(generators)
-    total = QuasiPoly.zero()
-    for perm in itertools.permutations(range(h)):
-        sign = perm_sign(perm)
-        mapping = {generators[i]: generators[perm[i]] for i in range(h)}
-        total = total + p.relabel(mapping).scale(sign)
+    total = QuasiPoly.sum_of(
+        p.relabel({generators[i]: generators[perm[i]] for i in range(h)}).scale(perm_sign(perm))
+        for perm in itertools.permutations(range(h))
+    )
     if normalized:
         total = total.scale(Fraction(1, math.factorial(h)))
     return total

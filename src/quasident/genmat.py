@@ -70,10 +70,8 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     n^(|w|+1) index paths per term of its coefficient, the exponent capped at
     the budget's bit length (which keeps the count small and still over it).
     """
+    p.check_indices(n)
     terms = p.terms()
-    for (k, i, j) in {v for _, c in terms for v in c.variables()}:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
     if budget is not None:
         cap = budget.bit_length()
         if sum(len(c) * n ** min(len(w) + 1, cap) for w, c in terms) > budget:
@@ -184,12 +182,14 @@ def verdict_values(
     """The values a verdict on p is decided from, lazily: in symbolic mode the
     one image phi_eval(p, n, budget=budget); in randomized mode p's values at
     the trials points of _random_points over its sorted generators.  p is
-    zero (central) when every value is."""
+    zero (central) when every value is.  Both modes refuse a coefficient
+    index past n (check_indices) before any value is made."""
     if mode == "symbolic":
         yield phi_eval(p, n, budget=budget)
         return
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
+    p.check_indices(n)
     for point in _random_points(sorted(p.generators()), n, seed, bound, trials):
         yield evaluate(p, point, n)
 

@@ -263,22 +263,23 @@ def _capelli_composite(
     fs: Sequence[QuasiPoly], y_gens: list[int], term_budget: int
 ) -> QuasiPoly:
     t = len(fs)
-    total = QuasiPoly.zero()
-    count = 0
-    for perm in itertools.permutations(range(t)):
-        sign = perm_sign(perm)
-        piece = QuasiPoly.const(sign)
-        for idx, which in enumerate(perm):
-            piece = piece * fs[which]
-            if idx < t - 1:
-                piece = piece * QuasiPoly.x(y_gens[idx])
-            count += piece.term_count()
-            if count > term_budget:
-                raise BudgetExceeded(
-                    f"Capelli composite exceeded {term_budget} scalar terms"
-                )
-        total = total + piece
-    return total
+
+    def pieces():
+        count = 0
+        for perm in itertools.permutations(range(t)):
+            piece = QuasiPoly.const(perm_sign(perm))
+            for idx, which in enumerate(perm):
+                piece = piece * fs[which]
+                if idx < t - 1:
+                    piece = piece * QuasiPoly.x(y_gens[idx])
+                count += piece.term_count()
+                if count > term_budget:
+                    raise BudgetExceeded(
+                        f"Capelli composite exceeded {term_budget} scalar terms"
+                    )
+            yield piece
+
+    return QuasiPoly.sum_of(pieces())
 
 
 def _independence_witness(

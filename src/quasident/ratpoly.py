@@ -297,15 +297,15 @@ class CPoly(Terms):
 
     def subst(self, table: Mapping[Variable, "CPoly"]) -> "CPoly":
         """Simultaneous substitution of polynomials for variables."""
-        total = CPoly.zero()
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
             val = CPoly.const(coeff)
             for var, exp in mono:
                 if var not in table:
                     raise MissingAssignment(f"no substitute for c[{var[0]},{var[1]},{var[2]}]")
                 val = val * table[var] ** exp
-            total = total + val
-        return total
+            add_terms(out, val._terms.items())
+        return self._new(out)
 
     # -- printing ------------------------------------------------------------
 

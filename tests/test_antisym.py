@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -322,12 +323,6 @@ def test_verify_kerim_n2_ledger():
     assert report["complement_monomial"] == "X^2*Y^2"
 
 
-def test_atilde_dim_counts_the_basis():
-    for n in range(2, 8):
-        for degree in range(n * n + 1):
-            assert anti.atilde_dim(n, degree) == len(anti.atilde_basis(n, degree)), (n, degree)
-
-
 def test_verify_kerim_budget_counts_cells():
     # Multiplication by obar(5) maps 50 monomials into 22.
     with pytest.raises(BudgetExceeded):
@@ -365,12 +360,6 @@ def test_dimension_mismatch():
 def test_fn_basis_dimensions():
     assert len(anti.fn_basis(2, 4)) == 7
     assert len(anti.fn_basis(3, 9)) == 163
-
-
-def test_fn_dim_counts_the_basis():
-    for n in (2, 3, 4):
-        for degree in range(n * n + 1):
-            assert anti.fn_dim(n, degree) == len(anti.fn_basis(n, degree)), (n, degree)
 
 
 def test_fn_mul_runs_once_per_ideal_generator_and_never_in_the_formal_algebra(monkeypatch):
@@ -913,3 +902,87 @@ def test_realize_rejects_wrong_arity():
     # Every term's factors must take all the arguments between them.
     with pytest.raises(ArityMismatch):
         anti.MultiFn(3, 2, ((1, (anti._Factor("S", 1),)),))
+
+
+# -- one graded type, one count ------------------------------------------------
+#
+# The references are the hand-written closed forms, enumeration and
+# realization that AmElement and _Graded._dim replaced.
+
+
+def reference_atilde_dim(n, degree):
+    """Counted by the degree e a T-subset leaves out of the full T product:
+    it takes X^i Y^j, i, j <= top, i + j = r0 + e."""
+    r0, top = degree - n * n + 2 * n, 2 * n - 1
+    left_out = [1] + [0] * (2 * top - r0)
+    for h in range(1, n - 1):
+        for e in range(len(left_out) - 1, 2 * h, -1):
+            left_out[e] += left_out[e - 2 * h - 1]
+    return sum(c * (min(r, top) - max(0, r - top) + 1) for r, c in enumerate(left_out, r0) if r >= 0)
+
+
+def reference_fn_dim(n, degree):
+    """For each X power a, the wedges of degree - a of the n^2 - 1 functionals."""
+    return sum(math.comb(n * n - 1, degree - a) for a in range(min(degree, 2 * n - 1) + 1))
+
+
+def reference_am_basis(n):
+    return sorted(
+        (tset, a)
+        for r in range(n)
+        for tset in itertools.combinations(range(n - 1), r)
+        for a in range(2 * n)
+    )
+
+
+def reference_invariant_monomial(n, tset, xpow):
+    factors = [anti._Factor("T", 2 * h + 1) for h in sorted(set(tset))]
+    if xpow:
+        factors.append(anti._Factor("S", xpow))
+    return anti.MultiFn(sum(f.arity for f in factors), n, ((1, tuple(factors)),))
+
+
+@pytest.mark.parametrize("cls, ns", [
+    (anti.AmElement, range(1, 7)),
+    (anti.ExtElement, range(2, 8)),
+    (anti.WedgeForm, range(2, 5)),
+], ids=["AmElement", "ExtElement", "WedgeForm"])
+def test_dim_counts_the_basis(cls, ns):
+    for n in ns:
+        for degree in range(n * n + 1):
+            assert cls._dim(n, degree) == len(cls._basis(n, degree)), (n, degree)
+        assert cls._dim(n, -1) == cls._dim(n, n * n + 1) == 0
+
+
+def test_dim_matches_the_closed_forms():
+    for n in range(2, 7):
+        for degree in range(n * n + 1):
+            assert anti.atilde_dim(n, degree) == reference_atilde_dim(n, degree), (n, degree)
+            assert anti.fn_dim(n, degree) == reference_fn_dim(n, degree), (n, degree)
+        assert sum(map(anti.AmElement._dim, [n] * (n * n + 1), range(n * n + 1))) == n * 2**n
+
+
+def test_am_basis_and_its_realizations_match_the_hand_built_ones():
+    for n in range(1, 6):
+        basis = anti.am_basis(n)
+        assert basis == reference_am_basis(n)
+        assert len(basis) == n * 2**n
+        for tset, a in basis:
+            assert anti.realize_invariant_monomial(n, tset, a) == reference_invariant_monomial(n, tset, a)
+    # Past the algebra: the Amitsur-Levitzki power X^{2n}.
+    assert anti.x_power_fn(2, 4) == reference_invariant_monomial(2, (), 4)
+
+
+def test_am_element_starts_at_n_1_and_reads_t_subsets():
+    one = anti.AmElement(1, {((), 1): 1})
+    assert one.degree() == 1 and anti.am_basis(1) == [((), 0), ((), 1)]
+    for cls in (anti.ExtElement, anti.WedgeForm):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            cls(1)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            cls._basis(1, 0)
+    with pytest.raises(ValueError, match="repeated T generator"):
+        anti.AmElement(3, {((1, 1), 0): 1})
+    with pytest.raises(ValueError, match="repeated T generator"):
+        anti.realize_invariant_monomial(3, (0, 0), 1)
+    assert str(anti.AmElement(3, {((1, 0), 3): 1, ((), 2): -2})) == "-2*X^2 + T0*T1*X^3"

@@ -412,6 +412,17 @@ def test_check_with_a_coefficient_index_past_n_is_an_error_report(mode):
     assert "c[1,3,1]" in report["error"]["message"]
 
 
+def test_a_coefficient_index_past_n_is_the_same_error_in_both_modes():
+    # Randomized mode once drew points first and then found no value for
+    # c[1,3,1]: MissingAssignment, where symbolic mode said DimensionMismatch.
+    errors = set()
+    for mode in ("symbolic", "randomized"):
+        code, report = run_json(["--mode", mode, "check", "--n", "2", "--expr", "c[1,3,1]*x1 + x2"])
+        assert code == 2
+        errors.add((report["error"]["type"], report["error"]["message"]))
+    assert errors == {("DimensionMismatch", "coefficient variable c[1,3,1] exceeds n=2")}
+
+
 def test_symbolic_capelli_dep_over_the_work_budget_is_refused():
     # The composite x1^100000*x3 - x3*x1^100000 has two terms; unbounded, its
     # symbolic evaluation ran past 10 s.

@@ -201,6 +201,45 @@ def test_dimension_formula():
         assert a.contains(meet) and b.contains(meet)
 
 
+def relation_space_meet(a, b):
+    """Reference intersection: the relations x A = y B, from nullspace_of_rows
+    over one column per ambient coordinate, recombined as x A."""
+    rows_a, rows_b = list(a.pivots.values()), list(b.pivots.values())
+    relations = {}
+    for i, row in enumerate(rows_a):
+        for c, x in row.items():
+            relations.setdefault(c, {})[i] = x
+    for j, row in enumerate(rows_b):
+        for c, x in row.items():
+            relations.setdefault(c, {})[len(rows_a) + j] = -x
+    vectors = []
+    for rel in nullspace_of_rows(relations.values(), len(rows_a) + len(rows_b)):
+        vec = [Fraction(0)] * a.ambient
+        for i, r in rel.items():
+            if i < len(rows_a):
+                for c, x in rows_a[i].items():
+                    vec[c] += r * x
+        vectors.append(vec)
+    return Subspace(a.ambient, vectors)
+
+
+def test_intersect_matches_the_relation_space_reference():
+    rng = random.Random(18)
+    entries = (0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2))
+    shared = 0
+    for _ in range(300):
+        ambient = rng.randint(1, 8)
+        a, b = ([[rng.choice(entries) for _ in range(ambient)] for _ in range(rng.randint(0, ambient))]
+                for _ in range(2))
+        if a and rng.random() < 0.5:  # make the spaces share a vector
+            b.append([x + y for x, y in zip(a[0], a[-1])])
+        sa, sb = Subspace(ambient, a), Subspace(ambient, b)
+        meet = sa.intersect(sb)
+        assert meet == sb.intersect(sa) == relation_space_meet(sa, sb)
+        shared += meet.dim() > 0
+    assert shared > 100
+
+
 def test_nullspace_of_rows_refuses_columns_outside_the_ambient():
     # {5: 1} at 3 columns once gave all of Q^3, and {-1: 1, 0: 1} at 2
     # columns wrote through vec[-1] and gave (1, -1), which it does not kill.
