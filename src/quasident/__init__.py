@@ -37,7 +37,6 @@ from .genmat import (
     standard_poly,
 )
 from .idsolve import (
-    DependenceReport,
     MultilinearAnsatz,
     local_lin_dep,
     multilinear_identity_space,
@@ -63,7 +62,6 @@ __all__ = [
     "BudgetExceeded",
     "CoefficientDependsOnGenerator",
     "CPoly",
-    "DependenceReport",
     "DimensionMismatch",
     "DimensionRequired",
     "MissingAssignment",

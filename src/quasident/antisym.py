@@ -34,7 +34,8 @@ Realizations interpret X as the raw matrix slot, Y as the traceless part of
 the slot, T_h as the scalar form tr(S_{2h+1}(...)) (of traceless parts in
 ExtElement) and b_i as the dual basis functional; the wedge of
 already-antisymmetric functions is computed as the division-free shuffle
-sum, which agrees with the full symmetric-group average.
+sum, which agrees with the full symmetric-group average.  certify_dim, the
+ledger antisym dim prints, ranks the realized am_basis(n).
 """
 
 from __future__ import annotations
@@ -890,6 +891,24 @@ def realize_rank(
                 row.extend(Fraction(value[i][j]) for i in range(n) for j in range(n))
         total += rank(QMatrix(rows))
     return total
+
+
+def certify_dim(
+    n: int, *, samples: int, seed: int = 0, bound: int = 9, budget: int | None = None
+) -> dict:
+    """Certify that the realized am_basis(n) spans n 2^n independent
+    antisymmetric functions on M_n; returns the rank ledger.  Every monomial
+    walks at least one shuffle term per sample, so samples n 2^n over the
+    budget is refused before anything is realized (the exponent capped at
+    the budget's bit length); realize_rank refuses the exact count."""
+    if budget is not None and samples * n * 2 ** min(n, budget.bit_length()) > budget:
+        raise BudgetExceeded(
+            f"the rank certificate at n={n} walks more than the budget's {budget} shuffle terms"
+        )
+    fns = [realize_invariant_monomial(n, tset, a) for tset, a in am_basis(n)]
+    rank = realize_rank(n, fns, samples=samples, seed=seed, bound=bound, budget=budget)
+    expected = n * 2**n
+    return {"monomials": len(fns), "expected": expected, "rank": rank, "certified": rank == expected}
 
 
 def basic_formula_sides(n: int, j: int) -> tuple[MultiFn, MultiFn]:

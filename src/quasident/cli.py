@@ -67,9 +67,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Each level of parentheses costs four frames of the recursive descent;
+    # deeper nesting is a syntax error, not a RecursionError.
+    _MAX_DEPTH = 100
+
     def __init__(self, tokens: list[_Token], n: int | None, budget: int | None):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.n = n
         self.budget = budget
 
@@ -203,8 +208,14 @@ class _Parser:
                 )
             return QuasiPoly.const(genmat.trace_word_cpoly(letters, self.n))
         if tok.text == "(":
+            if self.depth == self._MAX_DEPTH:
+                raise QuasiSyntaxError(
+                    f"parentheses nested deeper than {self._MAX_DEPTH}", tok.line, tok.column
+                )
+            self.depth += 1
             inner = self.parse_poly()
             self.expect(")")
+            self.depth -= 1
             return inner
         raise QuasiSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
@@ -397,7 +408,7 @@ def _cmd_capelli_dep(args: argparse.Namespace) -> dict:
             fs.append(f)
     if not fs:
         raise QuasidentError("no polynomials in the input")
-    dep = idsolve.local_lin_dep(
+    report["results"] = idsolve.local_lin_dep(
         fs,
         n,
         mode=args.mode,
@@ -406,13 +417,6 @@ def _cmd_capelli_dep(args: argparse.Namespace) -> dict:
         bound=args.bound,
         term_budget=args.budget,
     )
-    report["results"] = {
-        "count": len(fs),
-        "verdict": dep.verdict,
-        "mode": dep.mode,
-        "confidence": dep.confidence,
-        "witness": dep.witness,
-    }
     report["pass"] = True
     return report
 
@@ -437,23 +441,12 @@ def _cmd_antisym_corollary2(args: argparse.Namespace) -> dict:
 
 
 def _cmd_antisym_dim(args: argparse.Namespace) -> dict:
-    n = args.n
     report = _base_report("antisym-dim", args)
-    fns = [
-        antisym.realize_invariant_monomial(n, tset, a) for tset, a in antisym.am_basis(n)
-    ]
-    rank = antisym.realize_rank(
-        n, fns, samples=args.samples, seed=args.seed, bound=args.bound, budget=args.budget
-    )
-    expected = n * 2**n
     report["config"]["samples"] = args.samples
-    report["results"] = {
-        "monomials": len(fns),
-        "expected": expected,
-        "rank": rank,
-        "certified": rank == expected,
-    }
-    report["pass"] = rank == expected
+    results = report["results"] = antisym.certify_dim(
+        args.n, samples=args.samples, seed=args.seed, bound=args.bound, budget=args.budget
+    )
+    report["pass"] = results["certified"]
     return report
 
 

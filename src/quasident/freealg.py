@@ -176,16 +176,17 @@ class QuasiPoly(Terms):
 
         Every generator appearing in self (in words or coefficient indices)
         must be covered.  The coefficient replacement goes through the
-        generic-matrix evaluation at dimension n.
+        generic-matrix evaluation at dimension n, of only the substitutes
+        whose generators some coefficient variable reads.
         """
         from . import genmat  # local import; genmat builds on this module
 
-        needed = self.generators()
-        missing = needed - set(subs)
+        missing = self.generators() - set(subs)
         if missing:
             raise MissingAssignment(f"no substitute for generators {sorted(missing)}")
         self.check_indices(n)
-        images = {k: genmat.phi_eval(subs[k], n) for k in needed}
+        read = {k for c in self._terms.values() for (k, _, _) in c.variables()}
+        images = {k: genmat.phi_eval(subs[k], n) for k in read}
 
         def piece(w: Word, coeff: CPoly) -> QuasiPoly:
             table = {(k, i, j): images[k][i - 1, j - 1] for (k, i, j) in coeff.variables()}

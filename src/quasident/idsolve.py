@@ -23,16 +23,18 @@ the quotient by exact re-multiplication.
 
 local_lin_dep reduces local linear dependence of ordinary noncommutative
 polynomials over the n x n matrices to one Capelli composite being a
-quasi-identity, checked symbolically or by seeded random evaluation through
-genmat.verdict_values; an independent verdict carries a witness point from
-genmat.witness_points.
+quasi-identity.  The composite is the one Capelli polynomial,
+genmat.capelli(t), under QuasiPoly.substitute, counted before it is built;
+it is checked symbolically or by seeded random evaluation through
+genmat.verdict_values, and an independent verdict carries a witness point
+from genmat.witness_points.  The function returns the ledger capelli-dep
+prints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,7 +46,7 @@ from .errors import (
     QuasidentError,
 )
 from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
-from .freealg import QuasiPoly, Word, perm_sign
+from .freealg import QuasiPoly, Word
 from .genmat import var_code, word_paths
 from .ratpoly import CPoly, Monomial
 
@@ -189,23 +191,6 @@ def one_variable_divide(p: QuasiPoly, n: int) -> QuasiPoly:
     return quotient
 
 
-@dataclass
-class DependenceReport:
-    """Outcome of a local-linear-dependence test.
-
-    For independent verdicts the witness is a generator assignment (matrices)
-    together with the values of the tested polynomials at it, which are
-    linearly independent; for dependent verdicts it is the Capelli
-    certificate description.
-    """
-
-    verdict: str  # "dependent" | "independent"
-    mode: str  # "symbolic" | "randomized"
-    witness: dict = field(default_factory=dict)
-    confidence: str = "exact"
-    trials: int = 0
-
-
 def local_lin_dep(
     fs: Sequence[QuasiPoly],
     n: int,
@@ -214,13 +199,22 @@ def local_lin_dep(
     trials: int = 20,
     bound: int = 9,
     term_budget: int = 200_000,
-) -> DependenceReport:
+) -> dict:
     """Do the values of fs stay linearly dependent at every point of M_n?
 
-    The test composes the Capelli polynomial C_{2t-1} with the fs in its
-    alternating slots and fresh generators in the y slots; dependence holds
-    exactly when that composite is a quasi-identity.  term_budget caps the
-    composite's terms and, in symbolic mode, the work of its evaluation.
+    The test substitutes the fs into the alternating slots of the Capelli
+    polynomial genmat.capelli(t) and fresh generators into its y slots;
+    dependence holds exactly when that composite is a quasi-identity.  A
+    composite of more than term_budget scalar terms before cancellation
+    (t! times the product of the fs' term counts, a zero f counted as one
+    term, since the t! terms of the Capelli polynomial are built either way)
+    is refused before it is built; in symbolic mode term_budget also caps
+    the work of its evaluation.
+
+    Returns the ledger capelli-dep prints: the count of fs, the verdict,
+    the mode, the confidence, and a witness (for a dependent verdict the
+    Capelli certificate, for an independent one a point where the values of
+    fs are linearly independent, with those values).
     """
     if not fs:
         raise ValueError("fs must be nonempty")
@@ -228,58 +222,41 @@ def local_lin_dep(
         if not f.has_scalar_coefficients():
             raise ValueError("local_lin_dep expects scalar-only coefficients")
     t = len(fs)
-    used = sorted(set().union(*[f.generators() for f in fs]) | {0})
-    y_gens = [max(used) + 1 + i for i in range(t - 1)]
-    composite = _capelli_composite(fs, y_gens, term_budget)
+    terms = math.factorial(t) * math.prod(max(f.term_count(), 1) for f in fs)
+    if terms > term_budget:
+        raise BudgetExceeded(
+            f"Capelli composite has {terms} scalar terms, over the budget {term_budget}"
+        )
+    fresh = max(set().union(*[f.generators() for f in fs]) | {0}) + 1
+    subs = {i + 1: f for i, f in enumerate(fs)}
+    subs.update({t + 1 + i: QuasiPoly.x(fresh + i) for i in range(t - 1)})
+    composite = genmat.capelli(t).substitute(subs, n)
     values = genmat.verdict_values(
         composite, n, mode=mode, seed=seed, trials=trials, bound=bound, budget=term_budget
     )
     dependent = all(v.is_zero() for v in values)
-    report = DependenceReport(verdict="dependent" if dependent else "independent", mode=mode)
-    if mode == "randomized":
-        report.trials = trials
-        if dependent:
-            per_trial = Fraction(min(composite.word_degree(), 2 * bound + 1), 2 * bound + 1)
-            report.confidence = f"false-dependent probability <= ({per_trial})^{trials}"
-    if report.verdict == "dependent":
-        report.witness = {
-            "capelli": f"C_{2 * t - 1}",
-            "arguments": t,
-            "identity_of_M_n": n,
-        }
+    confidence = "exact"
+    if mode == "randomized" and dependent:
+        per_trial = Fraction(min(composite.word_degree(), 2 * bound + 1), 2 * bound + 1)
+        confidence = f"false-dependent probability <= ({per_trial})^{trials}"
+    if dependent:
+        witness = {"capelli": f"C_{2 * t - 1}", "arguments": t, "identity_of_M_n": n}
     else:
         found = _independence_witness(fs, n, seed, bound)
         if found is None:
             raise QuasidentError("independent verdict but no witness point found")
         assignment, values = found
-        report.witness = {
+        witness = {
             "point": {f"x{k}": m for k, m in sorted(assignment.items())},
             "values": values,
         }
-    return report
-
-
-def _capelli_composite(
-    fs: Sequence[QuasiPoly], y_gens: list[int], term_budget: int
-) -> QuasiPoly:
-    t = len(fs)
-
-    def pieces():
-        count = 0
-        for perm in itertools.permutations(range(t)):
-            piece = QuasiPoly.const(perm_sign(perm))
-            for idx, which in enumerate(perm):
-                piece = piece * fs[which]
-                if idx < t - 1:
-                    piece = piece * QuasiPoly.x(y_gens[idx])
-                count += piece.term_count()
-                if count > term_budget:
-                    raise BudgetExceeded(
-                        f"Capelli composite exceeded {term_budget} scalar terms"
-                    )
-            yield piece
-
-    return QuasiPoly.sum_of(pieces())
+    return {
+        "count": t,
+        "verdict": "dependent" if dependent else "independent",
+        "mode": mode,
+        "confidence": confidence,
+        "witness": witness,
+    }
 
 
 def _independence_witness(

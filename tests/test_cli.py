@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import quasident
-from quasident import antisym, cli, genmat
+from quasident import antisym, cli, genmat, idsolve
 from quasident.cli import format_quasipoly, parse_quasipoly, run_command
 from quasident.errors import BudgetExceeded, DimensionRequired, QuasiSyntaxError
 from quasident.freealg import QuasiPoly
@@ -171,6 +171,27 @@ def test_capelli_dep_syntax_errors_report_the_input_position(tmp_path):
     )
 
 
+def test_capelli_dep_ledger_is_the_library_ledger():
+    fs = ["1", "x1", "x1*x1"]
+    for n, mode in ((2, "symbolic"), (3, "symbolic"), (2, "randomized")):
+        argv = ["--mode", mode, "capelli-dep", "--n", str(n)]
+        code, report = run_json(argv + [a for f in fs for a in ("--expr", f)])
+        ledger = idsolve.local_lin_dep([parse_quasipoly(f) for f in fs], n, mode=mode)
+        assert code == 0 and report["results"] == json.loads(json.dumps(cli._jsonable(ledger)))
+
+
+def test_capelli_dep_over_the_composite_budget_is_refused():
+    # 3! orderings of 3 * 2 * 1 word choices: 36 scalar terms.
+    argv = ["capelli-dep", "--n", "2", "--expr", "x1+x2+x3", "--expr", "x1*x2+x3", "--expr", "x4"]
+    code, report = run_json(["--budget", "30"] + argv)
+    assert code == 2 and report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "Capelli composite has 36 scalar terms, over the budget 30",
+    }
+    code, report = run_json(["--budget", "60"] + argv)
+    assert code == 2 and "symbolic evaluation" in report["error"]["message"]
+
+
 def test_capelli_dep_independent():
     code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1", "--expr", "x2"])
     assert code == 0
@@ -264,6 +285,20 @@ def test_antisym_dim_over_the_shuffle_budget_is_refused():
     assert code == 2 and report["error"]["type"] == "BudgetExceeded"
     code, report = run_json(["--budget", "13932", "antisym", "dim", "--n", "3"])
     assert code == 0 and report["results"]["certified"] is True
+
+
+def test_antisym_dim_past_the_budget_is_refused_before_realizing():
+    # samples * n * 2^n = 12 * 15 * 2^15 is over the budget; the parent
+    # realized all 491,520 monomials first (37 s, 683 MB).
+    start = time.monotonic()
+    code, report = run_json(["antisym", "dim", "--n", "15"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "the rank certificate at n=15 walks more than the budget's 200000 shuffle terms",
+    }
+    code, report = run_json(["antisym", "dim", "--n", "2"])
+    assert code == 0 and report["results"] == antisym.certify_dim(2, samples=12, budget=200_000)
 
 
 def test_json_determinism():
@@ -515,6 +550,25 @@ def test_zero_indices_and_denominators_are_syntax_errors(expr, column):
     assert code == 2
     assert report["error"]["type"] == "QuasiSyntaxError"
     assert report["error"]["message"].endswith(f"(line 1, column {column})")
+
+
+def test_nested_parentheses_past_the_limit_are_a_syntax_error():
+    def nested(depth):
+        return "(" * depth + "x1" + ")" * depth
+
+    assert parse_quasipoly(nested(100)) == x(1)
+    code, report = run_json(["check", "--n", "2", "--expr", nested(101)])
+    assert code == 2 and report["error"] == {
+        "type": "QuasiSyntaxError",
+        "message": "parentheses nested deeper than 100 (line 1, column 101)",
+    }
+    start = time.monotonic()
+    code, report = run_json(["check", "--n", "2", "--expr", nested(3000)])
+    assert time.monotonic() - start < 1
+    assert code == 2 and report["error"]["type"] == "QuasiSyntaxError"
+    code, report = run_json(["capelli-dep", "--n", "2", "--expr", "x1", "--expr", nested(101)])
+    assert code == 2
+    assert report["error"]["message"] == "parentheses nested deeper than 100 (line 2, column 101)"
 
 
 def test_capelli_dep_refuses_a_coefficient_variable():

@@ -77,6 +77,19 @@ def test_substitute_coefficient_coupling():
     assert result == QuasiPoly.const(expected_coeff) * x(2)
 
 
+def test_substitute_evaluates_only_generators_read_in_coefficients(monkeypatch):
+    calls = []
+    phi_eval = genmat.phi_eval
+    monkeypatch.setattr(genmat, "phi_eval", lambda p, n, **kw: calls.append(p) or phi_eval(p, n, **kw))
+    p = x(1) * x(2) - x(2) * x(1) + x(2).scale(3)
+    p.substitute({1: x(3) * x(3), 2: x(2)}, 2)
+    assert calls == []
+    p = QuasiPoly.const(c(1, 1, 1)) * x(2)
+    result = p.substitute({1: x(3) * x(4), 2: x(2)}, 2)
+    assert calls == [x(3) * x(4)]
+    assert result == QuasiPoly.const(genmat.phi_eval(x(3) * x(4), 2)[0, 0]) * x(2)
+
+
 def test_substitute_missing_generator():
     with pytest.raises(MissingAssignment):
         (x(1) * x(2)).substitute({1: x(1)}, 2)

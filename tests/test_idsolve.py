@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from quasident import genmat, idsolve
 from quasident.errors import BudgetExceeded, NotAQuasiIdentity, NotOneVariable, QuasidentError
-from quasident.freealg import QuasiPoly
+from quasident.freealg import QuasiPoly, perm_sign
 from quasident.ratpoly import CPoly
 
 x = QuasiPoly.x
@@ -129,26 +130,26 @@ def test_one_variable_divide_rejects_non_identities():
 
 def test_powers_of_one_variable_dependent():
     report = idsolve.local_lin_dep([QuasiPoly.one(), x(1), x(1) * x(1)], 2)
-    assert report.verdict == "dependent"
-    assert report.mode == "symbolic"
-    assert report.witness["capelli"] == "C_5"
+    assert report["verdict"] == "dependent"
+    assert report["mode"] == "symbolic"
+    assert report["witness"]["capelli"] == "C_5"
 
 
 def test_one_and_x_independent():
     report = idsolve.local_lin_dep([QuasiPoly.one(), x(1)], 2)
-    assert report.verdict == "independent"
-    assert "point" in report.witness and "values" in report.witness
+    assert report["verdict"] == "independent"
+    assert "point" in report["witness"] and "values" in report["witness"]
 
 
 def test_x1_x2_independent():
     report = idsolve.local_lin_dep([x(1), x(2)], 2)
-    assert report.verdict == "independent"
+    assert report["verdict"] == "independent"
 
 
 def test_powers_dependent_at_2_but_independent_at_3():
     fs = [QuasiPoly.one(), x(1), x(1) * x(1)]
-    assert idsolve.local_lin_dep(fs, 2).verdict == "dependent"
-    assert idsolve.local_lin_dep(fs, 3).verdict == "independent"
+    assert idsolve.local_lin_dep(fs, 2)["verdict"] == "dependent"
+    assert idsolve.local_lin_dep(fs, 3)["verdict"] == "independent"
 
 
 def test_randomized_agrees_with_symbolic():
@@ -169,7 +170,7 @@ def test_randomized_agrees_with_symbolic():
         randomized = idsolve.local_lin_dep(
             fs, 2, mode="randomized", seed=rng.randint(0, 10**6), trials=20
         )
-        assert symbolic.verdict == randomized.verdict, fs
+        assert symbolic["verdict"] == randomized["verdict"], fs
 
 
 def test_scalar_coefficient_requirement():
@@ -181,3 +182,85 @@ def test_independent_verdict_without_a_witness_is_an_error(monkeypatch):
     monkeypatch.setattr(idsolve, "_independence_witness", lambda *args: None)
     with pytest.raises(QuasidentError, match="no witness point"):
         idsolve.local_lin_dep([x(1), x(2)], 2)
+
+
+def _capelli_composite(fs, y_gens, term_budget):
+    """The composite's hand-written product loop, kept as the reference for
+    genmat.capelli(t) under QuasiPoly.substitute."""
+    t = len(fs)
+
+    def pieces():
+        count = 0
+        for perm in itertools.permutations(range(t)):
+            piece = QuasiPoly.const(perm_sign(perm))
+            for idx, which in enumerate(perm):
+                piece = piece * fs[which]
+                if idx < t - 1:
+                    piece = piece * QuasiPoly.x(y_gens[idx])
+                count += piece.term_count()
+                if count > term_budget:
+                    raise BudgetExceeded(
+                        f"Capelli composite exceeded {term_budget} scalar terms"
+                    )
+            yield piece
+
+    return QuasiPoly.sum_of(pieces())
+
+
+def _composite_of(monkeypatch, fs, n, **kwargs):
+    """The composite local_lin_dep hands to genmat.verdict_values."""
+    seen = []
+    verdict_values = genmat.verdict_values
+
+    def capture(p, *args, **kw):
+        seen.append(p)
+        return verdict_values(p, *args, **kw)
+
+    monkeypatch.setattr(genmat, "verdict_values", capture)
+    idsolve.local_lin_dep(fs, n, **kwargs)
+    monkeypatch.undo()
+    (composite,) = seen
+    return composite
+
+
+def test_composite_is_the_capelli_polynomial_substituted(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(200):
+        t = rng.randint(1, 4)
+        fs = []
+        for _ in range(t):
+            words = [
+                tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2)))
+                for _ in range(rng.randint(0, 3))
+            ]
+            fs.append(QuasiPoly({w: rng.choice((-2, -1, 1, 3)) for w in words}))
+        y_gens = [max(set().union(*[f.generators() for f in fs]) | {0}) + 1 + i for i in range(t - 1)]
+        reference = _capelli_composite(fs, y_gens, 10**6)
+        composite = _composite_of(monkeypatch, fs, 2, mode="randomized", trials=2)
+        assert composite == reference, fs
+        assert str(composite) == str(reference)
+
+
+def test_composite_is_counted_before_it_is_built(monkeypatch):
+    # 3! orderings of 2 * 1 * 3 word choices: 36 scalar terms.
+    fs = [x(1) + x(2), x(3), x(4) + x(5) + x(6)]
+    built = []
+    capelli = genmat.capelli
+    monkeypatch.setattr(genmat, "capelli", lambda t: built.append(t) or capelli(t))
+    report = idsolve.local_lin_dep(fs, 2, mode="randomized", term_budget=36)
+    assert report["verdict"] == "independent" and built == [3]
+    with pytest.raises(BudgetExceeded, match="has 36 scalar terms, over the budget 35"):
+        idsolve.local_lin_dep(fs, 2, mode="randomized", term_budget=35)
+    assert built == [3]
+    # A zero polynomial counts as one term: capelli(t) has t! terms to build.
+    with pytest.raises(BudgetExceeded, match="has 24 scalar terms, over the budget 23"):
+        idsolve.local_lin_dep([x(1), x(2), x(3), QuasiPoly.zero()], 2, term_budget=23)
+    assert built == [3]
+
+
+def test_the_ledger_has_the_report_keys():
+    report = idsolve.local_lin_dep([QuasiPoly.one(), x(1)], 2, mode="randomized", trials=3)
+    assert sorted(report) == ["confidence", "count", "mode", "verdict", "witness"]
+    assert report["count"] == 2 and report["confidence"] == "exact"
+    report = idsolve.local_lin_dep([QuasiPoly.one(), x(1), x(1) * x(1)], 2, mode="randomized", trials=3)
+    assert report["confidence"] == "false-dependent probability <= (5/19)^3"
