@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -53,14 +54,28 @@ class _Token:
     column: int
 
 
+def _int_digit_limit() -> int:
+    """Python's limit on the digits of an integer string; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text.  An integer longer than Python's limit for integer
+    strings is a syntax error here, not a ValueError out of int() later."""
     tokens = []
+    limit = _int_digit_limit()
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
         for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup or "bad"
             if kind == "bad":
                 raise QuasiSyntaxError(
                     f"unexpected character {m.group()!r}", lineno, m.start() + 1
+                )
+            digits = len(m.group()) - (kind == "gen")  # a generator is x and its digits
+            if limit and digits > limit:
+                raise QuasiSyntaxError(
+                    f"a {digits}-digit integer is longer than the {limit}-digit limit",
+                    lineno, m.start() + 1,
                 )
             tokens.append(_Token(kind, m.group(), lineno, m.start() + 1))
     return tokens
@@ -166,6 +181,18 @@ class _Parser:
                     f"power to the {e} at line {tok.line}, column {tok.column} makes "
                     f"words of length {base.word_degree() * e}, over the budget {self.budget}"
                 )
+            degree = max((c.degree() for _, c in base.terms()), default=0)
+            if self.budget is not None and degree * e > self.budget:
+                raise BudgetExceeded(
+                    f"power to the {e} at line {tok.line}, column {tok.column} makes coefficient "
+                    f"monomials of degree {degree * e}, over the budget {self.budget}"
+                )
+            limit = _int_digit_limit()
+            if limit and _power_could_pass(base, e, limit):
+                raise BudgetExceeded(
+                    f"power to the {e} at line {tok.line}, column {tok.column} could make "
+                    f"coefficients of more than {limit} digits"
+                )
             return base ** e
         return base
 
@@ -239,13 +266,32 @@ class _Parser:
         return self._positive("gen", "a generator x<k>", "generator index")
 
 
+def _power_could_pass(base: QuasiPoly, e: int, limit: int) -> bool:
+    """Could a coefficient of base^e print with more than limit digits?
+
+    With D the least common denominator of base's coefficients and L the sum
+    of their absolute values times D, every coefficient of base^e has a
+    numerator of at most L^e and a denominator dividing D^e.  M = max(L, D)
+    is at least 2 when the bound can grow; then M^e >= 2^(e*(bits(M)-1)),
+    which passes 10^limit from 4*limit bits on, and below that M^e is small
+    enough to compute."""
+    values = [v for _, c in base.terms() for _, v in c.terms()]
+    d = math.lcm(*(v.denominator for v in values))
+    m = max(sum(abs(v.numerator) * (d // v.denominator) for v in values), d)
+    return m > 1 and (e * (m.bit_length() - 1) >= 4 * limit or m ** e >= 10 ** limit)
+
+
 def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) -> QuasiPoly:
     """Parse the textual grammar into a quasi-polynomial.
 
     tr(...) macros need the matrix dimension n; without it they raise
     DimensionRequired.  With a term budget, a power whose expansion could
-    exceed it, or a tr(w) atom whose n^(|w|+1) index paths outnumber it,
-    raises BudgetExceeded before it is expanded.
+    exceed it (in terms, word length or coefficient degree), or a tr(w)
+    atom whose n^(|w|+1) index paths outnumber it, raises BudgetExceeded
+    before it is expanded.  Python's limit on the digits of an integer
+    string applies with or without a budget: an integer past it is a
+    QuasiSyntaxError, and a power whose coefficients could pass it raises
+    BudgetExceeded before it is expanded.
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -4,25 +4,23 @@ phi_eval sends x_k to the generic matrix whose (i,j) entry is c[k,i,j] and
 scalars to scalar matrices; a quasi-polynomial is a quasi-identity of the
 n x n matrices exactly when its image is the zero matrix.
 
-Every expansion of words into generic-matrix entries is one walk, and no
-CPoly is multiplied.  Entry (i,j) of a word's product is the sum over index
-paths i = l_0, l_1, ..., l_|w| = j of the monomials
-c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient 1, so
-word_paths walks those paths letter by letter and keeps only a sorted tuple
-of variable codes (var_code) and an integer multiplicity per path.  phi_eval
-adds each word's paths, times its coefficient's terms, into one term dict per
-image entry; TracePoly.expand multiplies the walks' diagonals as code tuples;
+Every expansion of words is one walk, prefix_walk: the distinct words in
+lexicographic order, with a stack of the products of the prefix a word shares
+with the word before it, so each node of the words' trie costs one step.  In
+generic-matrix entries (word_paths) the step extends index paths: entry (i,j)
+of a word's product is the sum over paths i = l_0, l_1, ..., l_|w| = j of the
+monomials c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient
+1, kept as a sorted tuple of variable codes (var_code) and an integer
+multiplicity, and no CPoly is multiplied.  phi_eval adds each word's paths,
+times its coefficient's terms, into one term dict per image entry;
+TracePoly.expand multiplies the diagonals of its trace factors as code tuples;
 idsolve keys its equations by the codes.  CPoly monomials and Fractions are
-built once, from the final dicts.
-
-Point evaluation (evaluate) walks the words once as well.  The terms are
-sorted by word, lexicographically, so the words that share a prefix are
-adjacent; a stack of raw mat_mul prefix products keeps the part a word shares
-with the one before it, which makes one matrix product per trie node past the
-first letter.  Coefficients are evaluated with CPoly.eval, which stays in int
-arithmetic at integer points; each value c, times D, the least common
-multiple of the values' denominators, scales its word's product into one n x
-n accumulator of ints (at an integer point), and D divides it once at the end.
+built once, from the final dicts.  At a point (evaluate) the step is one raw
+mat_mul, and a first letter's product is its matrix.  Coefficients are
+evaluated with CPoly.eval, which stays in int arithmetic at integer points;
+each value c, times D, the least common multiple of the values'
+denominators, scales its word's product into one n x n accumulator of ints
+(at an integer point), and D divides it once at the end.
 
 Every verdict of the check and capelli-dep commands is decided from
 verdict_values: the one phi_eval image in symbolic mode, or the values at
@@ -80,14 +78,15 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
                 f"{budget} coefficient terms"
             )
     image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for w, coeff in terms:
+    coeffs = dict(terms)
+    for w, table in word_paths(coeffs, n):
         # Each coefficient term as (its variable codes with repetition, int or Fraction).
         scaled = [
             (tuple(var_code(*v, n) for v, e in mono for _ in range(e)),
              c.numerator if c.denominator == 1 else c)
-            for mono, c in coeff.terms()
+            for mono, c in coeffs[w].terms()
         ]
-        for image_row, path_row in zip(image, word_paths(w, n)):
+        for image_row, path_row in zip(image, table):
             for out, paths in zip(image_row, path_row):
                 for codes, c in scaled:
                     add_terms(out, (
@@ -102,19 +101,40 @@ def var_code(k: int, i: int, j: int, n: int) -> int:
     return (k * (n + 1) + i) * (n + 1) + j
 
 
-def word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
-    """Entry (i, j) of the product of w's generic matrices, for every start
-    row i and end column j, as {sorted tuple of variable codes: multiplicity}.
+def prefix_walk(words: Iterable[Word], unit, step) -> Iterator[tuple[Word, object]]:
+    """(w, product) for each distinct word w, in lexicographic order, where
+    the product is step folded over w's letters, starting from unit.
+
+    A stack keeps the products of the prefix a word shares with the word
+    before it, so each node of the words' trie costs one step."""
+    stack = [unit]  # stack[t] is the product of the current word's first t letters
+    previous: Word = ()
+    for w in sorted(set(words)):
+        # previous sorts before w, so w is no prefix of it and w[shared] exists.
+        shared = 0
+        while shared < len(previous) and previous[shared] == w[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for k in w[shared:]:
+            stack.append(step(stack[-1], k))
+        previous = w
+        yield w, stack[-1]
+
+
+def word_paths(words: Iterable[Word], n: int) -> Iterator[tuple[Word, list[list[dict]]]]:
+    """(w, table) for each distinct word, by prefix_walk: entry (i, j) of the
+    table is entry (i, j) of the product of w's generic matrices, as {sorted
+    tuple of variable codes: multiplicity}.
 
     Each letter k extends every path ending at column l by the one variable
     c[k,l,j]; no coefficient is multiplied and no monomial is built.  Distinct
     paths that read the same variables (a repeated letter) share a key.  The
     empty word gives the identity: {(): 1} on the diagonal."""
     cols = range(1, n + 1)
-    out = []
-    for i in cols:
-        row: list[dict] = [{(): 1} if j == i else {} for j in cols]
-        for k in w:
+
+    def extend(table: list[list[dict]], k: int) -> list[list[dict]]:
+        out = []
+        for row in table:
             step: list[dict] = [{} for _ in cols]
             for l, paths in zip(cols, row):
                 for j, acc in zip(cols, step):
@@ -122,9 +142,10 @@ def word_paths(w: Word, n: int) -> list[list[dict[tuple[int, ...], int]]]:
                     for key, mult in paths.items():
                         longer = tuple(sorted(key + v))
                         acc[longer] = acc.get(longer, 0) + mult
-            row = step
-        out.append(row)
-    return out
+            out.append(step)
+        return out
+
+    return prefix_walk(words, [[{(): 1} if j == i else {} for j in cols] for i in cols], extend)
 
 
 def _path_cpoly(terms: dict[tuple[int, ...], Scalar], n: int) -> CPoly:
@@ -167,11 +188,13 @@ def witness_points(
 ) -> Iterator[dict[int, QMatrix]]:
     """The points a witness search tries, as {generator: matrix}: every tuple
     of matrix units when there are at most two generators, so witnesses stay
-    small and reproducible, then the trials points of _random_points."""
+    small and reproducible, then the trials points of _random_points.  Each
+    unit is built when its tuple is tried, so a search that stops early does
+    not pay for all n^2 of them."""
     if len(gens) <= 2:
-        units = [matrix_unit(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
-        for combo in itertools.product(units, repeat=len(gens)):
-            yield dict(zip(gens, combo))
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for combo in itertools.product(cells, repeat=len(gens)):
+            yield {k: matrix_unit(i, j, n) for k, (i, j) in zip(gens, combo)}
     yield from _random_points(gens, n, seed, bound, trials)
 
 
@@ -228,28 +251,19 @@ def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
         for i, row in enumerate(m, 1)
         for j, x in enumerate(row, 1)
     }
-    values = [(w, value) for w, coeff in p.terms() if (value := coeff.eval(point))]
-    d = math.lcm(*(value.denominator for _, value in values))
+    values = {w: value for w, coeff in p.terms() if (value := coeff.eval(point))}
+    d = math.lcm(*(value.denominator for value in values.values()))
     total = [[0] * n for _ in range(n)]
-    # prefix[t] is the product of the current word's first t + 1 letters.
-    prefix: list = []
-    previous: Word = ()
-    for w, value in sorted(values, key=lambda term: term[0]):
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def step(prefix, k: int):
+        # The first letter's product is its matrix, with no multiplication.
+        return images[k] if prefix is unit else mat_mul(prefix, images[k])
+
+    for w, product in prefix_walk(values, unit, step):
+        value = values[w]
         c = value.numerator * (d // value.denominator)
-        if not w:
-            for i in range(n):
-                total[i][i] += c
-            continue
-        shared = 0
-        for a, b in zip(previous, w):
-            if a != b:
-                break
-            shared += 1
-        del prefix[shared:]
-        for k in w[len(prefix):]:
-            prefix.append(mat_mul(prefix[-1], images[k]) if prefix else images[k])
-        previous = w
-        total = [[a + c * x for a, x in zip(acc, row)] for acc, row in zip(total, prefix[-1])]
+        total = [[a + c * x for a, x in zip(acc, row)] for acc, row in zip(total, product)]
     if d > 1:
         total = [[Fraction(x, d) for x in row] for row in total]
     return QMatrix(total)
@@ -351,15 +365,16 @@ class TracePoly(Terms):
 
     def expand(self, n: int) -> QuasiPoly:
         """Expand every trace factor into generic-matrix entries: the
-        diagonal of its index paths, walked once per distinct factor."""
-        diagonals: dict[Word, dict] = {}
+        diagonal of its index paths, from one walk over the distinct factors."""
+        factors = {t for traces, _ in self._terms for t in traces}
+        diagonals = {
+            t: add_terms({}, (p for i, row in enumerate(table) for p in row[i].items()))
+            for t, table in word_paths(factors, n)
+        }
         by_word: dict[Word, dict] = {}
         for (traces, w), coeff in self._terms.items():
             product = {(): coeff.numerator if coeff.denominator == 1 else coeff}
             for t in traces:
-                if t not in diagonals:
-                    paths = word_paths(t, n)
-                    diagonals[t] = add_terms({}, (p for i in range(n) for p in paths[i][i].items()))
                 product = add_terms({}, (
                     (tuple(sorted(ka + kb)), ca * cb)
                     for ka, ca in product.items() for kb, cb in diagonals[t].items()

@@ -145,13 +145,10 @@ def multilinear_identity_space(
     ansatz = MultilinearAnsatz(n, d)
     # Equation key: (entry row, entry col, sorted variable codes of mu and the path).
     equations: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
-    walks: dict[Word, list] = {}
+    walks = dict(word_paths({sigma[k:] for k, sigma, _ in ansatz.unknowns}, n))
     for idx, (k, sigma, mu) in enumerate(ansatz.unknowns):
-        w = sigma[k:]
-        if w not in walks:
-            walks[w] = word_paths(w, n)
         base = tuple(var_code(g, s, t, n) for g, (s, t) in zip(sigma[:k], mu))
-        for u, row in enumerate(walks[w], start=1):
+        for u, row in enumerate(walks[sigma[k:]], start=1):
             for v, paths in enumerate(row, start=1):
                 for codes, mult in paths.items():
                     equation = equations.setdefault((u, v, tuple(sorted(base + codes))), {})

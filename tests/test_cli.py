@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,116 @@ def test_trace_atom_over_the_path_budget_is_refused_before_expansion():
     assert parse_quasipoly("tr(x1*x2)", 3, budget=27) == QuasiPoly.const(
         genmat.trace_word_cpoly([1, 2], 3)
     )
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no limit on integer strings"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["check", "capelli-dep"])
+@pytest.mark.parametrize("template, column", [
+    ("N*x1", 1), ("xN", 1), ("x1^N", 4), ("1/N", 3), ("c[1,N,1]", 5),
+])
+def test_an_integer_past_the_digit_limit_is_a_syntax_error(command, template, column):
+    # int() of each N (5,000 digits at the default limit) used to raise
+    # ValueError out of run_command.  In capelli-dep it is on the second line.
+    limit = sys.get_int_max_str_digits()
+    expr = template.replace("N", "7" * (limit + 1))
+    argv = ["check", "--n", "2", "--expr", expr]
+    if command == "capelli-dep":
+        argv = ["capelli-dep", "--n", "2", "--expr", "x1", "--expr", expr]
+    code, report = run_json(argv)
+    line = 2 if command == "capelli-dep" else 1
+    assert code == 2 and report["error"] == {
+        "type": "QuasiSyntaxError",
+        "message": f"a {limit + 1}-digit integer is longer than the {limit}-digit limit "
+        f"(line {line}, column {column})",
+    }
+    assert cli._tokenize(template.replace("N", "7" * limit))
+
+
+@pytest.mark.parametrize("command", ["check", "capelli-dep"])
+def test_parse_time_power_of_high_coefficient_degree_is_refused(command):
+    # Expanded, c[1,1,1]^30000000 took 18.9 s and 933 MB before phi_eval saw it.
+    started = time.monotonic()
+    code, report = run_json([command, "--n", "2", "--expr", "c[1,1,1]^30000000"])
+    assert time.monotonic() - started < 1
+    assert code == 2 and report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "power to the 30000000 at line 1, column 9 makes coefficient "
+        "monomials of degree 30000000, over the budget 200000",
+    }
+    assert parse_quasipoly("(c[1,1,1]*c[1,1,2])^500", budget=1000).term_count() == 1
+    with pytest.raises(BudgetExceeded):
+        parse_quasipoly("(c[1,1,1]*c[1,1,2])^501", budget=1000)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["check", "capelli-dep"])
+@pytest.mark.parametrize("expr, column", [("(2)^20000", 4), ("(1/3)^10000*x1", 6)])
+def test_parse_time_power_past_the_digit_limit_is_refused(command, expr, column):
+    # Expanded, the coefficient 2^20000 (or the denominator 3^10000) could
+    # not be printed: a ValueError out of run_command.
+    code, report = run_json([command, "--n", "2", "--expr", expr])
+    limit = sys.get_int_max_str_digits()
+    e = expr.split("^")[1].split("*")[0]
+    assert code == 2 and report["error"] == {
+        "type": "BudgetExceeded",
+        "message": f"power to the {e} at line 1, column {column} could make "
+        f"coefficients of more than {limit} digits",
+    }
+
+
+@needs_digit_limit
+def test_the_digit_bound_on_powers_is_tight_for_one_term():
+    # 2^14284 has 4,300 digits and 2^14285 has 4,301.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse_quasipoly("(2)^14284") == QuasiPoly.const(2 ** 14284)
+        for expr in ("(2)^14285", "(1/2)^14285"):
+            with pytest.raises(BudgetExceeded, match="more than 4300 digits"):
+                parse_quasipoly(expr)
+        # No limit means no refusal.
+        sys.set_int_max_str_digits(0)
+        assert parse_quasipoly("(2)^20000") == QuasiPoly.const(2 ** 20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_digit_bound_on_powers_holds_for_every_coefficient():
+    # A power whose longest numerator or denominator has more digits than
+    # the limit is refused at that limit: (9*x1 + 9)^2 has the term 162*x1,
+    # which no single coefficient's power (81) reaches.
+    rng = random.Random(8)
+    bases = [parse_quasipoly("9*x1 + 9")] + [
+        QuasiPoly({
+            tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 2))):
+                CPoly.const(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 3))
+        })
+        for _ in range(60)
+    ]
+    for base in bases:
+        for e in range(7):
+            digits = max(
+                (len(str(abs(part))) for _, coeff in (base ** e).terms() for _, v in coeff.terms()
+                 for part in (v.numerator, v.denominator)),
+                default=1,
+            )
+            assert cli._power_could_pass(base, e, digits - 1) or digits == 1, (base, e)
+
+
+def test_check_at_n100_finds_its_witness_at_once():
+    # Every n^2 matrix unit used to be built first: 19.95 s and 844 MB.
+    started = time.monotonic()
+    code, report = run_json(["check", "--n", "100", "--expr", "x1"])
+    assert time.monotonic() - started < 2
+    assert code == 0 and report["results"]["central"] is False
+    point = report["results"]["non_central_witness"]["point"]["x1"]
+    assert point[0][0] == "1" and sum(row.count("1") for row in point) == 1
 
 
 def test_check_over_the_term_budget_is_refused():

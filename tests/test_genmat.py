@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,28 @@ def test_witness_points_try_every_unit_tuple_then_the_seeded_draws(gens):
     rng = random.Random(seed)
     drawn = [{k: QMatrix.random(n, n, rng, bound) for k in gens} for _ in range(trials)]
     assert points[units:] == drawn
+
+
+def test_witness_points_build_each_unit_when_its_tuple_is_tried(monkeypatch):
+    calls = []
+    matrix_unit = genmat.matrix_unit
+
+    def counted(i, j, n):
+        calls.append((i, j))
+        return matrix_unit(i, j, n)
+
+    monkeypatch.setattr(genmat, "matrix_unit", counted)
+    points = genmat.witness_points([1, 2], 100, 0, 9)
+    assert calls == []
+    assert next(points) == {1: matrix_unit(1, 1, 100), 2: matrix_unit(1, 1, 100)}
+    assert next(points) == {1: matrix_unit(1, 1, 100), 2: matrix_unit(1, 2, 100)}
+    assert len(calls) <= 2 * 2
+    # x1 is not central at e_11, the first tuple tried.
+    calls.clear()
+    started = time.monotonic()
+    point, _ = genmat.central_witness(x(1), 100)
+    assert time.monotonic() - started < 2
+    assert point == {1: matrix_unit(1, 1, 100)} and len(calls) <= 1
 
 
 def test_witness_points_skip_unit_tuples_past_two_generators():
@@ -355,3 +378,94 @@ def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
     point = {k: QMatrix.random(2, 2, rng, 5) for k in range(1, 5)}
     assert genmat.evaluate(s4, point, 2).is_zero()
     assert len(calls) == len(prefixes) - len({w[0] for w in words}) == 60
+
+
+def reference_word_paths(w, n):
+    """Entry (i, j) of the product of w's generic matrices as {sorted codes:
+    multiplicity}, every word walked from scratch: the per-word walk that
+    word_paths replaced."""
+    cols = range(1, n + 1)
+    out = []
+    for i in cols:
+        row = [{(): 1} if j == i else {} for j in cols]
+        for k in w:
+            step = [{} for _ in cols]
+            for l, paths in zip(cols, row):
+                for j, acc in zip(cols, step):
+                    v = (genmat.var_code(k, l, j, n),)
+                    for key, mult in paths.items():
+                        longer = tuple(sorted(key + v))
+                        acc[longer] = acc.get(longer, 0) + mult
+            row = step
+        out.append(row)
+    return out
+
+
+def random_words(rng):
+    """A word list with the empty word, repeated letters, duplicated words
+    and words that are prefixes of others."""
+    words = [tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 4))) for _ in range(6)]
+    words += [(), rng.choice(words), (2, 2, 2)]
+    words += [w[: rng.randint(0, len(w))] for w in words[:3]]
+    return words
+
+
+def trie_nodes(words):
+    """The distinct nonempty prefixes of the words."""
+    return {w[:t] for w in words for t in range(1, len(w) + 1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_paths_equal_the_per_word_walk(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        words = random_words(rng)
+        walked = list(genmat.word_paths(words, n))
+        assert [w for w, _ in walked] == sorted(set(words))
+        for w, table in walked:
+            assert table == reference_word_paths(w, n), w
+
+
+def test_prefix_walk_folds_each_word_once_per_trie_node():
+    rng = random.Random(5)
+    for _ in range(50):
+        words = random_words(rng)
+        steps = []
+
+        def step(prefix, k):
+            steps.append(k)
+            return prefix + (k,)
+
+        assert list(genmat.prefix_walk(words, (), step)) == [(w, w) for w in sorted(set(words))]
+        assert len(steps) == len(trie_nodes(words))
+
+
+def test_word_paths_extend_once_per_trie_node(monkeypatch):
+    steps = []
+    prefix_walk = genmat.prefix_walk
+
+    def counted(words, unit, step):
+        def counted_step(table, k):
+            steps.append(k)
+            return step(table, k)
+
+        return prefix_walk(words, unit, counted_step)
+
+    monkeypatch.setattr(genmat, "prefix_walk", counted)
+    rng = random.Random(6)
+    for n in (1, 2, 3):
+        words = random_words(rng)
+        steps.clear()
+        list(genmat.word_paths(words, n))
+        assert len(steps) == len(trie_nodes(words))
+    # phi_eval walks S_4's 24 words once: 64 trie nodes, where walking every
+    # word from scratch takes 96 steps.
+    s4 = genmat.standard_poly(4)
+    steps.clear()
+    assert genmat.phi_eval(s4, 2).is_zero()
+    assert len(steps) == len(trie_nodes(w for w, _ in s4.terms())) == 64
+    # TracePoly.expand walks its distinct trace factors in one pass.
+    q3 = genmat.cayley_hamilton_Q_trace(3)
+    steps.clear()
+    q3.expand(3)
+    assert len(steps) == len(trie_nodes(t for (traces, _), _ in q3.terms() for t in traces))
