@@ -12,22 +12,28 @@ optional, juxtaposition multiplies):
 
 Generator indices, c[...] indices and denominators start at 1; a 0 is a
 QuasiSyntaxError.  tr(...) expands through the generic-matrix trace at the
-configured dimension and therefore needs --n.  Reports are plain text or
+configured dimension and therefore needs --n.  The parser builds each term
+as flat (word, monomial, coefficient) triples, whole coefficients kept as
+ints, and merges the terms of each parse level (the whole input, each pair
+of parentheses) into one term dict through ratpoly.add_terms; the
+QuasiPoly is made from the top-level dict once.  Reports are plain text or
 JSON; JSON output is schema-stable ("quasident/1"), has sorted keys, and is
 byte-identical for identical configurations (runtimes are only included with
---timings, since they would break reproducibility).
+--timings, since they would break reproducibility).  A report is rendered
+whole before it is written; one holding an integer past Python's digit
+limit for integer strings is a BudgetExceeded error report instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +41,7 @@ from . import antisym, genmat, idsolve
 from .errors import BudgetExceeded, DimensionRequired, QuasidentError, QuasiSyntaxError
 from .exactla import QMatrix
 from .freealg import QuasiPoly
-from .ratpoly import CPoly
+from .ratpoly import CPoly, add_terms, monomial_mul
 
 SCHEMA = "quasident/1"
 
@@ -45,13 +51,11 @@ _TOKEN_RE = re.compile(
     r"(?P<gen>x\d+)|(?P<num>\d+)|(?P<name>tr|c)|(?P<punct>[()\[\],+\-*/^])|(?P<bad>\S)"
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# A token is a (kind, text, line, column) tuple.
+_KIND, _TEXT, _LINE, _COLUMN = range(4)
+_SIGNS = {"+": 1, "-": -1}
+# The texts that end a term; "" is the parser's end-of-input token.
+_TERM_ENDS = frozenset(("+", "-", ")", "]", ",", ""))
 
 
 def _int_digit_limit() -> int:
@@ -59,170 +63,208 @@ def _int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """The tokens of text.  An integer longer than Python's limit for integer
     strings is a syntax error here, not a ValueError out of int() later."""
-    tokens = []
-    limit = _int_digit_limit()
+    tokens: list[tuple[str, str, int, int]] = []
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup or "bad"
-            if kind == "bad":
-                raise QuasiSyntaxError(
-                    f"unexpected character {m.group()!r}", lineno, m.start() + 1
-                )
-            digits = len(m.group()) - (kind == "gen")  # a generator is x and its digits
-            if limit and digits > limit:
+        tokens += [
+            (m.lastgroup, m.group(), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(line)
+        ]
+    limit = _int_digit_limit() or math.inf
+    for kind, lexeme, line, column in tokens:
+        if kind == "bad":
+            raise QuasiSyntaxError(f"unexpected character {lexeme!r}", line, column)
+        if len(lexeme) > limit:
+            digits = len(lexeme) - (kind == "gen")  # a generator is x and its digits
+            if digits > limit:
                 raise QuasiSyntaxError(
                     f"a {digits}-digit integer is longer than the {limit}-digit limit",
-                    lineno, m.start() + 1,
+                    line, column,
                 )
-            tokens.append(_Token(kind, m.group(), lineno, m.start() + 1))
     return tokens
 
 
+def _times(left: list[tuple], right: list[tuple]) -> list[tuple]:
+    """The product of two lists of (word, monomial, coefficient) terms, each
+    list merged and nonzero, and so is the product.  A one-term right factor
+    joins each left term in place: distinct terms stay distinct.  A longer one
+    merges its cross product at once, as QuasiPoly.__mul__ does, so repeated
+    factors cannot grow the list exponentially."""
+    if len(right) == 1:
+        (fw, fm, fc), = right
+        return [(w + fw, monomial_mul(m, fm), c * fc) for w, m, c in left]
+    merged = add_terms({}, (
+        ((w + fw, monomial_mul(m, fm)), c * fc)
+        for w, m, c in left
+        for fw, fm, fc in right
+    ))
+    return [(w, m, c) for (w, m), c in merged.items()]
+
+
+def _quasipoly(terms: list[tuple]) -> QuasiPoly:
+    """The quasi-polynomial of merged, nonzero (word, monomial, coefficient)
+    terms; each coefficient becomes a Fraction here, once."""
+    by_word: dict = {}
+    for w, m, c in terms:
+        by_word.setdefault(w, {})[m] = Fraction(c)
+    zero = CPoly.zero()
+    return QuasiPoly.zero()._new({w: zero._new(t) for w, t in by_word.items()})
+
+
 class _Parser:
+    """Recursive descent over the tokens.  Every level yields a list of
+    merged, nonzero (word, monomial, coefficient) terms, a coefficient an int
+    while it is whole: a term's factors are joined by _times, and the terms
+    of a sum (the whole input or one pair of parentheses) merge through
+    add_terms into one dict."""
+
     # Each level of parentheses costs four frames of the recursive descent;
     # deeper nesting is a syntax error, not a RecursionError.
     _MAX_DEPTH = 100
 
-    def __init__(self, tokens: list[_Token], n: int | None, budget: int | None):
-        self.tokens = tokens
+    def __init__(self, tokens: list[tuple], n: int | None, budget: int | None):
+        # An end token just past the last one; tokens must not be empty.
+        _, text, line, column = tokens[-1]
+        self.tokens = tokens + [("end", "", line, column + len(text))]
         self.pos = 0
         self.depth = 0
         self.n = n
         self.budget = budget
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def here(self) -> tuple[int, int]:
         """The line and column of the next token, or just past the last one."""
-        tok = self.peek()
-        if tok is not None:
-            return tok.line, tok.column
-        last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-        return last.line, last.column + len(last.text)
+        tok = self.tokens[self.pos]
+        return tok[_LINE], tok[_COLUMN]
 
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise QuasiSyntaxError("unexpected end of input", *self.here())
+    def take(self) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[_KIND] == "end":
+            raise QuasiSyntaxError("unexpected end of input", tok[_LINE], tok[_COLUMN])
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple:
         tok = self.take()
-        if tok.text != text:
-            raise QuasiSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
+        if tok[_TEXT] != text:
+            raise QuasiSyntaxError(
+                f"expected {text!r}, found {tok[_TEXT]!r}", tok[_LINE], tok[_COLUMN]
+            )
         return tok
 
-    def parse_poly(self) -> QuasiPoly:
-        lead = 1
-        tok = self.peek()
-        if tok is not None and tok.text in "+-":
-            self.take()
-            lead = 1 if tok.text == "+" else -1
-        terms = [self.parse_term(sign=lead)]
-        while (tok := self.peek()) is not None and tok.text in "+-":
-            self.take()
-            terms.append(self.parse_term(sign=1 if tok.text == "+" else -1))
-        return QuasiPoly.sum_of(terms)
+    def parse_poly(self) -> list[tuple]:
+        tokens = self.tokens
+        sign = _SIGNS.get(tokens[self.pos][_TEXT])
+        if sign is None:
+            sign = 1
+        else:
+            self.pos += 1
+        merged: dict = {}
+        while True:
+            add_terms(merged, (((w, m), c) for w, m, c in self.parse_term(sign)))
+            sign = _SIGNS.get(tokens[self.pos][_TEXT])
+            if sign is None:
+                return [(w, m, c) for (w, m), c in merged.items()]
+            self.pos += 1
 
-    def parse_term(self, sign: int) -> QuasiPoly:
-        product = QuasiPoly.const(sign)
+    def parse_term(self, sign: int) -> list[tuple]:
+        tokens = self.tokens
+        term = [((), (), sign)]
         saw_anything = False
-        tok = self.peek()
-        if tok is not None and tok.kind == "num":
-            product = product * QuasiPoly.const(self.parse_rational())
+        tok = tokens[self.pos]
+        if tok[_KIND] == "num":
+            self.pos += 1
+            term = _times(term, self.parse_number(tok))
             saw_anything = True
         while True:
-            tok = self.peek()
-            if tok is None or tok.text in "+-)],":
+            text = tokens[self.pos][_TEXT]
+            if text in _TERM_ENDS:
                 break
-            if tok.text == "*":
-                self.take()
+            if text == "*":
+                self.pos += 1
                 continue
-            product = product * self.parse_factor()
+            term = _times(term, self.parse_factor())
             saw_anything = True
         if not saw_anything:
             raise QuasiSyntaxError("empty term", *self.here())
-        return product
+        return term
 
-    def parse_rational(self) -> Fraction:
+    def parse_number(self, tok: tuple) -> list[tuple]:
+        """The rational INT ('/' INT)? that starts at tok, as a term list:
+        none for 0."""
+        value = int(tok[_TEXT])
+        if self.tokens[self.pos][_TEXT] == "/":
+            self.pos += 1
+            denominator = self._positive(self.take(), "num", "a denominator", "denominator")
+            value = Fraction(value, denominator)
+        return [((), (), value)] if value else []
+
+    def parse_factor(self) -> list[tuple]:
+        terms = self.parse_atom()
+        tok = self.tokens[self.pos]
+        if tok[_TEXT] != "^":
+            return terms
+        self.pos += 1
+        exp = self.take()
+        if exp[_KIND] != "num":
+            raise QuasiSyntaxError("expected an integer exponent", exp[_LINE], exp[_COLUMN])
+        e = int(exp[_TEXT])
+        base = _quasipoly(terms)
+        at = f"line {tok[_LINE]}, column {tok[_COLUMN]}"
+        count = base.term_count()
+        # count ** e bounds the power's terms.  For count >= 2 it exceeds
+        # the budget once e reaches the budget's bit length, so e is capped
+        # there and the bound stays a small integer.
+        if self.budget is not None and count ** min(e, self.budget.bit_length()) > self.budget:
+            raise BudgetExceeded(
+                f"power of a {count}-term base to the {e} at {at} "
+                f"exceeds the term budget {self.budget}"
+            )
+        if self.budget is not None and base.word_degree() * e > self.budget:
+            raise BudgetExceeded(
+                f"power to the {e} at {at} makes words of length "
+                f"{base.word_degree() * e}, over the budget {self.budget}"
+            )
+        degree = max((c.degree() for _, c in base.terms()), default=0)
+        if self.budget is not None and degree * e > self.budget:
+            raise BudgetExceeded(
+                f"power to the {e} at {at} makes coefficient "
+                f"monomials of degree {degree * e}, over the budget {self.budget}"
+            )
+        limit = _int_digit_limit()
+        if limit and _power_could_pass(base, e, limit):
+            raise BudgetExceeded(
+                f"power to the {e} at {at} could make "
+                f"coefficients of more than {limit} digits"
+            )
+        return [(w, m, c) for w, coeff in (base ** e).terms() for m, c in coeff.terms()]
+
+    def parse_atom(self) -> list[tuple]:
         tok = self.take()
-        value = Fraction(int(tok.text))
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "/":
-            self.take()
-            value /= self._positive("num", "a denominator", "denominator")
-        return value
-
-    def parse_factor(self) -> QuasiPoly:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.text == "^":
-            self.take()
-            exp = self.take()
-            if exp.kind != "num":
-                raise QuasiSyntaxError("expected an integer exponent", exp.line, exp.column)
-            e = int(exp.text)
-            count = base.term_count()
-            # count ** e bounds the power's terms.  For count >= 2 it exceeds
-            # the budget once e reaches the budget's bit length, so e is capped
-            # there and the bound stays a small integer.
-            if self.budget is not None and count ** min(e, self.budget.bit_length()) > self.budget:
-                raise BudgetExceeded(
-                    f"power of a {count}-term base to the {e} at line {tok.line}, "
-                    f"column {tok.column} exceeds the term budget {self.budget}"
-                )
-            if self.budget is not None and base.word_degree() * e > self.budget:
-                raise BudgetExceeded(
-                    f"power to the {e} at line {tok.line}, column {tok.column} makes "
-                    f"words of length {base.word_degree() * e}, over the budget {self.budget}"
-                )
-            degree = max((c.degree() for _, c in base.terms()), default=0)
-            if self.budget is not None and degree * e > self.budget:
-                raise BudgetExceeded(
-                    f"power to the {e} at line {tok.line}, column {tok.column} makes coefficient "
-                    f"monomials of degree {degree * e}, over the budget {self.budget}"
-                )
-            limit = _int_digit_limit()
-            if limit and _power_could_pass(base, e, limit):
-                raise BudgetExceeded(
-                    f"power to the {e} at line {tok.line}, column {tok.column} could make "
-                    f"coefficients of more than {limit} digits"
-                )
-            return base ** e
-        return base
-
-    def parse_atom(self) -> QuasiPoly:
-        tok = self.take()
-        if tok.kind == "gen":
-            self.pos -= 1
-            return QuasiPoly.x(self._gen())
-        if tok.kind == "num":
-            self.pos -= 1
-            return QuasiPoly.const(self.parse_rational())
-        if tok.text == "c":
+        kind, text = tok[_KIND], tok[_TEXT]
+        if kind == "gen":
+            return [((self._gen(tok),), (), 1)]
+        if kind == "num":
+            return self.parse_number(tok)
+        if text == "c":
             self.expect("[")
-            k = self._index()
+            k = self._index(self.take())
             self.expect(",")
-            i = self._index()
+            i = self._index(self.take())
             self.expect(",")
-            j = self._index()
+            j = self._index(self.take())
             self.expect("]")
-            return QuasiPoly.const(CPoly.variable(k, i, j))
-        if tok.text == "tr":
+            return [((), (((k, i, j), 1),), 1)]
+        if text == "tr":
             self.expect("(")
-            letters = [self._gen()]
-            while self.peek() is not None and self.peek().text == "*":
-                self.take()
-                letters.append(self._gen())
+            letters = [self._gen(self.take())]
+            while self.tokens[self.pos][_TEXT] == "*":
+                self.pos += 1
+                letters.append(self._gen(self.take()))
             close = self.expect(")")
             if self.n is None:
                 raise DimensionRequired(
-                    f"tr(...) at line {close.line} needs a matrix dimension n"
+                    f"tr(...) at line {close[_LINE]} needs a matrix dimension n"
                 )
             # The expansion walks n^|w| index paths from each of n start
             # rows, as phi_eval counts the constant; the exponent is capped
@@ -230,40 +272,41 @@ class _Parser:
             e = len(letters) + 1
             if self.budget is not None and self.n ** min(e, self.budget.bit_length()) > self.budget:
                 raise BudgetExceeded(
-                    f"tr(...) of a {len(letters)}-letter word at line {tok.line}, column {tok.column} "
-                    f"walks {self.n}^{e} index paths, over the budget {self.budget}"
+                    f"tr(...) of a {len(letters)}-letter word at line {tok[_LINE]}, "
+                    f"column {tok[_COLUMN]} walks {self.n}^{e} index paths, "
+                    f"over the budget {self.budget}"
                 )
-            return QuasiPoly.const(genmat.trace_word_cpoly(letters, self.n))
-        if tok.text == "(":
+            return [((), m, c) for m, c in genmat.trace_word_cpoly(letters, self.n).terms()]
+        if text == "(":
             if self.depth == self._MAX_DEPTH:
                 raise QuasiSyntaxError(
-                    f"parentheses nested deeper than {self._MAX_DEPTH}", tok.line, tok.column
+                    f"parentheses nested deeper than {self._MAX_DEPTH}", tok[_LINE], tok[_COLUMN]
                 )
             self.depth += 1
             inner = self.parse_poly()
             self.expect(")")
             self.depth -= 1
             return inner
-        raise QuasiSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        raise QuasiSyntaxError(f"unexpected token {text!r}", tok[_LINE], tok[_COLUMN])
 
-    def _positive(self, kind: str, expected: str, name: str) -> int:
-        """The number in the next token, which must be of the given kind and
-        not 0: generators, c[...] indices and denominators start at 1."""
-        tok = self.take()
-        if tok.kind != kind:
-            raise QuasiSyntaxError(f"expected {expected}", tok.line, tok.column)
-        value = int(tok.text.lstrip("x"))
+    @staticmethod
+    def _positive(tok: tuple, kind: str, expected: str, name: str) -> int:
+        """The number in tok, which must be of the given kind and not 0:
+        generators, c[...] indices and denominators start at 1."""
+        if tok[_KIND] != kind:
+            raise QuasiSyntaxError(f"expected {expected}", tok[_LINE], tok[_COLUMN])
+        value = int(tok[_TEXT].lstrip("x"))
         if value == 0:
             raise QuasiSyntaxError(
-                f"{name} must be positive, found {tok.text!r}", tok.line, tok.column
+                f"{name} must be positive, found {tok[_TEXT]!r}", tok[_LINE], tok[_COLUMN]
             )
         return value
 
-    def _index(self) -> int:
-        return self._positive("num", "an integer", "c[...] index")
+    def _index(self, tok: tuple) -> int:
+        return self._positive(tok, "num", "an integer", "c[...] index")
 
-    def _gen(self) -> int:
-        return self._positive("gen", "a generator x<k>", "generator index")
+    def _gen(self, tok: tuple) -> int:
+        return self._positive(tok, "gen", "a generator x<k>", "generator index")
 
 
 def _power_could_pass(base: QuasiPoly, e: int, limit: int) -> bool:
@@ -297,11 +340,11 @@ def parse_quasipoly(text: str, n: int | None = None, budget: int | None = None) 
     if not tokens:
         raise QuasiSyntaxError("empty input", 1, 1)
     parser = _Parser(tokens, n, budget)
-    poly = parser.parse_poly()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise QuasiSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return poly
+    terms = parser.parse_poly()
+    tok = parser.tokens[parser.pos]
+    if tok[_KIND] != "end":
+        raise QuasiSyntaxError(f"trailing input {tok[_TEXT]!r}", tok[_LINE], tok[_COLUMN])
+    return _quasipoly(terms)
 
 
 def format_quasipoly(p: QuasiPoly) -> str:
@@ -326,12 +369,12 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(report: dict, fmt: str, out) -> None:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        out.write(json.dumps(_jsonable(report), sort_keys=True, separators=(",", ":")))
-        out.write("\n")
-    else:
-        _emit_text(report, out)
+        return json.dumps(_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
+    out = io.StringIO()
+    _emit_text(report, out)
+    return out.getvalue()
 
 
 def _emit_text(report: dict, out, indent: str = "") -> None:
@@ -388,15 +431,21 @@ def _cmd_check(args: argparse.Namespace) -> dict:
     if p.term_count() > args.budget:
         raise BudgetExceeded(f"input has {p.term_count()} terms, budget {args.budget}")
     # The image comes first: phi_eval's budget refusal must not wait for the
-    # input to be printed.
-    values = list(genmat.verdict_values(
+    # input to be printed.  A non-scalar value settles both verdicts, so the
+    # trials stop there.
+    quasi_identity = central = True
+    for value in genmat.verdict_values(
         p, n, mode=args.mode, seed=args.seed, trials=args.trials, bound=args.bound,
         budget=args.budget,
-    ))
+    ):
+        if not value.is_scalar():
+            quasi_identity = central = False
+            break
+        quasi_identity = quasi_identity and value.is_zero()
     results: dict = {
         "input": format_quasipoly(p),
-        "quasi_identity": all(v.is_zero() for v in values),
-        "central": all(v.is_scalar() for v in values),
+        "quasi_identity": quasi_identity,
+        "central": central,
     }
     if args.mode != "symbolic":
         results["randomized"] = {"trials": args.trials, "bound": args.bound}
@@ -584,17 +633,30 @@ def run_command(argv: Sequence[str], out=None) -> int:
         _at_least("bound", args.bound, 1)
         _at_least("samples", args.samples, 1)
         _at_least("budget", args.budget, 1)
-        report = args.run(args)
+        try:
+            report = args.run(args)
+            if args.timings:
+                report["runtime_seconds"] = round(time.monotonic() - started, 3)
+            # Rendered whole before any of it is written, so a refusal leaves
+            # no partial report.
+            text = _render(report, args.format)
+        except ValueError as exc:
+            # Python refuses to print an integer past its digit limit, which
+            # the parser cannot foresee for products of literals or for values.
+            if "integer string conversion" not in str(exc):
+                raise
+            raise BudgetExceeded(
+                f"the report holds an integer of more than {_int_digit_limit()} digits, "
+                "Python's limit for integer strings"
+            ) from None
     except QuasidentError as exc:
         error = {
             "schema": SCHEMA,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _emit(error, args.format, out)
+        out.write(_render(error, args.format))
         return 2
-    if args.timings:
-        report["runtime_seconds"] = round(time.monotonic() - started, 3)
-    _emit(report, args.format, out)
+    out.write(text)
     return 0 if report.get("pass", False) else 1
 
 

@@ -92,6 +92,67 @@ def test_roundtrip_on_named_polynomials():
         assert parse_quasipoly(format_quasipoly(p), n=3) == p
 
 
+def random_expression(rng, n, depth):
+    """A random expression tree as (text, value): the text in the grammar,
+    the value built from QuasiPoly arithmetic, a tr(...) atom's value from
+    the diagonal of phi_eval."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.choice(("rational", "gen", "coeff", "trace"))
+        if kind == "rational":
+            num, den = rng.randint(0, 12), rng.choice((1, 1, 2, 3, 6))
+            text = str(num) if den == 1 else f"{num}/{den}"
+            return text, QuasiPoly.const(Fraction(num, den))
+        if kind == "gen":
+            k = rng.randint(1, 3)
+            return f"x{k}", x(k)
+        if kind == "coeff":
+            k, i, j = rng.randint(1, 3), rng.randint(1, n), rng.randint(1, n)
+            return f"c[{k},{i},{j}]", QuasiPoly.const(c(k, i, j))
+        letters = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        image = genmat.phi_eval(QuasiPoly.from_word(letters), n)
+        trace = sum((image[i, i] for i in range(n)), CPoly.zero())
+        return "tr(" + "*".join(f"x{k}" for k in letters) + ")", QuasiPoly.const(trace)
+    # A product or power whose expansion could pass 400 terms is left out,
+    # so every tree stays quick to expand.
+    kind = rng.choice(("sum", "product", "product", "power", "negation"))
+    a_text, a = random_expression(rng, n, depth - 1)
+    if kind == "power":
+        e = rng.randint(0, 3)
+        if a.term_count() ** e > 400:
+            return a_text, a
+        return f"({a_text})^{e}", a ** e
+    if kind == "negation":
+        return f"(-{a_text})", -a
+    b_text, b = random_expression(rng, n, depth - 1)
+    if kind == "sum":
+        op = rng.choice(("+", "-"))
+        return f"({a_text} {op} {b_text})", a + b if op == "+" else a - b
+    if a.term_count() * b.term_count() > 400:
+        return a_text, a
+    return a_text + rng.choice((" ", "*", " * ")) + b_text, a * b
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_parse_equals_the_value_built_by_quasipoly_arithmetic(n):
+    rng = random.Random(n)
+    for _ in range(150):
+        text, expected = random_expression(rng, n, rng.randint(1, 4))
+        if rng.random() < 0.3:
+            text, expected = "-" + text, -expected
+        parsed = parse_quasipoly(text, n)
+        assert parsed == expected, text
+        assert format_quasipoly(parsed) == format_quasipoly(expected), text
+
+
+def test_repeated_sum_factors_merge_as_they_multiply():
+    # Unmerged, the cross product of k factors keeps 2^k terms; merged after
+    # each factor, 30 factors leave 31 monomials c[1,1,1]^a c[1,1,2]^(30-a).
+    started = time.monotonic()
+    p = parse_quasipoly("*".join(["(c[1,1,1]+c[1,1,2])"] * 30))
+    assert time.monotonic() - started < 1
+    assert p.term_count() == 31
+
+
 def test_verify_ch_command():
     code, report = run_json(["verify-ch", "--n", "2"])
     assert code == 0
@@ -604,6 +665,89 @@ def test_check_at_n100_finds_its_witness_at_once():
     assert code == 0 and report["results"]["central"] is False
     point = report["results"]["non_central_witness"]["point"]["x1"]
     assert point[0][0] == "1" and sum(row.count("1") for row in point) == 1
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [
+    # Each literal is under the limit and their product over it when the
+    # input is printed; x1^9000 gives witness entries of more than 4300 digits.
+    ["check", "--n", "2", "--expr", "7" * 4000 + "*" + "7" * 4000 + "*x1"],
+    ["--mode", "randomized", "check", "--n", "3", "--expr", "x1^9000*x2*x3"],
+], ids=["product-of-literals", "witness-value"])
+def test_an_integer_past_the_digit_limit_in_a_report_is_refused(fmt, argv):
+    # Both used to leave run_command as a ValueError traceback.
+    limit = sys.get_int_max_str_digits()
+    buf = io.StringIO()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code = run_command(["--format", fmt] + argv, buf)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    message = ("the report holds an integer of more than 4300 digits, "
+               "Python's limit for integer strings")
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(buf.getvalue())["error"] == {"type": "BudgetExceeded", "message": message}
+    else:
+        # The whole report is rendered before any of it is written.
+        assert buf.getvalue() == (
+            f"error:\n  message: {message}\n  type: BudgetExceeded\nschema: quasident/1\n"
+        )
+
+
+def test_a_randomized_verdict_stops_at_the_first_non_scalar_value(monkeypatch):
+    calls = []
+    evaluate = genmat.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(genmat, "evaluate", counting)
+    # S_5 is not central on M_3: one value for the verdict, one for the witness.
+    s5 = format_quasipoly(genmat.standard_poly(5))
+    code, report = run_json(["--mode", "randomized", "check", "--n", "3", "--expr", s5])
+    assert code == 0 and report["results"]["central"] is False
+    assert len(calls) == 2
+    # A central non-identity is scalar at every point: all trials run, and
+    # there is no witness to search for.
+    calls.clear()
+    code, report = run_json(
+        ["--mode", "randomized", "--trials", "7", "check", "--n", "2", "--expr", HALL_SUBST]
+    )
+    assert code == 0
+    assert (report["results"]["quasi_identity"], report["results"]["central"]) == (False, True)
+    assert len(calls) == 7
+
+
+# (x1x2 - x2x1)^2 under x1 -> x1 + x3x4, x2 -> x2 + x4x3: central on M_2, not zero.
+HALL_SUBST = format_quasipoly(
+    (genmat.standard_poly(2) * genmat.standard_poly(2)).substitute(
+        {1: x(1) + x(3) * x(4), 2: x(2) + x(4) * x(3)}, 2
+    )
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("n, expr", [
+    (3, format_quasipoly(genmat.standard_poly(5))),
+    (2, HALL_SUBST),
+    (2, HALL_SUBST + " + 2*x1*x3"),
+    (2, format_quasipoly(genmat.standard_poly(4))),
+    (2, "x1*x2 - x2*x1 + 3"),
+    (2, "5"),
+], ids=["S5", "hall", "hall+mono", "S4", "commutator+3", "scalar"])
+def test_a_randomized_verdict_reports_as_if_every_trial_ran(monkeypatch, fmt, n, expr):
+    argv = ["--format", fmt, "--mode", "randomized", "--seed", "3", "check", "--n", str(n),
+            "--expr", expr]
+    early = io.StringIO()
+    assert run_command(argv, early) == 0
+    verdict_values = genmat.verdict_values
+    monkeypatch.setattr(genmat, "verdict_values", lambda *a, **k: list(verdict_values(*a, **k)))
+    every = io.StringIO()
+    assert run_command(argv, every) == 0
+    assert early.getvalue() == every.getvalue()
 
 
 def test_check_over_the_term_budget_is_refused():
