@@ -16,11 +16,13 @@ degree 2h+1, or b_i of degree 1); powers are the exponents of the power
 letters, each below 2n, and the degree is at most n^2.  All letters are odd
 and distinct ones anticommute, but powers of one letter accumulate without
 sign, so the algebra is not supercommutative: moving X^a past X^b costs
-nothing where the grading would predict (-1)^ab.  A product's sign: the
-right odd block hops past the left powers, the odd blocks interleave, and
-each right power hops past the left powers of later letters.  Terms with an
-exponent of 2n or more, or degree above n^2, vanish: the quotient defining
-the algebra.  One count, _Graded._dim, sizes every basis from the weights.
+nothing where the grading would predict (-1)^ab.  The one product,
+_graded_mul, rejects a pair of terms sharing an odd generator by one AND of
+bitmasks; its sign: the right odd block hops past the left powers, the odd
+blocks interleave (a popcount per right generator), and each right power
+hops past the left powers of later letters.  Terms with an exponent of 2n or
+more, or degree above n^2, vanish: the quotient defining the algebra.  One
+count, _Graded._dim, sizes every basis from the weights.
 
 The paper's two top-degree computations are one map: multiplication by a
 degree 2n-1 element (obar, or O_n in the wedge algebra) from degree (n-1)^2
@@ -53,6 +55,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     WrongDegree,
+    capped_power,
 )
 from .exactla import (
     Mat,
@@ -135,16 +138,17 @@ class _Graded(Terms):
         return sum(map(cls._weight, key[0])) + sum(key[1:])
 
     def _parts(self) -> list[tuple]:
-        """(odd, powers, degree, coefficient) per term, split once per element
-        and kept: a fixed factor multiplied by many elements is read once."""
+        """(odd, its bitmask, powers, degree, coefficient) per term, split once
+        per element and kept: a fixed factor multiplied by many elements is read once."""
         try:
             return self._split
         except AttributeError:
-            self._split = [(key[0], key[1:], self._degree(key), c) for key, c in self._terms.items()]
+            self._split = [(key[0], _mask(key[0]), key[1:], self._degree(key), c)
+                           for key, c in self._terms.items()]
             return self._split
 
     def degree(self) -> int:
-        degs = {d for _odd, _powers, d, _c in self._parts()}
+        degs = {d for _odd, _bits, _powers, d, _c in self._parts()}
         if len(degs) > 1:
             raise WrongDegree("element is not homogeneous")
         return degs.pop() if degs else 0
@@ -221,23 +225,11 @@ class _Graded(Terms):
     __hash__ = Terms.__hash__
 
 
-def _merge_tsets(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Merge two ascending tuples of odd generators (T indices, or wedge
-    basis indices); None if they share an index.
-
-    The sign is the parity of interleaving transpositions: pairs (x, y) with
-    x in a, y in b, x > y.
-    """
-    if set(a) & set(b):
-        return None
-    inversions = sum(1 for x in a for y in b if x > y)
-    return tuple(sorted(a + b)), (-1) ** inversions
-
-
 def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
     """Normal-form product of two elements of one _Graded type, signed as
-    the module docstring says; the exponent and degree rejects come before
-    the merge of the odd blocks."""
+    the module docstring says: a pair of terms meets the masks' AND and the
+    degree cap first, then the exponent cap, and only a surviving pair builds
+    its odd block.  Each y of b's block passes the members of a's above it."""
     if type(a) is not type(b):
         raise TypeError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
     if a.n != b.n:
@@ -245,19 +237,18 @@ def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
     top, cap, right = 2 * a.n, a.n * a.n, b._parts()
 
     def products():
-        for oa, pa, da, ca in a._parts():
+        for oa, ma, pa, da, ca in a._parts():
             hop = sum(pa)
             later = [sum(pa[l + 1:]) for l in range(len(pa))]
-            for ob, pb, db, cb in right:
+            for ob, mb, pb, db, cb in right:
+                if ma & mb or da + db > cap:
+                    continue
                 powers = tuple(map(add, pa, pb))
-                if da + db > cap or max(powers) >= top:
+                if max(powers) >= top:
                     continue
-                merged = _merge_tsets(oa, ob)
-                if merged is None:
-                    continue
-                odd, sign = merged
-                flips = len(ob) * hop + sum(map(mul, pb, later))
-                yield (odd, *powers), (-sign if flips % 2 else sign) * ca * cb
+                flips = len(ob) * hop + sum(map(mul, pb, later)) + sum((ma >> y).bit_count() for y in ob)
+                c = ca * cb
+                yield (tuple(sorted(oa + ob)), *powers), -c if flips & 1 else c
 
     return a._new(add_terms({}, products()))
 
@@ -515,8 +506,7 @@ def on_in_fn(n: int) -> WedgeForm:
     n X^{2n-1} - sum_{i=0}^{n-2} X^{2i} ^ T_{n-i-1}."""
     total = WedgeForm.x_power(n, 2 * n - 1, n)
     for i in range(n - 1):
-        th = t_form(n, n - i - 1)
-        add_terms(total._terms, (((s, a + 2 * i), -c) for (s, a), c in th._terms.items()))
+        total -= _graded_mul(WedgeForm.x_power(n, 2 * i), t_form(n, n - i - 1))
     return total
 
 
@@ -899,9 +889,9 @@ def certify_dim(
     """Certify that the realized am_basis(n) spans n 2^n independent
     antisymmetric functions on M_n; returns the rank ledger.  Every monomial
     walks at least one shuffle term per sample, so samples n 2^n over the
-    budget is refused before anything is realized (the exponent capped at
-    the budget's bit length); realize_rank refuses the exact count."""
-    if budget is not None and samples * n * 2 ** min(n, budget.bit_length()) > budget:
+    budget is refused before anything is realized; realize_rank refuses the
+    exact count."""
+    if budget is not None and samples * n * capped_power(2, n, budget) > budget:
         raise BudgetExceeded(
             f"the rank certificate at n={n} walks more than the budget's {budget} shuffle terms"
         )

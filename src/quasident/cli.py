@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import antisym, genmat, idsolve
-from .errors import BudgetExceeded, DimensionRequired, QuasidentError, QuasiSyntaxError
+from .errors import BudgetExceeded, DimensionRequired, QuasidentError, QuasiSyntaxError, capped_power
 from .exactla import QMatrix
 from .freealg import QuasiPoly
 from .ratpoly import CPoly, add_terms, monomial_mul
@@ -212,10 +212,8 @@ class _Parser:
         base = _quasipoly(terms)
         at = f"line {tok[_LINE]}, column {tok[_COLUMN]}"
         count = base.term_count()
-        # count ** e bounds the power's terms.  For count >= 2 it exceeds
-        # the budget once e reaches the budget's bit length, so e is capped
-        # there and the bound stays a small integer.
-        if self.budget is not None and count ** min(e, self.budget.bit_length()) > self.budget:
+        # count ** e bounds the power's terms.
+        if self.budget is not None and capped_power(count, e, self.budget) > self.budget:
             raise BudgetExceeded(
                 f"power of a {count}-term base to the {e} at {at} "
                 f"exceeds the term budget {self.budget}"
@@ -267,10 +265,9 @@ class _Parser:
                     f"tr(...) at line {close[_LINE]} needs a matrix dimension n"
                 )
             # The expansion walks n^|w| index paths from each of n start
-            # rows, as phi_eval counts the constant; the exponent is capped
-            # at the budget's bit length, as for powers.
+            # rows, as phi_eval counts the constant.
             e = len(letters) + 1
-            if self.budget is not None and self.n ** min(e, self.budget.bit_length()) > self.budget:
+            if self.budget is not None and capped_power(self.n, e, self.budget) > self.budget:
                 raise BudgetExceeded(
                     f"tr(...) of a {len(letters)}-letter word at line {tok[_LINE]}, "
                     f"column {tok[_COLUMN]} walks {self.n}^{e} index paths, "

@@ -41,6 +41,13 @@ class BudgetExceeded(QuasidentError):
     """A configured size ceiling would be exceeded; computation refused."""
 
 
+def capped_power(base: int, e: int, budget: int) -> int:
+    """base ** e as compared with the budget, the exponent capped at the
+    budget's bit length (at least 1): for base >= 2 the capped power already
+    exceeds the budget, and 0 and 1 have one power from exponent 1 on."""
+    return base ** min(e, max(budget.bit_length(), 1))
+
+
 class NotOneVariable(QuasidentError):
     """Division input involves more than one generator."""
 

@@ -44,7 +44,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment
+from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment, capped_power
 from .exactla import QMatrix, mat_mul
 from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Scalar, Terms, Variable, add_terms, scaled
@@ -65,14 +65,12 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     Every entry of the image is a CPoly, the zero polynomial's included.  With
     a budget, an input whose image could build more than budget coefficient
     terms raises BudgetExceeded before any is built: a word w contributes
-    n^(|w|+1) index paths per term of its coefficient, the exponent capped at
-    the budget's bit length (which keeps the count small and still over it).
+    n^(|w|+1) index paths per term of its coefficient (errors.capped_power).
     """
     p.check_indices(n)
     terms = p.terms()
     if budget is not None:
-        cap = budget.bit_length()
-        if sum(len(c) * n ** min(len(w) + 1, cap) for w, c in terms) > budget:
+        if sum(len(c) * capped_power(n, len(w) + 1, budget) for w, c in terms) > budget:
             raise BudgetExceeded(
                 f"symbolic evaluation at n={n} builds more than the budget's "
                 f"{budget} coefficient terms"

@@ -44,6 +44,7 @@ from .errors import (
     NotAQuasiIdentity,
     NotOneVariable,
     QuasidentError,
+    capped_power,
 )
 from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
 from .freealg import QuasiPoly, Word
@@ -133,12 +134,12 @@ def multilinear_identity_space(
     returned subspace is the exact nullspace.  A system of more path terms
     than the budget (d!/k! words of length d - k, each with n^(2k) monomials
     mu and n^(d-k+1) paths) raises BudgetExceeded before the ansatz is built;
-    exponents, and d (d! >= 2^(d-1)), are capped at the budget's bit length.
+    errors.capped_power counts powers, and d! >= 2^(d-1) caps d at the bit length.
     """
     if budget is not None:
-        cap = budget.bit_length()
-        terms = (math.factorial(d) // math.factorial(k) * n ** min(k + d + 1, cap) for k in range(d + 1))
-        if d > cap or sum(terms) > budget:
+        terms = (math.factorial(d) // math.factorial(k) * capped_power(n, k + d + 1, budget)
+                 for k in range(d + 1))
+        if d > budget.bit_length() or sum(terms) > budget:
             raise BudgetExceeded(
                 f"multilinear system at n={n}, degree {d} has more than the budget's {budget} path terms"
             )

@@ -145,8 +145,11 @@ def test_xy_square():
 
 
 def test_products_match_sign_oracle():
-    # Every pair at n = 2 and 3 (13^2 + 61^2 pairs), random pairs at n = 4.
+    # ExtElement: every pair at n = 2 and 3 (13^2 + 61^2 pairs), random pairs
+    # at n = 4.  AmElement (T_0 included, one power letter): every pair at
+    # n = 2 and 3 (8^2 + 24^2 pairs), through the one graded product.
     rng = random.Random(0)
+    cases = []
     for n in (2, 3, 4):
         mons = []
         for d in range(0, n * n + 1):
@@ -155,18 +158,20 @@ def test_products_match_sign_oracle():
             pairs = list(itertools.product(mons, repeat=2))
         else:
             pairs = [(rng.choice(mons), rng.choice(mons)) for _ in range(200)]
-        for ma, mb in pairs:
-            ea = anti.ExtElement.monomial(n, *ma)
-            eb = anti.ExtElement.monomial(n, *mb)
-            prod = anti.atilde_mul(ea, eb)
-            expected = oracle_sign_and_normal_form(
-                monomial_letters(ma) + monomial_letters(mb), n
-            )
-            if expected is None:
-                assert prod.is_zero()
-            else:
-                sign, tset, i, j = expected
-                assert prod == anti.ExtElement.monomial(n, tset, i, j, sign)
+        cases += [(anti.ExtElement, n, ma, mb) for ma, mb in pairs]
+    for n in (2, 3):
+        cases += [(anti.AmElement, n, ma, mb) for ma, mb in itertools.product(anti.am_basis(n), repeat=2)]
+    for cls, n, ma, mb in cases:
+        prod = anti._graded_mul(cls(n, {ma: 1}), cls(n, {mb: 1}))
+        # An AmElement key (T-subset, a) reads as the ExtElement key (T-subset, a, 0).
+        expected = oracle_sign_and_normal_form(
+            monomial_letters((*ma, 0)[:3]) + monomial_letters((*mb, 0)[:3]), n
+        )
+        if expected is None:
+            assert prod.is_zero()
+        else:
+            sign, tset, i, j = expected
+            assert prod == cls(n, {(tset, i, j)[:len(ma)]: sign})
 
 
 def test_grading():
@@ -438,40 +443,73 @@ def test_on_in_fn_2():
     assert o2 == expected
 
 
+def oracle_wedge_product(sa, xa, sb, xb, n):
+    """Brute-force normal ordering of the word b_sa X^xa b_sb X^xb: a
+    bubble sort with one flip per swap of distinct odd letters.  Returns
+    (sign, subset, X power), or None when the word dies."""
+    word = [("b", i) for i in sa] + ["X"] * xa + [("b", i) for i in sb] + ["X"] * xb
+
+    def rank(letter):
+        return (0, letter[1]) if letter != "X" else (1, 0)
+
+    sign = 1
+    changed = True
+    while changed:
+        changed = False
+        for pos in range(len(word) - 1):
+            a, b = word[pos], word[pos + 1]
+            if rank(a) > rank(b):
+                word[pos], word[pos + 1] = b, a
+                if a != b:
+                    sign = -sign
+                changed = True
+    subset = tuple(i for kind, i in [w for w in word if w != "X"])
+    xexp = word.count("X")
+    if len(set(subset)) != len(subset) or xexp >= 2 * n or len(subset) + xexp > n * n:
+        return None
+    return sign, subset, xexp
+
+
+def random_wedge_pair(n, rng):
+    """Two wedge keys at n.  Half the pairs are built to survive the product
+    (disjoint subsets, powers and degree within the caps), so their signs
+    interleave indices up to n^2 - 2; the rest are any two keys."""
+    top = n * n
+    if rng.random() < 0.5:
+        xa = rng.randrange(2 * n)
+        xb = rng.randrange(2 * n - xa)
+        size = rng.randint(0, min(top - xa - xb, top - 1))
+        indices = rng.sample(range(top - 1), size)
+        cut = rng.randint(0, size)
+        return (tuple(sorted(indices[:cut])), xa), (tuple(sorted(indices[cut:])), xb)
+    keys = []
+    for _ in range(2):
+        x = rng.randrange(2 * n)
+        keys.append((tuple(sorted(rng.sample(range(top - 1), rng.randint(0, min(top - x, top - 1))))), x))
+    return tuple(keys)
+
+
 def test_fn_mul_sign_oracle():
-    n = 2
+    # Every pair at n = 2; random pairs at n = 3 and 4, whose wedge indices
+    # reach 7 and 14.
     keys = []
     for d in range(0, 5):
-        keys.extend(anti.fn_basis(n, d))
+        keys.extend(anti.fn_basis(2, d))
     assert len(keys) == 27
-    for (sa, xa), (sb, xb) in itertools.product(keys, repeat=2):
-        fa = anti.WedgeForm.monomial(n, sa, xa)
-        fb = anti.WedgeForm.monomial(n, sb, xb)
-        prod = anti.fn_mul(fa, fb)
-        # Oracle: bubble-sort the letter word, one flip per distinct odd pair.
-        letters = [("b", i) for i in sa] + ["X"] * xa + [("b", i) for i in sb] + ["X"] * xb
-        sign = 1
-        changed = True
-        word = list(letters)
-
-        def rank(letter):
-            return (0, letter[1]) if letter != "X" else (1, 0)
-
-        while changed:
-            changed = False
-            for pos in range(len(word) - 1):
-                a, b = word[pos], word[pos + 1]
-                if rank(a) > rank(b):
-                    word[pos], word[pos + 1] = b, a
-                    if a != b:
-                        sign = -sign
-                    changed = True
-        subset = tuple(i for kind, i in [w for w in word if w != "X"])
-        xexp = word.count("X")
-        if len(set(subset)) != len(subset) or xexp >= 2 * n or len(subset) + xexp > n * n:
+    cases = [(2, ka, kb) for ka, kb in itertools.product(keys, repeat=2)]
+    rng = random.Random(3)
+    cases += [(n, *random_wedge_pair(n, rng)) for n in (3, 4) for _ in range(300)]
+    survived = {2: 0, 3: 0, 4: 0}
+    for n, (sa, xa), (sb, xb) in cases:
+        prod = anti.fn_mul(anti.WedgeForm.monomial(n, sa, xa), anti.WedgeForm.monomial(n, sb, xb))
+        expected = oracle_wedge_product(sa, xa, sb, xb, n)
+        if expected is None:
             assert prod.is_zero()
         else:
+            sign, subset, xexp = expected
             assert prod == anti.WedgeForm.monomial(n, subset, xexp, sign)
+            survived[n] += 1
+    assert min(survived.values()) >= 100
 
 
 def test_ideal_component_n2_degree4():
