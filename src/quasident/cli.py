@@ -431,10 +431,10 @@ def _cmd_check(args: argparse.Namespace) -> dict:
     # input to be printed.  A non-scalar value settles both verdicts, so the
     # trials stop there.
     quasi_identity = central = True
-    for value in genmat.verdict_values(
+    for trial, (point, value) in enumerate(genmat.verdict_values(
         p, n, mode=args.mode, seed=args.seed, trials=args.trials, bound=args.bound,
         budget=args.budget,
-    ):
+    )):
         if not value.is_scalar():
             quasi_identity = central = False
             break
@@ -449,8 +449,14 @@ def _cmd_check(args: argparse.Namespace) -> dict:
     results["ordinary_identity"] = (
         results["quasi_identity"] if p.has_scalar_coefficients() else None
     )
-    if not results["central"]:
-        witness = genmat.central_witness(p, n, seed=args.seed, bound=args.bound)
+    if not central:
+        # Past two generators the witness search tries the randomized
+        # verdict's own points in the same order, so the point that settled
+        # the verdict is the witness if the search reaches it.
+        if point is not None and len(p.generators()) > 2 and trial < genmat.WITNESS_TRIALS:
+            witness = point, value
+        else:
+            witness = genmat.central_witness(p, n, seed=args.seed, bound=args.bound)
         if witness is not None:
             point, value = witness
             results["non_central_witness"] = {

@@ -10,13 +10,18 @@ with the word before it, so each node of the words' trie costs one step.  In
 generic-matrix entries (word_paths) the step extends index paths: entry (i,j)
 of a word's product is the sum over paths i = l_0, l_1, ..., l_|w| = j of the
 monomials c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient
-1, kept as a sorted tuple of variable codes (var_code) and an integer
-multiplicity, and no CPoly is multiplied.  phi_eval adds each word's paths,
-times its coefficient's terms, into one term dict per image entry;
-TracePoly.expand multiplies the diagonals of its trace factors as code tuples;
-idsolve keys its equations by the codes.  CPoly monomials and Fractions are
-built once, from the final dicts.  At a point (evaluate) the step is one raw
-mat_mul, and a first letter's product is its matrix.  Coefficients are
+1, kept as a packed int and an integer multiplicity, and no CPoly is
+multiplied.  A packed monomial (Packing) gives each variable one bit field,
+all of one width, holding its exponent (Kronecker substitution), with field
+codes dense over the generators in use: the width is the bit length of the
+largest total degree the keys reach, so no exponent carries into the next
+field, and a product of monomials is one int addition.  phi_eval adds each
+word's paths, times its coefficient's packed terms, into one term dict per
+image entry; TracePoly.expand multiplies the diagonals of its trace factors by
+adding keys; idsolve keys its equations by them.  CPoly monomials and
+Fractions are built once, from the final dicts, by the one decoder
+Packing.cpoly.  At a point (evaluate) the step is one raw mat_mul, and a first
+letter's product is its matrix.  Coefficients are
 evaluated with CPoly.eval, which stays in int arithmetic at integer points;
 each value c, times D, the least common multiple of the values'
 denominators, scales its word's product into one n x n accumulator of ints
@@ -24,10 +29,13 @@ denominators, scales its word's product into one n x n accumulator of ints
 
 Every verdict of the check and capelli-dep commands is decided from
 verdict_values: the one phi_eval image in symbolic mode, or the values at
-seeded random integer points in randomized mode, yielded lazily so a consumer
-may stop at the first that decides.  Every witness search (central_witness,
-idsolve's independence witness) loops over witness_points: the matrix-unit
-tuples when there are at most two generators, then seeded random tuples.
+seeded random integer points in randomized mode, each with its point, yielded
+lazily so a consumer may stop at the first that decides.  Every witness search
+(central_witness, idsolve's independence witness) loops over witness_points:
+the matrix-unit tuples when there are at most two generators, then seeded
+random tuples, the randomized verdict's own points, so past two generators
+the point that settled a randomized verdict is the witness when it lies
+within the search's WITNESS_TRIALS.
 
 The characteristic-polynomial identities come in two layers.  TracePoly keeps
 formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
@@ -47,7 +55,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment, capped_power
 from .exactla import QMatrix, mat_mul
 from .freealg import QuasiPoly, Word, perm_sign, word_key
-from .ratpoly import CPoly, Scalar, Terms, Variable, add_terms, scaled
+from .ratpoly import CPoly, Monomial, Scalar, Terms, Variable, add_terms, scaled
 
 
 def generic_matrix(k: int, n: int) -> QMatrix:
@@ -75,28 +83,80 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
                 f"symbolic evaluation at n={n} builds more than the budget's "
                 f"{budget} coefficient terms"
             )
-    image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     coeffs = dict(terms)
-    for w, table in word_paths(coeffs, n):
-        # Each coefficient term as (its variable codes with repetition, int or Fraction).
+    width = max((len(w) + c.degree() for w, c in terms), default=0).bit_length()
+    packing = Packing(p.generators(), n, width)
+    image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for w, table in word_paths(coeffs, packing):
+        # Each coefficient term as (its packed monomial, int or Fraction).
         scaled = [
-            (tuple(var_code(*v, n) for v, e in mono for _ in range(e)),
-             c.numerator if c.denominator == 1 else c)
+            (packing.pack(mono), c.numerator if c.denominator == 1 else c)
             for mono, c in coeffs[w].terms()
         ]
         for image_row, path_row in zip(image, table):
             for out, paths in zip(image_row, path_row):
-                for codes, c in scaled:
-                    add_terms(out, (
-                        (tuple(sorted(codes + key)) if codes else key, c * mult)
-                        for key, mult in paths.items()
-                    ))
-    return QMatrix([[_path_cpoly(out, n) for out in row] for row in image])
+                for packed, c in scaled:
+                    for key, mult in paths.items():
+                        key += packed
+                        s = out.get(key, 0) + c * mult
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+    return QMatrix([[packing.cpoly(out) for out in row] for row in image])
 
 
-def var_code(k: int, i: int, j: int, n: int) -> int:
-    """The code of c[k,i,j] at size n; codes sort as the triples do."""
-    return (k * (n + 1) + i) * (n + 1) + j
+class Packing:
+    """Packed monomials in the variables c[k,i,j] at size n, k among gens.
+
+    A packed monomial is an int with one bit field of width bits per
+    variable, holding its exponent (Kronecker substitution).  c[k,i,j] owns
+    field code(k, i, j) = (r*n + i-1)*n + j-1, r the rank of k among the
+    sorted gens: codes are dense over the generators a caller uses, so a
+    key's length depends on how many generators there are, not on their
+    indices, and codes sort as the triples do.  Keys add as their monomials
+    multiply while no exponent passes 2^width - 1."""
+
+    def __init__(self, gens: Iterable[int], n: int, width: int):
+        self.gens = sorted(set(gens))
+        self.rank = {k: r for r, k in enumerate(self.gens)}
+        self.n = n
+        self.width = width
+
+    def code(self, k: int, i: int, j: int) -> int:
+        return (self.rank[k] * self.n + i - 1) * self.n + j - 1
+
+    def pack(self, mono: Iterable[tuple[Variable, int]]) -> int:
+        """The key of a monomial given as (variable, exponent) pairs."""
+        return sum(e << self.width * self.code(*v) for v, e in mono)
+
+    def cpoly(self, terms: dict[int, Scalar]) -> CPoly:
+        """The CPoly of a {packed monomial: nonzero coefficient} dict.  Each
+        key is read from its lowest set bit up, one set field at a time, so
+        the variables come out in sorted order and a key costs its
+        variables, not its n^2 fields per generator."""
+        n, width = self.n, self.width
+        mask = (1 << width) - 1
+        variables: dict[int, Variable] = {}
+        out: dict[Monomial, Fraction] = {}
+        for key, c in terms.items():
+            mono = []
+            code = 0
+            while key:
+                skip = ((key & -key).bit_length() - 1) // width
+                key >>= skip * width
+                code += skip
+                v = variables.get(code)
+                if v is None:
+                    r, cell = divmod(code, n * n)
+                    i, j = divmod(cell, n)
+                    v = variables[code] = (self.gens[r], i + 1, j + 1)
+                mono.append((v, key & mask))
+                key >>= width
+                code += 1
+            out[tuple(mono)] = Fraction(c)
+        # Distinct keys decode to distinct monomials, so out is already canonical.
+        return CPoly()._new(out)
 
 
 def prefix_walk(words: Iterable[Word], unit, step) -> Iterator[tuple[Word, object]]:
@@ -119,44 +179,38 @@ def prefix_walk(words: Iterable[Word], unit, step) -> Iterator[tuple[Word, objec
         yield w, stack[-1]
 
 
-def word_paths(words: Iterable[Word], n: int) -> Iterator[tuple[Word, list[list[dict]]]]:
+def word_paths(
+    words: Iterable[Word], packing: Packing
+) -> Iterator[tuple[Word, list[list[dict]]]]:
     """(w, table) for each distinct word, by prefix_walk: entry (i, j) of the
-    table is entry (i, j) of the product of w's generic matrices, as {sorted
-    tuple of variable codes: multiplicity}.
+    table is entry (i, j) of the product of w's generic matrices at size
+    packing.n, as {packed monomial: multiplicity}.
 
-    Each letter k extends every path ending at column l by the one variable
-    c[k,l,j]; no coefficient is multiplied and no monomial is built.  Distinct
-    paths that read the same variables (a repeated letter) share a key.  The
-    empty word gives the identity: {(): 1} on the diagonal."""
-    cols = range(1, n + 1)
+    Every letter must be among packing.gens, and packing.width must hold the
+    largest total degree the caller's keys reach, so no exponent carries
+    into the next field.  Each letter k extends every path ending at column
+    l by the one variable c[k,l,j], one int addition; no coefficient is
+    multiplied and no monomial is built.  Distinct paths that read the same
+    variables (a repeated letter) share a key.  The empty word gives the
+    identity: {0: 1} on the diagonal."""
+    cols = range(1, packing.n + 1)
+    width, code = packing.width, packing.code
 
     def extend(table: list[list[dict]], k: int) -> list[list[dict]]:
+        # units[l-1][j-1] is the key of c[k,l,j].
+        units = [[1 << width * code(k, l, j) for j in cols] for l in cols]
         out = []
         for row in table:
             step: list[dict] = [{} for _ in cols]
-            for l, paths in zip(cols, row):
-                for j, acc in zip(cols, step):
-                    v = (var_code(k, l, j, n),)
+            for paths, unit_row in zip(row, units):
+                for v, acc in zip(unit_row, step):
                     for key, mult in paths.items():
-                        longer = tuple(sorted(key + v))
-                        acc[longer] = acc.get(longer, 0) + mult
+                        key += v
+                        acc[key] = acc.get(key, 0) + mult
             out.append(step)
         return out
 
-    return prefix_walk(words, [[{(): 1} if j == i else {} for j in cols] for i in cols], extend)
-
-
-def _path_cpoly(terms: dict[tuple[int, ...], Scalar], n: int) -> CPoly:
-    """The CPoly of a {sorted tuple of variable codes: coefficient} dict."""
-    m = n + 1
-    variables: dict[int, Variable] = {}
-    for code in {code for key in terms for code in key}:
-        rest, j = divmod(code, m)
-        variables[code] = (*divmod(rest, m), j)
-    return CPoly({
-        tuple((variables[code], len(list(run))) for code, run in itertools.groupby(key)): c
-        for key, c in terms.items()
-    })
+    return prefix_walk(words, [[{0: 1} if j == i else {} for j in cols] for i in cols], extend)
 
 
 def is_quasi_identity(p: QuasiPoly, n: int) -> bool:
@@ -169,8 +223,12 @@ def is_central(p: QuasiPoly, n: int) -> bool:
     return phi_eval(p, n).is_scalar()
 
 
+# Random points a witness search tries after the matrix units.
+WITNESS_TRIALS = 200
+
+
 def central_witness(
-    p: QuasiPoly, n: int, seed: int = 0, bound: int = 9, max_trials: int = 200
+    p: QuasiPoly, n: int, seed: int = 0, bound: int = 9, max_trials: int = WITNESS_TRIALS
 ) -> tuple[dict[int, QMatrix], QMatrix] | None:
     """A rational point where p evaluates to a non-scalar matrix, or None;
     the points come from witness_points."""
@@ -182,7 +240,7 @@ def central_witness(
 
 
 def witness_points(
-    gens: Sequence[int], n: int, seed: int, bound: int, trials: int = 200
+    gens: Sequence[int], n: int, seed: int, bound: int, trials: int = WITNESS_TRIALS
 ) -> Iterator[dict[int, QMatrix]]:
     """The points a witness search tries, as {generator: matrix}: every tuple
     of matrix units when there are at most two generators, so witnesses stay
@@ -199,20 +257,21 @@ def witness_points(
 def verdict_values(
     p: QuasiPoly, n: int, *, mode: str, seed: int, trials: int, bound: int,
     budget: int | None = None,
-) -> Iterator[QMatrix]:
-    """The values a verdict on p is decided from, lazily: in symbolic mode the
-    one image phi_eval(p, n, budget=budget); in randomized mode p's values at
-    the trials points of _random_points over its sorted generators.  p is
-    zero (central) when every value is.  Both modes refuse a coefficient
-    index past n (check_indices) before any value is made."""
+) -> Iterator[tuple[dict[int, QMatrix] | None, QMatrix]]:
+    """The values a verdict on p is decided from, lazily, each with the point
+    it was taken at: in symbolic mode the one image phi_eval(p, n,
+    budget=budget), at no point (None); in randomized mode p's values at the
+    trials points of _random_points over its sorted generators.  p is zero
+    (central) when every value is.  Both modes refuse a coefficient index
+    past n (check_indices) before any value is made."""
     if mode == "symbolic":
-        yield phi_eval(p, n, budget=budget)
+        yield None, phi_eval(p, n, budget=budget)
         return
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     p.check_indices(n)
     for point in _random_points(sorted(p.generators()), n, seed, bound, trials):
-        yield evaluate(p, point, n)
+        yield point, evaluate(p, point, n)
 
 
 def _random_points(
@@ -365,20 +424,22 @@ class TracePoly(Terms):
         """Expand every trace factor into generic-matrix entries: the
         diagonal of its index paths, from one walk over the distinct factors."""
         factors = {t for traces, _ in self._terms for t in traces}
+        width = max((sum(map(len, traces)) for traces, _ in self._terms), default=0).bit_length()
+        packing = Packing((g for t in factors for g in t), n, width)
         diagonals = {
             t: add_terms({}, (p for i, row in enumerate(table) for p in row[i].items()))
-            for t, table in word_paths(factors, n)
+            for t, table in word_paths(factors, packing)
         }
         by_word: dict[Word, dict] = {}
         for (traces, w), coeff in self._terms.items():
-            product = {(): coeff.numerator if coeff.denominator == 1 else coeff}
+            product = {0: coeff.numerator if coeff.denominator == 1 else coeff}
             for t in traces:
                 product = add_terms({}, (
-                    (tuple(sorted(ka + kb)), ca * cb)
+                    (ka + kb, ca * cb)
                     for ka, ca in product.items() for kb, cb in diagonals[t].items()
                 ))
             add_terms(by_word.setdefault(w, {}), product.items())
-        return QuasiPoly({w: _path_cpoly(terms, n) for w, terms in by_word.items()})
+        return QuasiPoly({w: packing.cpoly(terms) for w, terms in by_word.items()})
 
     def _term_str(self, key: TraceKey, coeff: Fraction) -> str:
         traces, w = key

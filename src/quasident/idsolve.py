@@ -48,7 +48,7 @@ from .errors import (
 )
 from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
 from .freealg import QuasiPoly, Word
-from .genmat import var_code, word_paths
+from .genmat import Packing, word_paths
 from .ratpoly import CPoly, Monomial
 
 # An unknown of the ansatz: (k, sigma, mu) where sigma is the permutation as a
@@ -144,15 +144,18 @@ def multilinear_identity_space(
                 f"multilinear system at n={n}, degree {d} has more than the budget's {budget} path terms"
             )
     ansatz = MultilinearAnsatz(n, d)
-    # Equation key: (entry row, entry col, sorted variable codes of mu and the path).
-    equations: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
-    walks = dict(word_paths({sigma[k:] for k, sigma, _ in ansatz.unknowns}, n))
+    # Equation key: (entry row, entry col, packed monomial of mu and the
+    # path).  Every word is multilinear and mu's generators are not in it, so
+    # no variable repeats and one bit per variable code suffices.
+    equations: dict[tuple[int, int, int], dict[int, int]] = {}
+    packing = Packing(range(1, d + 1), n, 1)
+    walks = dict(word_paths({sigma[k:] for k, sigma, _ in ansatz.unknowns}, packing))
     for idx, (k, sigma, mu) in enumerate(ansatz.unknowns):
-        base = tuple(var_code(g, s, t, n) for g, (s, t) in zip(sigma[:k], mu))
+        base = packing.pack([((g, s, t), 1) for g, (s, t) in zip(sigma[:k], mu)])
         for u, row in enumerate(walks[sigma[k:]], start=1):
             for v, paths in enumerate(row, start=1):
-                for codes, mult in paths.items():
-                    equation = equations.setdefault((u, v, tuple(sorted(base + codes))), {})
+                for key, mult in paths.items():
+                    equation = equations.setdefault((u, v, base + key), {})
                     equation[idx] = equation.get(idx, 0) + mult
     # Pop each equation as the eliminator reads it, so no row is held twice.
     basis = nullspace_of_rows(map(equations.pop, list(equations)), len(ansatz))
@@ -232,7 +235,7 @@ def local_lin_dep(
     values = genmat.verdict_values(
         composite, n, mode=mode, seed=seed, trials=trials, bound=bound, budget=term_budget
     )
-    dependent = all(v.is_zero() for v in values)
+    dependent = all(v.is_zero() for _, v in values)
     confidence = "exact"
     if mode == "randomized" and dependent:
         per_trial = Fraction(min(composite.word_degree(), 2 * bound + 1), 2 * bound + 1)

@@ -705,11 +705,13 @@ def test_a_randomized_verdict_stops_at_the_first_non_scalar_value(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(genmat, "evaluate", counting)
-    # S_5 is not central on M_3: one value for the verdict, one for the witness.
+    # S_5 is not central on M_3: one value settles the verdict, and with five
+    # generators the point it was taken at is the witness.
     s5 = format_quasipoly(genmat.standard_poly(5))
     code, report = run_json(["--mode", "randomized", "check", "--n", "3", "--expr", s5])
     assert code == 0 and report["results"]["central"] is False
-    assert len(calls) == 2
+    assert "non_central_witness" in report["results"]
+    assert len(calls) == 1
     # A central non-identity is scalar at every point: all trials run, and
     # there is no witness to search for.
     calls.clear()
@@ -719,6 +721,91 @@ def test_a_randomized_verdict_stops_at_the_first_non_scalar_value(monkeypatch):
     assert code == 0
     assert (report["results"]["quasi_identity"], report["results"]["central"]) == (False, True)
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("n, p", [
+    (3, genmat.standard_poly(5)),
+    (2, genmat.standard_poly(3)),
+    (2, x(1) * x(2) * x(3) - x(3) * x(2) * x(1)),
+    (2, x(1) * x(2) - x(2) * x(1)),
+], ids=["S5", "S3", "x1x2x3-x3x2x1", "commutator"])
+def test_a_randomized_witness_is_the_one_the_witness_search_finds(seed, n, p):
+    # Past two generators the point that settled the verdict is kept, not
+    # searched for again; up to two the matrix units are tried first.
+    argv = ["--mode", "randomized", "--seed", str(seed), "check", "--n", str(n),
+            "--expr", format_quasipoly(p)]
+    code, report = run_json(argv)
+    point, value = genmat.central_witness(p, n, seed=seed)
+    assert code == 0 and report["results"]["non_central_witness"] == cli._jsonable(
+        {"point": {f"x{k}": m for k, m in sorted(point.items())}, "value": value}
+    )
+
+
+# Non-scalar only where all twelve entries of x3, x4 and x5 are nonzero: at
+# --bound 1 the first such point of seed 15 is its 200th, of seed 6 its 206th.
+RARELY_NON_SCALAR = "*".join(
+    f"c[{k},{i},{j}]" for k in (3, 4, 5) for i in (1, 2) for j in (1, 2)
+) + "*(x1*x2 - x2*x1)"
+
+
+@pytest.mark.parametrize("seed, evaluations", [(15, 200), (6, 206 + 200)])
+def test_a_randomized_witness_is_reported_only_within_the_witness_trials(
+    monkeypatch, seed, evaluations
+):
+    # The witness search tries 200 random points: the verdict's point is its
+    # witness only within them, and past them the search runs and finds none.
+    calls = []
+    evaluate = genmat.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(genmat, "evaluate", counting)
+    code, report = run_json(["--mode", "randomized", "--seed", str(seed), "--trials", "300",
+                             "--bound", "1", "check", "--n", "2", "--expr", RARELY_NON_SCALAR])
+    results = report["results"]
+    assert code == 0 and results["central"] is False
+    assert len(calls) == evaluations
+    witness = genmat.central_witness(parse_quasipoly(RARELY_NON_SCALAR, 2), 2, seed=seed, bound=1)
+    if seed == 15:
+        point, value = witness
+        assert results["non_central_witness"] == cli._jsonable(
+            {"point": {f"x{k}": m for k, m in sorted(point.items())}, "value": value}
+        )
+    else:
+        assert witness is None and "non_central_witness" not in results
+
+
+@pytest.mark.parametrize("expr", [
+    "x1000000000*x3 - x3*x1000000000",
+    "c[1000000000,1,1]*x1",
+    "c[1000000000000,1,2]*x1000000000000*x3 + x3",
+])
+def test_check_with_large_generator_indices_is_quick(expr):
+    # Field codes are dense over the generators in use, so a packed key's
+    # length does not grow with a generator's index.
+    started = time.monotonic()
+    code, report = run_json(["check", "--n", "2", "--expr", expr])
+    assert time.monotonic() - started < 1
+    assert code == 0 and report["results"]["central"] is False
+    assert "non_central_witness" in report["results"]
+
+
+@pytest.mark.parametrize("expr, quasi_identity, central", [
+    # At n = 1 every term is one monomial in c[1,1,1]: c[1,1,1]^8 and
+    # c[1,1,1]^16 are the least powers that need a field of 4 and 5 bits, and
+    # c[1,1,1]^7 fills one of 3.
+    ("c[1,1,1]^7*x1 - x1^8", True, True),
+    ("c[1,1,1]^15*x1 - x1^16", True, True),
+    ("c[1,1,1]^7*x1 - x1^7", False, True),
+])
+def test_check_at_n1_at_the_field_boundaries(expr, quasi_identity, central):
+    code, report = run_json(["check", "--n", "1", "--expr", expr])
+    assert code == 0
+    results = report["results"]
+    assert (results["quasi_identity"], results["central"]) == (quasi_identity, central)
 
 
 # (x1x2 - x2x1)^2 under x1 -> x1 + x3x4, x2 -> x2 + x4x3: central on M_2, not zero.

@@ -167,7 +167,7 @@ def test_witness_points_skip_unit_tuples_past_two_generators():
 def test_symbolic_verdict_values_are_the_one_budgeted_image():
     comm = x(1) * x(2) - x(2) * x(1)
     values = genmat.verdict_values(comm, 2, mode="symbolic", seed=0, trials=5, bound=9)
-    assert list(values) == [genmat.phi_eval(comm, 2)]
+    assert list(values) == [(None, genmat.phi_eval(comm, 2))]
     refused = genmat.verdict_values(
         comm ** 10, 2, mode="symbolic", seed=0, trials=5, bound=9, budget=1000
     )
@@ -187,7 +187,7 @@ def test_randomized_verdict_values_are_lazy(monkeypatch):
     values = genmat.verdict_values(x(1), 2, mode="randomized", seed=1, trials=20, bound=9)
     assert calls == []
     # x1 at a random nonzero point is nonzero, so the first value decides.
-    assert not all(v.is_zero() for v in values)
+    assert not all(v.is_zero() for _, v in values)
     assert len(calls) == 1
 
 
@@ -198,7 +198,7 @@ def test_randomized_verdict_values_follow_the_seed():
     expected = []
     for _ in range(3):
         point = {k: QMatrix.random(2, 2, rng, 5) for k in (1, 2)}
-        expected.append(genmat.evaluate(p, point, 2))
+        expected.append((point, genmat.evaluate(p, point, 2)))
     assert values == expected
 
 
@@ -380,11 +380,11 @@ def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
     assert len(calls) == len(prefixes) - len({w[0] for w in words}) == 60
 
 
-def reference_word_paths(w, n):
+def reference_word_paths(w, packing):
     """Entry (i, j) of the product of w's generic matrices as {sorted codes:
     multiplicity}, every word walked from scratch: the per-word walk that
     word_paths replaced."""
-    cols = range(1, n + 1)
+    cols = range(1, packing.n + 1)
     out = []
     for i in cols:
         row = [{(): 1} if j == i else {} for j in cols]
@@ -392,7 +392,7 @@ def reference_word_paths(w, n):
             step = [{} for _ in cols]
             for l, paths in zip(cols, row):
                 for j, acc in zip(cols, step):
-                    v = (genmat.var_code(k, l, j, n),)
+                    v = (packing.code(k, l, j),)
                     for key, mult in paths.items():
                         longer = tuple(sorted(key + v))
                         acc[longer] = acc.get(longer, 0) + mult
@@ -415,15 +415,66 @@ def trie_nodes(words):
     return {w[:t] for w in words for t in range(1, len(w) + 1)}
 
 
+def decoded(key, width):
+    """The sorted variable codes of a packed monomial, read field by field
+    over every field up to its top bit."""
+    mask = (1 << width) - 1
+    fields = range(key.bit_length() // width + 1) if width else ()
+    return tuple(code for code in fields for _ in range((key >> width * code) & mask))
+
+
+# Generators far apart: field codes are dense over the generators in use.
+SPREAD = {1: 2, 2: 7, 3: 10 ** 12}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_word_paths_equal_the_per_word_walk(n):
     rng = random.Random(n)
     for _ in range(20):
-        words = random_words(rng)
-        walked = list(genmat.word_paths(words, n))
+        words = [tuple(SPREAD[k] for k in w) for w in random_words(rng)]
+        # The field width holds the longest word's degree.
+        width = max(map(len, words)).bit_length()
+        packing = genmat.Packing(SPREAD.values(), n, width)
+        walked = list(genmat.word_paths(words, packing))
         assert [w for w, _ in walked] == sorted(set(words))
         for w, table in walked:
-            assert table == reference_word_paths(w, n), w
+            unpacked = [[{decoded(key, width): mult for key, mult in paths.items()}
+                         for paths in row] for row in table]
+            # Equal dicts: no two keys decode alike, and every multiplicity matches.
+            assert [[len(paths) for paths in row] for row in table] == [
+                [len(paths) for paths in row] for row in unpacked]
+            assert unpacked == reference_word_paths(w, packing), w
+            # A key has one field per variable of the three generators.
+            assert all(key.bit_length() <= 3 * n * n * width
+                       for row in table for paths in row for key in paths)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_monomials_round_trip_at_the_field_boundaries(n):
+    first, last = (2, 1, 1), (10 ** 12, n, n)
+    # The constant monomial is the key 0, at every width.
+    for width in (0, 1, 4):
+        packing = genmat.Packing(SPREAD.values(), n, width)
+        assert packing.pack(()) == 0
+        assert packing.cpoly({0: 5}) == CPoly.const(5)
+    for width in (1, 2, 3, 5):
+        packing = genmat.Packing(SPREAD.values(), n, width)
+        full = 2 ** width - 1
+        mono = ((first, full), ((7, 1, n), 1), (last, full))
+        key = packing.pack(mono)
+        # An exponent of 2^width - 1 fills its field and no more, and the
+        # last field is the last of 3 n^2.
+        assert key >> width * packing.code(*last) == full
+        assert packing.code(*last) == 3 * n * n - 1
+        assert packing.cpoly({key: 3, 0: -1}) == CPoly({mono: 3, (): -1})
+        # 2^width needs the next width: at this one it carries into the field
+        # of the next code, c[2,1,2] (c[7,1,1] at n = 1).
+        over = ((first, full + 1),)
+        after = (2, 1, 2) if n > 1 else (7, 1, 1)
+        assert packing.pack(over) == packing.pack(((after, 1),))
+        wider = genmat.Packing(SPREAD.values(), n, (full + 1).bit_length())
+        assert wider.width == width + 1
+        assert wider.cpoly({wider.pack(over): 1}) == CPoly({over: 1})
 
 
 def test_prefix_walk_folds_each_word_once_per_trie_node():
@@ -456,7 +507,7 @@ def test_word_paths_extend_once_per_trie_node(monkeypatch):
     for n in (1, 2, 3):
         words = random_words(rng)
         steps.clear()
-        list(genmat.word_paths(words, n))
+        list(genmat.word_paths(words, genmat.Packing({1, 2, 3}, n, 3)))
         assert len(steps) == len(trie_nodes(words))
     # phi_eval walks S_4's 24 words once: 64 trie nodes, where walking every
     # word from scratch takes 96 steps.

@@ -167,6 +167,14 @@ def images(draw):
 @example((2, QuasiPoly({(): CPoly.const(Fraction(1, 2))})))
 @example((3, QuasiPoly({(1, 1, 1, 1): CPoly.one(), (1, 2, 1, 2): CPoly.const(-2)})))
 @example((2, QuasiPoly({(1, 2, 1): CPoly.variable(1, 2, 1) ** 2 - CPoly.const(Fraction(3, 2))})))
+# The coefficients share variables with the words: c[1,1,1]^4 * x1^3 reaches
+# c[1,1,1]^7, which fills a field of the width 3 that degree 7 gives, and
+# c[1,2,1]^3 meets the c[1,2,1] of the paths through entry (2,1).
+@example((2, QuasiPoly({
+    (1, 1, 1): CPoly.variable(1, 1, 1) ** 4 - CPoly.variable(1, 2, 1) ** 3,
+    (1,): CPoly.variable(1, 1, 1) ** 5 * CPoly.variable(1, 1, 2),
+})))
+@example((1, QuasiPoly({(1, 1): CPoly.variable(1, 1, 1) ** 6, (1,): -CPoly.variable(1, 1, 1) ** 7})))
 def test_phi_eval_equals_generic_matrix_products(case):
     n, p = case
     image = phi_eval(p, n)
