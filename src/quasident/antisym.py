@@ -67,7 +67,6 @@ from .exactla import (
     mat_scale,
     mat_trace,
     mat_zero,
-    nullspace_of_rows,
     rank,
 )
 from . import genmat
@@ -393,7 +392,7 @@ def _multiples(factor: _Graded, degree: int, times: Callable[[_Graded, _Graded],
         {index[key]: c for key, c in times(cls(n, {v: 1}), factor)._terms.items()}
         for v in cls._basis(n, degree - factor.degree())
     )
-    return Subspace.from_vectors(len(cod), rows)
+    return Subspace(len(cod), rows)
 
 
 def verify_kerim(n: int, *, budget: int | None = None) -> dict:
@@ -406,8 +405,8 @@ def verify_kerim(n: int, *, budget: int | None = None) -> dict:
     image = _multiples(obar(n), n * n, atilde_mul)
     cod = atilde_basis(n, n * n)
     rho_row = {r: v for r, key in enumerate(cod) if (v := rho(n, key))}
-    kernel = Subspace.from_vectors(len(cod), nullspace_of_rows([rho_row], len(cod)))
-    comp = Subspace.from_vectors(len(cod), [{cod.index(special_monomial(n)): 1}])
+    kernel = Subspace.kernel([rho_row], len(cod))
+    comp = Subspace(len(cod), [{cod.index(special_monomial(n)): 1}])
     return {
         "ambient": len(cod),
         "domain": atilde_dim(n, (n - 1) ** 2),
@@ -524,7 +523,7 @@ def wedge_component_subspace(n: int, degree: int, size: int) -> Subspace:
     monomials with a given wedge size (so X power degree - size)."""
     cod = fn_basis(n, degree)
     vectors = [{r: 1} for r, (subset, _a) in enumerate(cod) if len(subset) == size]
-    return Subspace.from_vectors(len(cod), vectors)
+    return Subspace(len(cod), vectors)
 
 
 def corollary2(n: int, *, budget: int | None = None) -> dict:
@@ -873,12 +872,11 @@ def realize_rank(
             tuple(draw(n, rng, bound) for _ in range(arity)) for _ in range(samples)
         ]
         top = max(f._top() for f in group)
-        rows: list[list[Fraction]] = [[] for _ in group]
+        rows: list[list] = [[] for _ in group]
         for tup in tuples:
             table = _tables(tup, n, top)
             for f, row in zip(group, rows):
-                value = f._value(tup, table)
-                row.extend(Fraction(value[i][j]) for i in range(n) for j in range(n))
+                row.extend(x for value_row in f._value(tup, table) for x in value_row)
         total += rank(QMatrix(rows))
     return total
 

@@ -27,7 +27,8 @@ kernel, so they agree exactly; ``rank`` stops at the modular fold when its
 rank is min(rows, cols), since rank_P <= rank_Q.  Rows stay sparse
 throughout, which matters for idsolve's systems (tens of thousands of
 near-singleton equations).  ``nullspace_of_rows`` reads the columns in
-reverse, so its basis is already the sparse reduced rows a Subspace stores.
+reverse, so its basis is already the sparse reduced rows a Subspace stores:
+``Subspace.kernel`` keeps them as they are, and no kernel is eliminated twice.
 
 A Subspace holds only its ambient dimension and the {pivot column: sparse
 row} map that ``_rref`` returns.  That map is unique, so equal subspaces
@@ -453,7 +454,7 @@ def nullspace_of_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dic
 
 def nullspace(m: QMatrix) -> "Subspace":
     """Right nullspace {v : m v = 0} as a canonical subspace."""
-    return Subspace.from_vectors(m.cols, nullspace_of_rows(map(_sparse, m.data), m.cols))
+    return Subspace.kernel(map(_sparse, m.data), m.cols)
 
 
 class Subspace:
@@ -462,17 +463,22 @@ class Subspace:
 
     __slots__ = ("ambient", "pivots")
 
-    def __init__(self, ambient: int, vectors: Sequence[Vector]):
+    def __init__(self, ambient: int, vectors: Iterable[Vector]):
         self.ambient = ambient
         self.pivots = _rref(map(self._row, vectors))
 
     @staticmethod
-    def from_vectors(ambient: int, vectors: Iterable[Vector]) -> "Subspace":
-        return Subspace(ambient, list(vectors))
+    def _reduced(ambient: int, pivots: dict[int, dict[int, Fraction]]) -> "Subspace":
+        """The subspace whose reduced pivot rows are already known, kept as given."""
+        space = object.__new__(Subspace)
+        space.ambient = ambient
+        space.pivots = pivots
+        return space
 
     @staticmethod
-    def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, [])
+    def kernel(rows: Iterable[dict[int, Scalar]], ncols: int) -> "Subspace":
+        """Nullspace of sparse rows: nullspace_of_rows's rows, each led by its smallest column."""
+        return Subspace._reduced(ncols, {min(row): row for row in nullspace_of_rows(rows, ncols)})
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -513,14 +519,11 @@ class Subspace:
         small, large = sorted((self, other), key=Subspace.dim)
         m = self.ambient
         rows = [{**row, **{m + c: x for c, x in row.items()}} for row in small.pivots.values()]
-        meet = object.__new__(Subspace)
-        meet.ambient = m
-        meet.pivots = {
+        return Subspace._reduced(m, {
             lead - m: {c - m: x for c, x in row.items()}
             for lead, row in _rref(rows + list(large.pivots.values())).items()
             if lead >= m
-        }
-        return meet
+        })
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim()})"

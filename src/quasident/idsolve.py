@@ -46,7 +46,7 @@ from .errors import (
     QuasidentError,
     capped_power,
 )
-from .exactla import QMatrix, Subspace, nullspace_of_rows, rank as qrank
+from .exactla import QMatrix, Subspace, rank as qrank
 from .freealg import QuasiPoly, Word
 from .genmat import Packing, word_paths
 from .ratpoly import CPoly, Monomial
@@ -158,8 +158,7 @@ def multilinear_identity_space(
                     equation = equations.setdefault((u, v, base + key), {})
                     equation[idx] = equation.get(idx, 0) + mult
     # Pop each equation as the eliminator reads it, so no row is held twice.
-    basis = nullspace_of_rows(map(equations.pop, list(equations)), len(ansatz))
-    return Subspace.from_vectors(len(ansatz), basis), ansatz
+    return Subspace.kernel(map(equations.pop, list(equations)), len(ansatz)), ansatz
 
 
 def one_variable_divide(p: QuasiPoly, n: int) -> QuasiPoly:

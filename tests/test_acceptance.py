@@ -122,10 +122,10 @@ def test_criterion_5_kernel_image():
     basis = anti.atilde_basis(2, 4)
     ob = anti.obar(2)
     products = [anti.atilde_mul(anti.ExtElement(2, {key: 1}), ob) for key in anti.atilde_basis(2, 1)]
-    image = Subspace.from_vectors(
+    image = Subspace(
         len(basis), [[dict(p.terms()).get(b, Fraction(0)) for b in basis] for p in products]
     )
-    expected = Subspace.from_vectors(
+    expected = Subspace(
         len(basis),
         [
             [Fraction(int(b == ((), 3, 1))) for b in basis],

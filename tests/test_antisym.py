@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from quasident import antisym as anti
+from quasident import antisym as anti, exactla
 from quasident.errors import BudgetExceeded, DimensionMismatch, WrongDegree
 from quasident.exactla import QMatrix, Subspace, rank
 from quasident.freealg import perm_sign
@@ -286,7 +286,7 @@ def test_pi_map_n2_products():
 
 def test_pi_map_n2_image():
     basis = anti.atilde_basis(2, 4)
-    image = Subspace.from_vectors(len(basis), obar_products(2))
+    image = Subspace(len(basis), obar_products(2))
     x3y = [Fraction(int(b == ((), 3, 1))) for b in basis]
     xy3 = [Fraction(int(b == ((), 1, 3))) for b in basis]
     x2y2 = [Fraction(int(b == ((), 2, 2))) for b in basis]
@@ -305,8 +305,8 @@ def test_rho_pi_composition_is_zero():
 def test_pi_left_and_right_images_agree():
     for n in (2, 3, 4):
         ambient = len(anti.atilde_basis(n, n * n))
-        sr = Subspace.from_vectors(ambient, obar_products(n))
-        sl = Subspace.from_vectors(ambient, obar_products(n, left=True))
+        sr = Subspace(ambient, obar_products(n))
+        sl = Subspace(ambient, obar_products(n, left=True))
         assert sr == sl
 
 
@@ -326,6 +326,19 @@ def test_verify_kerim_n2_ledger():
     assert report["ambient"] == 3
     assert report["image_rank"] == 2
     assert report["complement_monomial"] == "X^2*Y^2"
+
+
+def test_verify_kerim_n3_ledger_with_ker_rho_eliminated_once(monkeypatch):
+    calls = []
+    rref_ = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda rows: calls.append(1) or rref_(rows))
+    assert anti.verify_kerim(3) == {
+        "ambient": 7, "domain": 7, "image_rank": 6, "ker_rho_equals_image": True,
+        "rho_pi_zero": True, "codimension": 1, "complement_spans": True,
+        "complement_monomial": "T1*X^2*Y^4",
+    }
+    # One elimination each: the image, ker rho, the complement and the sum.
+    assert len(calls) == 4
 
 
 def test_verify_kerim_budget_counts_cells():

@@ -141,7 +141,8 @@ def test_sparse_nullspace_matches_dense():
 
 def test_sparse_nullspace_is_the_subspace_canonical_form():
     # The kernel comes out as Subspace's own pivot rows, each keyed by its
-    # smallest column, so a Subspace built from it has nothing to eliminate.
+    # smallest column, so Subspace.kernel keeps it as it is and equals the
+    # Subspace that eliminates it again.
     rng = random.Random(12)
     systems = [([], 0), ([], 4), ([{0: 0}], 2), ([{0: 1}, {1: 2}, {0: 1, 1: 1, 2: 3}], 3)]
     for entry in (lambda r: r.randint(-5, 5), lambda r: Fraction(r.randint(-6, 6), r.randint(1, 7))):
@@ -153,9 +154,23 @@ def test_sparse_nullspace_is_the_subspace_canonical_form():
         kernel = nullspace_of_rows(system, cols)
         leads = [min(row) for row in kernel]
         assert leads == sorted(set(leads)), system
-        assert Subspace.from_vectors(cols, kernel).pivots == dict(zip(leads, kernel)), system
+        space, again = Subspace.kernel(system, cols), Subspace(cols, kernel)
+        assert space.pivots == again.pivots == dict(zip(leads, kernel)), system
+        assert space.ambient == again.ambient == cols and hash(space) == hash(again), system
         no_free_column += cols > 0 and not kernel
     assert no_free_column > 1
+
+
+def test_nullspace_is_the_dense_reference_kernel_eliminated_once(monkeypatch):
+    calls = []
+    rref_ = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda rows: calls.append(1) or rref_(rows))
+    for m in differential_cases():
+        calls.clear()
+        space = nullspace(m)
+        assert len(calls) == 1, m
+        expected = Subspace(m.cols, free_column_vectors([list(r) for r in m.data], m.cols))
+        assert space.pivots == expected.pivots and hash(space) == hash(expected), m
 
 
 def test_subspace_canonical_equality():
@@ -173,7 +188,7 @@ def test_subspace_self_intersection():
     rng = random.Random(4)
     for _ in range(50):
         vecs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
-        a = Subspace.from_vectors(4, vecs)
+        a = Subspace(4, vecs)
         assert a.intersect(a) == a
 
 
@@ -188,11 +203,11 @@ def test_dimension_formula():
     rng = random.Random(5)
     for _ in range(100):
         ambient = rng.randint(1, 6)
-        a = Subspace.from_vectors(
+        a = Subspace(
             ambient,
             [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, 3))],
         )
-        b = Subspace.from_vectors(
+        b = Subspace(
             ambient,
             [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(rng.randint(0, 3))],
         )
@@ -368,7 +383,7 @@ def test_subspace_basis_matches_dense_reference():
 def test_empty_basis_matches_dense_reference():
     assert dense_rref([]) == ([], 0, [])
     assert Subspace(5, []).basis == ()
-    assert Subspace.zero(5).dim() == 0 and not Subspace.zero(5).contains_vector([0, 1, 0, 0, 0])
+    assert Subspace(5, []).dim() == 0 and not Subspace(5, []).contains_vector([0, 1, 0, 0, 0])
 
 
 def test_rref_and_rank_match_dense_reference():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasident import genmat, idsolve
+from quasident import exactla, genmat, idsolve
 from quasident.errors import BudgetExceeded, NotAQuasiIdentity, NotOneVariable, QuasidentError
 from quasident.freealg import QuasiPoly, perm_sign
 from quasident.ratpoly import CPoly
@@ -63,6 +63,14 @@ def test_coordinates_roundtrip():
 def test_fast_identity_dimensions(n, d, dim):
     space, _ = idsolve.multilinear_identity_space(n, d)
     assert space.dim() == dim
+
+
+def test_the_identity_space_is_eliminated_once(monkeypatch):
+    calls = []
+    rref_ = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda rows: calls.append(1) or rref_(rows))
+    space, _ = idsolve.multilinear_identity_space(2, 4)
+    assert space.dim() == 259 and len(calls) == 1
 
 
 def test_budget_counts_path_terms():
