@@ -19,10 +19,11 @@ sign, so the algebra is not supercommutative: moving X^a past X^b costs
 nothing where the grading would predict (-1)^ab.  The one product,
 _graded_mul, rejects a pair of terms sharing an odd generator by one AND of
 bitmasks; its sign: the right odd block hops past the left powers, the odd
-blocks interleave (a popcount per right generator), and each right power
-hops past the left powers of later letters.  Terms with an exponent of 2n or
-more, or degree above n^2, vanish: the quotient defining the algebra.  One
-count, _Graded._dim, sizes every basis from the weights.
+blocks interleave (one popcount of the right mask against _odd_above of
+the left), and each right power hops past the left powers of later letters.
+Terms with an exponent of 2n or more, or degree above n^2, vanish: the
+quotient defining the algebra.  One count, _Graded._dim, sizes every basis
+from the weights.
 
 The paper's two top-degree computations are one map: multiplication by a
 degree 2n-1 element (obar, or O_n in the wedge algebra) from degree (n-1)^2
@@ -237,6 +238,7 @@ def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
 
     def products():
         for oa, ma, pa, da, ca in a._parts():
+            odd_above = _odd_above(ma)
             hop = sum(pa)
             later = [sum(pa[l + 1:]) for l in range(len(pa))]
             for ob, mb, pb, db, cb in right:
@@ -245,11 +247,26 @@ def _graded_mul(a: _Graded, b: _Graded) -> _Graded:
                 powers = tuple(map(add, pa, pb))
                 if max(powers) >= top:
                     continue
-                flips = len(ob) * hop + sum(map(mul, pb, later)) + sum((ma >> y).bit_count() for y in ob)
+                flips = len(ob) * hop + sum(map(mul, pb, later)) + (mb & odd_above).bit_count()
                 c = ca * cb
                 yield (tuple(sorted(oa + ob)), *powers), -c if flips & 1 else c
 
     return a._new(add_terms({}, products()))
+
+
+def _odd_above(left: int) -> int:
+    """The mask whose bit y is set when an odd number of left's members lie
+    at or above y.  Listing the members of left before those of a disjoint
+    mask right passes each member of right by the members of left above it,
+    so that interleaving is odd exactly when right & _odd_above(left) has an
+    odd number of bits: the one sign rule of _graded_mul's odd blocks and of
+    MultiFn._value's scalar wedge.  The parities come as a suffix XOR of
+    left, in doublings of the shift."""
+    shift = 1
+    while shift < left.bit_length():
+        left ^= left >> shift
+        shift <<= 1
+    return left
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +578,20 @@ def corollary2(n: int, *, budget: int | None = None) -> dict:
 # one per sample tuple for all functions of the tuple's arity group.  A table
 # costs one stacked product per subset.
 #
-# The evaluator walks the shuffles as tuples of bitmasks, with signs from the
-# enumeration itself (_signed_shuffles), and in scalars only: T and b blocks
-# multiply the shuffle's coefficient (each trace read once per call), and
-# the coefficient joins a sum keyed by the chain of its S blocks' masks.
-# Each distinct chain with a nonzero sum then costs one product chain, one
-# scale and one add, however many shuffles and terms share it.
+# The evaluator splits each term's shuffle sign in four: the sign of the
+# scalar (T and b) blocks among their union U, that of U before the rest
+# M - U of the arguments, that of the S blocks among M - U, and a constant
+# per term, the sign of moving the scalar blocks ahead of the S blocks in
+# factor order.  The scalars commute, so their wedge W(U) is one subset DP
+# over masks, left to right over the scalar factors:
+#   W_k(A) = sum over |B| = a_k of eps(A - B, B) W_{k-1}(A - B) f_k(B),
+# with each factor's value read once per block and zero values and sums
+# skipped.  Every U with W(U) nonzero then adds eps(U, M - U) W(U) to a sum
+# keyed by the chain of S-block masks over M - U: one table entry for one S
+# block, and the grouped walk _signed_shuffles over M - U for two or more.
+# The eps come from _odd_above, the sign rule of _graded_mul.  Each distinct
+# chain with a nonzero sum then costs one product chain, one scale and one
+# add, however many splits and terms share it.
 #
 # Evaluators work on bare tuples-of-tuples of ints or Fractions through
 # exactla's mat_* kernel, the one behind QMatrix: samples, the traceless
@@ -648,13 +673,20 @@ class _Factor:
     traceless parts when traceless is set: a matrix.  "T" is its trace, and
     "b" the dual basis functional b_index* on the block's one argument: both
     scalars, which commute past everything, so a term chains only its "S"
-    blocks.
+    blocks.  Any other kind, an arity below 1 and a "b" of arity other than
+    1 are refused.
     """
 
     kind: str
     arity: int
     traceless: bool = False
     index: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("S", "T", "b"):
+            raise ValueError(f"a factor is of kind S, T or b, not {self.kind!r}")
+        if self.arity < 1 or (self.kind == "b" and self.arity != 1):
+            raise ValueError(f"a {self.kind} factor cannot take {self.arity} matrices")
 
 
 def _dual_value(m: Mat, index: int):
@@ -705,32 +737,54 @@ class MultiFn:
         return max((f.arity for _c, factors in self.terms for f in factors), default=0)
 
     def _value(self, args: tuple[Mat, ...], table: Callable[[bool], dict[int, Mat]]) -> Mat:
-        """One scalar walk over every term's signed shuffles, then one product
-        chain per distinct chain of S blocks (see the section comment)."""
-        traces: dict[tuple[bool, int], object] = {}
+        """Per term, the scalar wedge W by one subset DP, then the chains of
+        its S blocks over each complement; then one product chain per
+        distinct chain of S blocks (see the section comment)."""
         chains: dict[tuple[tuple[bool, int], ...], object] = {}
-        bits = [1 << i for i in range(self.arity)]
+        slots, full = range(self.arity), (1 << self.arity) - 1
         for term_coeff, factors in self.terms:
-            for sign, masks in _signed_shuffles(bits, [f.arity for f in factors]):
-                coeff = term_coeff if sign > 0 else -term_coeff
-                chain = []
-                for f, mask in zip(factors, masks):
-                    if f.kind == "S":
-                        chain.append((f.traceless, mask))
-                        continue
-                    if f.kind == "b":
-                        value = _dual_value(args[mask.bit_length() - 1], f.index)
-                    else:
-                        key = (f.traceless, mask)
-                        if key not in traces:
-                            traces[key] = mat_trace(table(f.traceless)[mask])
-                        value = traces[key]
-                    if not value:
-                        break
-                    coeff = coeff * value
-                else:
-                    key = tuple(chain)
-                    chains[key] = chains.get(key, 0) + coeff
+            # Laid out in factor order, the scalar blocks that move ahead of
+            # the S blocks pass them: the term's constant sign.
+            ahead, start = 0, 0
+            for f in factors:
+                if f.kind != "S":
+                    ahead |= _mask(range(start, start + f.arity))
+                start += f.arity
+            flips = (full & ~ahead & _odd_above(ahead)).bit_count()
+            wedge = {0: -term_coeff if flips & 1 else term_coeff}
+            for f in factors:
+                if f.kind == "S":
+                    continue
+                # W_k(A) = sum over B of eps(A - B, B) W_{k-1}(A - B) f_k(B).
+                step: dict[int, object] = {}
+                seen: dict[tuple[int, ...], tuple[int, object]] = {}
+                for done, coeff in wedge.items():
+                    odd_above = _odd_above(done)
+                    for block in itertools.combinations([y for y in slots if not done >> y & 1], f.arity):
+                        if block not in seen:
+                            mask = _mask(block)
+                            seen[block] = mask, (
+                                _dual_value(args[block[0]], f.index) if f.kind == "b"
+                                else mat_trace(table(f.traceless)[mask])
+                            )
+                        mask, value = seen[block]
+                        if not value:
+                            continue
+                        value = coeff * value
+                        if (mask & odd_above).bit_count() & 1:
+                            value = -value
+                        mask |= done
+                        step[mask] = step.get(mask, 0) + value
+                wedge = {mask: coeff for mask, coeff in step.items() if coeff}
+            links = [f for f in factors if f.kind == "S"]
+            for done, coeff in wedge.items():
+                rest = full & ~done
+                if (rest & _odd_above(done)).bit_count() & 1:
+                    coeff = -coeff
+                bits = [1 << y for y in slots if rest >> y & 1]
+                for sign, masks in _signed_shuffles(bits, [f.arity for f in links]):
+                    key = tuple((f.traceless, mask) for f, mask in zip(links, masks))
+                    chains[key] = chains.get(key, 0) + (coeff if sign > 0 else -coeff)
         n = self.n
         total = mat_zero(n)
         for chain, coeff in chains.items():
@@ -838,15 +892,22 @@ def realize_rank(
 
     Functions of different arity are independent coordinates of the graded
     function space, so the family is grouped by arity; within a group every
-    function is evaluated at the same `samples` random tuples and the exact
-    rank of the value matrix (rows = functions, columns = tuple entries) is
-    accumulated.  The total is a lower bound for the dimension of the span.
-    Each tuple's standard tables are built once, up to the group's largest
-    factor arity, and read by every function of the group.
+    function is evaluated at the same random tuples, one tuple at a time, and
+    the exact rank of the value matrix (rows = functions, columns = tuple
+    entries) is accumulated.  A group stops at the first tuple that makes
+    its rank its number of functions, which no more rows can exceed, so the
+    total is the rank at all `samples` tuples; a group that never gets there
+    uses all of them.  Every group's `samples` tuples are drawn, used or
+    not, so the draws do not depend on where a group stops.  The total is a
+    lower bound for the dimension of the span.  Each tuple's standard tables
+    are built once, up to the group's largest factor arity, and read by
+    every function of the group.
 
-    With a budget, a family whose evaluations walk more shuffle terms than
-    it (samples times, per term, arity! / prod(factor arity!)) raises
-    BudgetExceeded before any tuple is drawn.
+    With a budget, a family whose evaluations at every tuple would walk
+    more shuffle terms than it (samples times, per term, arity! /
+    prod(factor arity!)) raises BudgetExceeded before any tuple is drawn.
+    The count is that of the shuffle walk the scalar DP replaced and takes
+    no early stop into account, so it refuses what it always refused.
     """
     rng = random.Random(seed)
     groups: dict[int, list[MultiFn]] = {}
@@ -865,9 +926,10 @@ def realize_rank(
                 f"over the budget {budget}"
             )
     draw = random_traceless if traceless_args else random_matrix
-    total = 0
+    total = found = 0
     for arity in sorted(groups):
         group = groups[arity]
+        # Every tuple is drawn, used or not, so later groups draw the same.
         tuples = [
             tuple(draw(n, rng, bound) for _ in range(arity)) for _ in range(samples)
         ]
@@ -877,7 +939,10 @@ def realize_rank(
             table = _tables(tup, n, top)
             for f, row in zip(group, rows):
                 row.extend(x for value_row in f._value(tup, table) for x in value_row)
-        total += rank(QMatrix(rows))
+            found = rank(QMatrix(rows))
+            if found == len(group):
+                break
+        total += found
     return total
 
 

@@ -705,11 +705,22 @@ def test_shuffle_walk_matches_per_shuffle_evaluation():
         x2y = anti.realize(anti.ExtElement.monomial(n, (), 2, 1), n)
         x = anti.realize(anti.ExtElement.monomial(n, (), 1, 0), n)
         cases.append((anti.wedge_fn(x2y, x), anti.random_matrix))
+        # A scalar block between two S blocks, and a b block after an S
+        # block (an off-diagonal and the last diagonal functional): the
+        # scalar wedge moves ahead of S blocks it follows in factor order.
+        trace = anti.realize_invariant_monomial(n, (n - 2,), 0)
+        between = anti.wedge_fn(anti.wedge_fn(anti.x_power_fn(n, 2), trace), x)
+        cases.append((between, anti.random_matrix))
+        for index in (0, n * n - 2):
+            after = anti.wedge_fn(anti.x_power_fn(n, 2), anti.realize(((index,), 1), n))
+            cases += [(after, anti.random_traceless), (after, anti.random_matrix)]
     # Realized wedge forms (b factors) on their traceless domain.
     t1 = anti.t_form(3, 1)
     for form in (anti.t_form(2, 1), anti.on_in_fn(2), anti.fn_mul(anti.WedgeForm.x_power(3, 2), t1), t1):
         cases.append((anti.realize(form, form.n), anti.random_traceless))
-    assert len(cases) == 8 + 24 + 2 * (3 + 5) + 4 + 4
+    # Three scalar blocks (T_0, T_1, T_2) ahead of one S block.
+    cases.append((anti.realize_invariant_monomial(4, (0, 1, 2), 1), anti.random_matrix))
+    assert len(cases) == 8 + 24 + 2 * (3 + 5) + 4 + 2 * 5 + 4 + 1
     for f, draw in cases:
         for _ in range(2):
             args = tuple(draw(f.n, rng, 4) for _ in range(f.arity))
@@ -784,6 +795,7 @@ def test_realize_rank_certifies_n_2n():
     fns2 = [anti.realize_invariant_monomial(2, t, a) for t, a in anti.am_basis(2)]
     assert len(fns2) == 8
     assert anti.realize_rank(2, fns2, samples=12, seed=0) == 8
+    assert anti.realize_rank(2, fns2, samples=0) == 0  # no tuple, no rank
     fns3 = [anti.realize_invariant_monomial(3, t, a) for t, a in anti.am_basis(3)]
     assert len(fns3) == 24
     assert anti.realize_rank(3, fns3, samples=5, seed=0) == 24
@@ -798,8 +810,10 @@ def test_realize_rank_builds_one_table_pair_per_sample_and_arity_group(monkeypat
     fns = [anti.realize_invariant_monomial(3, t, a) for t, a in anti.am_basis(3)]
     assert anti.realize_rank(3, fns, samples=12, seed=0) == 24
     # Arities 1..9 each hold factors over raw slots; the arity-0 identity
-    # reads no table.  Evaluated one function at a time, it was 23 * 12.
-    assert len(builds) == 9 * 12
+    # reads no table.  Every group reaches full rank at its first tuple and
+    # stops there.  Evaluated one function at a time, it was 23 * 12; with
+    # every group using all its tuples, 9 * 12.
+    assert len(builds) == 9
 
 
 @pytest.mark.parametrize("traceless_args", [False, True])
@@ -824,6 +838,35 @@ def test_realize_rank_shared_tables_match_standalone_evaluation(traceless_args):
         expected += rank(QMatrix(rows))
     assert expected > 10  # not a comparison of empty spans
     assert anti.realize_rank(n, fns, samples, seed, traceless_args=traceless_args) == expected
+
+
+def test_realize_rank_stops_a_group_at_full_rank_and_only_there(monkeypatch):
+    n, samples, seed = 3, 4, 2
+    fns = [anti.realize_invariant_monomial(n, t, a) for t, a in anti.am_basis(n)]
+    # Two groups that never reach full rank: T_1 X^2 listed twice (arity 5),
+    # and S_6 beside the arity-6 monomials, 0 on M_3 by Amitsur-Levitzki.
+    fns += [anti.realize_invariant_monomial(n, (1,), 2), anti.x_power_fn(n, 2 * n)]
+    # The eager reference: every group evaluated at all its tuples, one
+    # function at a time.  A group with a table uses tuples until the rank
+    # of their rows is its size, and all of them when it never is.
+    rng = random.Random(seed)
+    expected, used = 0, {}
+    for arity in sorted({f.arity for f in fns}):
+        group = [f for f in fns if f.arity == arity]
+        tuples = [tuple(anti.random_matrix(n, rng, 9) for _ in range(arity)) for _ in range(samples)]
+        values = [[[x for row in f.raw(tup) for x in row] for tup in tuples] for f in group]
+        prefix = [rank(QMatrix([sum(v[:t], []) for v in values])) for t in range(1, samples + 1)]
+        expected += prefix[-1]
+        used[arity] = next((t for t, r in enumerate(prefix, 1) if r == len(group)), samples)
+    assert used == dict.fromkeys(range(10), 1) | {5: samples, 6: samples}
+    builds = []
+    standard_table = anti.standard_table
+    monkeypatch.setattr(
+        anti, "standard_table", lambda *args: builds.append(args) or standard_table(*args)
+    )
+    assert anti.realize_rank(n, fns, samples, seed) == expected == 24
+    # The arity-0 identity reads no table.
+    assert len(builds) == sum(t for arity, t in used.items() if arity)
 
 
 def test_on_vanishes_on_traceless_tuples():
@@ -953,6 +996,16 @@ def test_realize_rejects_wrong_arity():
     # Every term's factors must take all the arguments between them.
     with pytest.raises(ArityMismatch):
         anti.MultiFn(3, 2, ((1, (anti._Factor("S", 1),)),))
+
+
+def test_a_factor_is_of_a_known_kind_and_takes_at_least_one_matrix():
+    # Unchecked, kind "Q" read as a trace (5 I at [[1, 2], [3, 4]]) and
+    # T of arity 0 as tr(I) = n.
+    for kind, arity in (("Q", 1), ("s", 1), ("T", 0), ("S", 0), ("S", -1), ("b", 0), ("b", 2)):
+        with pytest.raises(ValueError):
+            anti._Factor(kind, arity)
+    for kind in "STb":
+        assert anti._Factor(kind, 1).arity == 1
 
 
 # -- one graded type, one count ------------------------------------------------
