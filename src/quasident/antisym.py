@@ -31,7 +31,9 @@ into degree n^2.  verify_kerim (its image is ker rho) and corollary2 (the
 ideal meets the top wedge block only in 0) span that image through one
 helper, _multiples, as sparse rows over the _Graded basis, and both refuse
 through one cell budget, _top_cells_within, before any element or basis is
-built.  Each returns the ledger its CLI command prints.
+built.  Each returns the ledger its CLI command prints.  O_n's T_h forms read
+a standard value only on subsets of torus weight 0 (_traceless_weights codes
+each basis matrix's weight); every other subset's trace is 0.
 
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
 the slot, T_h as the scalar form tr(S_{2h+1}(...)) (of traceless parts in
@@ -454,6 +456,17 @@ def traceless_basis(n: int) -> list[QMatrix]:
     return out
 
 
+def _traceless_weights(n: int) -> list[int]:
+    """One torus-weight code per traceless_basis(n) index.  e_ij has weight
+    e_i - e_j, coded B^i - B^j with B = 2n^2; each e_ii - e_{i+1,i+1} has
+    weight 0, code 0.  A set of basis matrices has weight sum_i c_i e_i with
+    |c_i| at most its size, below n^2 = B/2, so its codes sum to 0 exactly
+    when its weight is 0."""
+    base = 2 * n * n
+    units = [base**i - base**j for i in range(n) for j in range(n) if i != j]
+    return units + [0] * (n - 1)
+
+
 WedgeKey = tuple[tuple[int, ...], int]  # (ascending 0-based basis indices, X power)
 
 
@@ -505,12 +518,21 @@ def fn_mul(a: WedgeForm, b: WedgeForm) -> WedgeForm:
 
 def t_form(n: int, h: int) -> WedgeForm:
     """T_h as an explicit wedge form: the antisymmetric (2h+1)-linear form
-    sending a tuple of traceless basis vectors to tr(S_{2h+1}(...))."""
+    sending a tuple of traceless basis vectors to tr(S_{2h+1}(...)).
+
+    Only subsets of torus weight 0 are evaluated.  Conjugating by diag(t)
+    scales a product of weight-homogeneous matrices of total weight w by t^w
+    and keeps its trace, so tr S(...) = t^w tr S(...) for every t, and the
+    trace is 0 unless w = 0: 16 of 112 subsets at n = 3, 357 of 9,893 at
+    n = 4."""
     if not 1 <= h <= n - 1:
         raise ValueError(f"h must lie in 1..{n - 1}")
     basis = [m.data for m in traceless_basis(n)]
+    weights = _traceless_weights(n)
     terms: dict[WedgeKey, Fraction] = {}
     for subset in itertools.combinations(range(len(basis)), 2 * h + 1):
+        if sum(weights[i] for i in subset):
+            continue
         value = mat_trace(standard_value_raw([basis[i] for i in subset], n))
         if value:
             terms[(subset, 0)] = value
