@@ -38,9 +38,11 @@ each basis matrix's weight); every other subset's trace is 0.
 Realizations interpret X as the raw matrix slot, Y as the traceless part of
 the slot, T_h as the scalar form tr(S_{2h+1}(...)) (of traceless parts in
 ExtElement) and b_i as the dual basis functional; the wedge of
-already-antisymmetric functions is computed as the division-free shuffle
-sum, which agrees with the full symmetric-group average.  certify_dim, the
-ledger antisym dim prints, ranks the realized am_basis(n).
+already-antisymmetric functions is the division-free shuffle sum, which
+agrees with the full symmetric-group average, and MultiFn._value computes it
+by one subset DP per term over its factors in order, scalar and matrix
+alike, each interleaving signed by _odd_above.  certify_dim, the ledger
+antisym dim prints, ranks the realized am_basis(n).
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def _odd_above(left: int) -> int:
     mask right passes each member of right by the members of left above it,
     so that interleaving is odd exactly when right & _odd_above(left) has an
     odd number of bits: the one sign rule of _graded_mul's odd blocks and of
-    MultiFn._value's scalar wedge.  The parities come as a suffix XOR of
+    MultiFn._value's wedge DP.  The parities come as a suffix XOR of
     left, in doublings of the shift."""
     shift = 1
     while shift < left.bit_length():
@@ -407,10 +409,12 @@ def _multiples(factor: _Graded, degree: int, times: Callable[[_Graded, _Graded],
     cls, n = type(factor), factor.n
     cod = cls._basis(n, degree)
     index = {key: r for r, key in enumerate(cod)}
-    rows = (
+    # A list, not a generator: every product is made before Subspace starts,
+    # so none of their time counts as the elimination's.
+    rows = [
         {index[key]: c for key, c in times(cls(n, {v: 1}), factor)._terms.items()}
         for v in cls._basis(n, degree - factor.degree())
-    )
+    ]
     return Subspace(len(cod), rows)
 
 
@@ -600,20 +604,19 @@ def corollary2(n: int, *, budget: int | None = None) -> dict:
 # one per sample tuple for all functions of the tuple's arity group.  A table
 # costs one stacked product per subset.
 #
-# The evaluator splits each term's shuffle sign in four: the sign of the
-# scalar (T and b) blocks among their union U, that of U before the rest
-# M - U of the arguments, that of the S blocks among M - U, and a constant
-# per term, the sign of moving the scalar blocks ahead of the S blocks in
-# factor order.  The scalars commute, so their wedge W(U) is one subset DP
-# over masks, left to right over the scalar factors:
+# The evaluator wedges each term by one subset DP over argument masks, left
+# to right over its factors in their given order:
 #   W_k(A) = sum over |B| = a_k of eps(A - B, B) W_{k-1}(A - B) f_k(B),
-# with each factor's value read once per block and zero values and sums
-# skipped.  Every U with W(U) nonzero then adds eps(U, M - U) W(U) to a sum
-# keyed by the chain of S-block masks over M - U: one table entry for one S
-# block, and the grouped walk _signed_shuffles over M - U for two or more.
-# The eps come from _odd_above, the sign rule of _graded_mul.  Each distinct
-# chain with a nonzero sum then costs one product chain, one scale and one
-# add, however many splits and terms share it.
+# W_0 = {empty: coefficient}, and the term's value is W at the full mask.
+# eps(A - B, B), the sign of listing A - B before B, comes from _odd_above,
+# the sign rule of _graded_mul; the factors are never reordered, so no other
+# sign enters.  W is a scalar until the term's first S factor and an n x n
+# matrix from it on: a scalar times a matrix is one mat_scale and a matrix
+# times a matrix one mat_mul, in factor order, so a term with at most one S
+# block (every am_basis monomial) multiplies no two matrices outside the
+# tables.  Each factor's value is read once per block, zero scalar values
+# and zero scalar sums are skipped, and matrices are kept even when zero.
+# Terms with no S factor sum to one scalar, which scales the identity once.
 #
 # Evaluators work on bare tuples-of-tuples of ints or Fractions through
 # exactla's mat_* kernel, the one behind QMatrix: samples, the traceless
@@ -694,9 +697,9 @@ class _Factor:
     kind "S" is the standard polynomial of the block's arguments, or of their
     traceless parts when traceless is set: a matrix.  "T" is its trace, and
     "b" the dual basis functional b_index* on the block's one argument: both
-    scalars, which commute past everything, so a term chains only its "S"
-    blocks.  Any other kind, an arity below 1 and a "b" of arity other than
-    1 are refused.
+    scalars.  A term's wedge multiplies its factors' values in factor order.
+    Any other kind, an arity below 1 and a "b" of arity other than 1 are
+    refused.
     """
 
     kind: str
@@ -740,7 +743,7 @@ class MultiFn:
     terms: tuple[tuple[Fraction | int, tuple[_Factor, ...]], ...]
 
     def __post_init__(self):
-        # The shuffle walk splits all arity arguments among a term's factors.
+        # The wedge DP splits all arity arguments among a term's factors.
         for _c, factors in self.terms:
             taken = sum(f.arity for f in factors)
             if taken != self.arity:
@@ -759,66 +762,60 @@ class MultiFn:
         return max((f.arity for _c, factors in self.terms for f in factors), default=0)
 
     def _value(self, args: tuple[Mat, ...], table: Callable[[bool], dict[int, Mat]]) -> Mat:
-        """Per term, the scalar wedge W by one subset DP, then the chains of
-        its S blocks over each complement; then one product chain per
-        distinct chain of S blocks (see the section comment)."""
-        chains: dict[tuple[tuple[bool, int], ...], object] = {}
-        slots, full = range(self.arity), (1 << self.arity) - 1
+        """The sum of the terms' wedges, each by one subset DP over its factors
+        in order (see the section comment)."""
+        slots, n = range(self.arity), self.n
+        total, scalar = mat_zero(n), 0
         for term_coeff, factors in self.terms:
-            # Laid out in factor order, the scalar blocks that move ahead of
-            # the S blocks pass them: the term's constant sign.
-            ahead, start = 0, 0
+            # W_k(A) = sum over B of eps(A - B, B) W_{k-1}(A - B) f_k(B), a
+            # scalar until the first S factor and a matrix from it on.
+            wedge, w_matrix = {0: term_coeff}, False
             for f in factors:
-                if f.kind != "S":
-                    ahead |= _mask(range(start, start + f.arity))
-                start += f.arity
-            flips = (full & ~ahead & _odd_above(ahead)).bit_count()
-            wedge = {0: -term_coeff if flips & 1 else term_coeff}
-            for f in factors:
-                if f.kind == "S":
-                    continue
-                # W_k(A) = sum over B of eps(A - B, B) W_{k-1}(A - B) f_k(B).
+                f_matrix = f.kind == "S"
                 step: dict[int, object] = {}
                 seen: dict[tuple[int, ...], tuple[int, object]] = {}
-                for done, coeff in wedge.items():
+                for done, w in wedge.items():
                     odd_above = _odd_above(done)
                     for block in itertools.combinations([y for y in slots if not done >> y & 1], f.arity):
                         if block not in seen:
                             mask = _mask(block)
-                            seen[block] = mask, (
-                                _dual_value(args[block[0]], f.index) if f.kind == "b"
-                                else mat_trace(table(f.traceless)[mask])
-                            )
+                            if f.kind == "b":
+                                value = _dual_value(args[block[0]], f.index)
+                            else:
+                                value = table(f.traceless)[mask]
+                                if f.kind == "T":
+                                    value = mat_trace(value)
+                            seen[block] = mask, value
                         mask, value = seen[block]
                         if not value:
                             continue
-                        value = coeff * value
-                        if (mask & odd_above).bit_count() & 1:
-                            value = -value
+                        odd = (mask & odd_above).bit_count() & 1
+                        if not w_matrix:
+                            c = -w if odd else w
+                            value = mat_scale(value, c) if f_matrix else c * value
+                        elif not f_matrix:
+                            value = mat_scale(w, -value if odd else value)
+                        else:
+                            value = mat_mul(w, value)
+                            if odd:
+                                value = mat_scale(value, -1)
                         mask |= done
-                        step[mask] = step.get(mask, 0) + value
-                wedge = {mask: coeff for mask, coeff in step.items() if coeff}
-            links = [f for f in factors if f.kind == "S"]
-            for done, coeff in wedge.items():
-                rest = full & ~done
-                if (rest & _odd_above(done)).bit_count() & 1:
-                    coeff = -coeff
-                bits = [1 << y for y in slots if rest >> y & 1]
-                for sign, masks in _signed_shuffles(bits, [f.arity for f in links]):
-                    key = tuple((f.traceless, mask) for f, mask in zip(links, masks))
-                    chains[key] = chains.get(key, 0) + (coeff if sign > 0 else -coeff)
-        n = self.n
-        total = mat_zero(n)
-        for chain, coeff in chains.items():
-            if not coeff:
-                continue
-            piece: Mat | None = None
-            for traceless, mask in chain:
-                value = table(traceless)[mask]
-                piece = value if piece is None else mat_mul(piece, value)
-            piece = mat_identity(n) if piece is None else piece
-            total = mat_add(total, piece if coeff == 1 else mat_scale(piece, coeff))
-        return total
+                        if mask not in step:
+                            step[mask] = value
+                        elif w_matrix or f_matrix:
+                            step[mask] = mat_add(step[mask], value)
+                        else:
+                            step[mask] += value
+                w_matrix = w_matrix or f_matrix
+                # A matrix is a tuple, so it stays even when zero.
+                wedge = {mask: w for mask, w in step.items() if w}
+            for w in wedge.values():
+                if w_matrix:
+                    total = mat_add(total, w)
+                else:
+                    scalar += w
+        # The terms with no S factor sum to a scalar times the identity.
+        return mat_add(total, mat_scale(mat_identity(n), scalar)) if scalar else total
 
 
 def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
@@ -828,25 +825,6 @@ def wedge_fn(f: MultiFn, g: MultiFn) -> MultiFn:
         raise DimensionMismatch("functions live at different dimensions")
     terms = tuple((cf * cg, ff + gf) for cf, ff in f.terms for cg, gf in g.terms)
     return MultiFn(f.arity + g.arity, f.n, terms)
-
-
-def _signed_shuffles(bits: Sequence[int], arities: Sequence[int]):
-    """Every split of the free arguments (bits: their masks, ascending) into
-    ascending blocks of the given sizes, lazily, as (sign, block masks); the
-    sign is that of the permutation listing the blocks in order.  A block at
-    positions p_0 < ... < p_{k-1} among the free arguments passes p_i - i of
-    the others each, so it contributes (-1)^(sum p_i - C(k, 2)); the last
-    block takes what is left, in order."""
-    if len(arities) < 2:
-        yield 1, (sum(bits),) if arities else ()
-        return
-    k, tail = arities[0], arities[1:]
-    shift = k * (k - 1) // 2
-    for chosen in itertools.combinations(range(len(bits)), k):
-        mask = sum(map(bits.__getitem__, chosen))
-        sign = -1 if (sum(chosen) - shift) & 1 else 1
-        for tail_sign, masks in _signed_shuffles([b for b in bits if not b & mask], tail):
-            yield sign * tail_sign, (mask,) + masks
 
 
 def x_power_fn(n: int, a: int) -> MultiFn:
@@ -928,8 +906,9 @@ def realize_rank(
     With a budget, a family whose evaluations at every tuple would walk
     more shuffle terms than it (samples times, per term, arity! /
     prod(factor arity!)) raises BudgetExceeded before any tuple is drawn.
-    The count is that of the shuffle walk the scalar DP replaced and takes
-    no early stop into account, so it refuses what it always refused.
+    The count is that of a walk over every shuffle, not of the wedge DP's
+    steps, and takes no early stop into account, so it refuses what it
+    always refused.
     """
     rng = random.Random(seed)
     groups: dict[int, list[MultiFn]] = {}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -713,30 +714,6 @@ def reference_value(f, args):
     return total
 
 
-def compositions(d):
-    """Every list of positive block sizes summing to d."""
-    if not d:
-        yield ()
-    for first in range(1, d + 1):
-        for rest in compositions(d - first):
-            yield (first,) + rest
-
-
-def test_signed_shuffles_match_perm_sign_over_every_split():
-    checked = 0
-    for d in range(8):
-        bits = [1 << i for i in range(d)]
-        for sizes in compositions(d):
-            expected = [
-                (perm_sign([i for block in blocks for i in block]),
-                 tuple(sum(1 << i for i in block) for block in blocks))
-                for blocks in shuffles_on(range(d), sizes)
-            ]
-            assert list(anti._signed_shuffles(bits, sizes)) == expected, sizes
-            checked += len(expected)
-    assert checked == 52610  # ordered set partitions of 0..7 elements: Fubini numbers
-
-
 def entry_types(m):
     return [[type(x) for x in row] for row in m]
 
@@ -757,21 +734,29 @@ def test_shuffle_walk_matches_per_shuffle_evaluation():
         x = anti.realize(anti.ExtElement.monomial(n, (), 1, 0), n)
         cases.append((anti.wedge_fn(x2y, x), anti.random_matrix))
         # A scalar block between two S blocks, and a b block after an S
-        # block (an off-diagonal and the last diagonal functional): the
-        # scalar wedge moves ahead of S blocks it follows in factor order.
+        # block (an off-diagonal and the last diagonal functional): the DP
+        # scales a matrix by a scalar it follows in factor order.
         trace = anti.realize_invariant_monomial(n, (n - 2,), 0)
         between = anti.wedge_fn(anti.wedge_fn(anti.x_power_fn(n, 2), trace), x)
         cases.append((between, anti.random_matrix))
         for index in (0, n * n - 2):
             after = anti.wedge_fn(anti.x_power_fn(n, 2), anti.realize(((index,), 1), n))
             cases += [(after, anti.random_traceless), (after, anti.random_matrix)]
+        # Three S blocks over the raw, traceless and raw tables, multiplied
+        # in factor order; at most n^2 slots, or every value is 0.
+        xy = anti.realize(anti.ExtElement.monomial(n, (), 1, 1), n)
+        cases.append((anti.wedge_fn(xy, anti.x_power_fn(n, 2)), anti.random_matrix))
+        # An S block ahead of two scalar blocks: W is a matrix through both
+        # scalar steps.
+        factors = (anti._Factor("S", 2), anti._Factor("T", 2 * n - 3), anti._Factor("b", 1, index=n * n - 2))
+        cases.append((anti.MultiFn(2 * n, n, ((3, factors),)), anti.random_matrix))
     # Realized wedge forms (b factors) on their traceless domain.
     t1 = anti.t_form(3, 1)
     for form in (anti.t_form(2, 1), anti.on_in_fn(2), anti.fn_mul(anti.WedgeForm.x_power(3, 2), t1), t1):
         cases.append((anti.realize(form, form.n), anti.random_traceless))
     # Three scalar blocks (T_0, T_1, T_2) ahead of one S block.
     cases.append((anti.realize_invariant_monomial(4, (0, 1, 2), 1), anti.random_matrix))
-    assert len(cases) == 8 + 24 + 2 * (3 + 5) + 4 + 2 * 5 + 4 + 1
+    assert len(cases) == 8 + 24 + 2 * (3 + 5) + 4 + 2 * 5 + 2 * 2 + 4 + 1
     for f, draw in cases:
         for _ in range(2):
             args = tuple(draw(f.n, rng, 4) for _ in range(f.arity))
@@ -788,9 +773,10 @@ def test_shuffle_walk_matches_per_shuffle_evaluation():
 
 
 def test_shuffle_walk_on_raw_slots_of_wedge_forms():
-    # On raw slots the diagonal functionals read Fractions.  A chain whose
-    # shuffle coefficients cancel adds nothing, so its int entries stay int;
-    # the per-shuffle sum left Fraction zeros behind.  Values always agree.
+    # On raw slots the diagonal functionals read Fractions.  Terms with no
+    # S factor sum to one scalar before it scales the identity, so when they
+    # cancel the int entries stay int; the per-shuffle sum left Fraction
+    # zeros behind.  Values always agree.
     rng = random.Random(16)
     t1 = anti.t_form(3, 1)
     for form in (anti.t_form(2, 1), anti.on_in_fn(2), anti.fn_mul(anti.WedgeForm.x_power(3, 2), t1)):
@@ -853,13 +839,19 @@ def test_realize_rank_certifies_n_2n():
 
 
 def test_realize_rank_builds_one_table_pair_per_sample_and_arity_group(monkeypatch):
-    builds = []
-    standard_table = anti.standard_table
+    builds, callers = [], []
+    standard_table, mat_mul = anti.standard_table, anti.mat_mul
     monkeypatch.setattr(
         anti, "standard_table", lambda *args: builds.append(args) or standard_table(*args)
     )
+    monkeypatch.setattr(
+        anti, "mat_mul", lambda a, b: callers.append(sys._getframe(1).f_code.co_name) or mat_mul(a, b)
+    )
     fns = [anti.realize_invariant_monomial(3, t, a) for t, a in anti.am_basis(3)]
     assert anti.realize_rank(3, fns, samples=12, seed=0) == 24
+    # A monomial has at most one S block, so the wedge DP multiplies no two
+    # matrices: every product is one of a table's.
+    assert set(callers) == {"standard_table"}
     # Arities 1..9 each hold factors over raw slots; the arity-0 identity
     # reads no table.  Every group reaches full rank at its first tuple and
     # stops there.  Evaluated one function at a time, it was 23 * 12; with
