@@ -4,11 +4,15 @@ The expression grammar (whitespace-insensitive; '*' between factors is
 optional, juxtaposition multiplies):
 
     poly   := ('+'|'-')? term (('+'|'-') term)*
-    term   := rational factor* | factor+
+    term   := factor+
     factor := atom ('^' INT)?
-    atom   := 'x'INT | 'c[' INT ',' INT ',' INT ']' | 'tr(' word ')' | '(' poly ')'
+    atom   := rational | 'x'INT | 'c[' INT ',' INT ',' INT ']' | 'tr(' word ')' | '(' poly ')'
     word   := 'x'INT ('*' 'x'INT)*
     rational := INT ('/' INT)?
+
+A number is an atom wherever it appears, so 2^3*x1 is x1*2^3 = 8*x1, and
+-2^2*x1 is -4*x1.  A fraction takes no exponent: 2/3^2 is a QuasiSyntaxError
+at the '^', and (2/3)^2 is 4/9.
 
 Generator indices, c[...] indices and denominators start at 1; a 0 is a
 QuasiSyntaxError.  tr(...) expands through the generic-matrix trace at the
@@ -171,11 +175,6 @@ class _Parser:
         tokens = self.tokens
         term = [((), (), sign)]
         saw_anything = False
-        tok = tokens[self.pos]
-        if tok[_KIND] == "num":
-            self.pos += 1
-            term = _times(term, self.parse_number(tok))
-            saw_anything = True
         while True:
             text = tokens[self.pos][_TEXT]
             if text in _TERM_ENDS:
@@ -191,12 +190,18 @@ class _Parser:
 
     def parse_number(self, tok: tuple) -> list[tuple]:
         """The rational INT ('/' INT)? that starts at tok, as a term list:
-        none for 0."""
+        none for 0.  A fraction takes no exponent: a '^' after one is refused."""
         value = int(tok[_TEXT])
         if self.tokens[self.pos][_TEXT] == "/":
             self.pos += 1
             denominator = self._positive(self.take(), "num", "a denominator", "denominator")
             value = Fraction(value, denominator)
+            hat = self.tokens[self.pos]
+            if hat[_TEXT] == "^":
+                raise QuasiSyntaxError(
+                    f"a fraction takes no exponent; write ({tok[_TEXT]}/{denominator})^...",
+                    hat[_LINE], hat[_COLUMN],
+                )
         return [((), (), value)] if value else []
 
     def parse_factor(self) -> list[tuple]:

@@ -37,10 +37,12 @@ random tuples, the randomized verdict's own points, so past two generators
 the point that settled a randomized verdict is the witness when it lies
 within the search's WITNESS_TRIALS.
 
-The characteristic-polynomial identities come in two layers.  TracePoly keeps
-formal trace factors tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic
-rotation), which is where Newton's identities and full polarization live and
-what the canonical printer shows; expand() pushes a TracePoly down to a
+The Cayley-Hamilton identities have one construction: Newton's identities
+give q_n (char_poly_coefficients), and Q_n is q_n's full polarization
+(TracePoly.polarize), so Q_n(x,...,x) = n! q_n(x) holds by construction.
+Both are built as TracePolys, which keep formal trace factors
+tr(x_{i1}*...*x_{ir}) unexpanded (stored up to cyclic rotation) and are what
+the canonical printer shows; expand() pushes a TracePoly down to a
 QuasiPoly.  cayley_hamilton_q / cayley_hamilton_Q return the expanded forms.
 """
 
@@ -228,11 +230,11 @@ WITNESS_TRIALS = 200
 
 
 def central_witness(
-    p: QuasiPoly, n: int, seed: int = 0, bound: int = 9, max_trials: int = WITNESS_TRIALS
+    p: QuasiPoly, n: int, seed: int = 0, bound: int = 9
 ) -> tuple[dict[int, QMatrix], QMatrix] | None:
     """A rational point where p evaluates to a non-scalar matrix, or None;
-    the points come from witness_points."""
-    for assignment in witness_points(sorted(p.generators()), n, seed, bound, max_trials):
+    the points come from witness_points, WITNESS_TRIALS random ones among them."""
+    for assignment in witness_points(sorted(p.generators()), n, seed, bound):
         value = evaluate(p, assignment, n)
         if not value.is_scalar():
             return assignment, value
@@ -511,44 +513,8 @@ def cayley_hamilton_q(n: int) -> QuasiPoly:
 
 
 def cayley_hamilton_Q_trace(n: int) -> TracePoly:
-    """Multilinear Cayley-Hamilton polynomial as a sum over S_{n+1}.
-
-    Each permutation contributes its sign times a product of trace factors,
-    one per cycle avoiding n+1, and the word read along the cycle through
-    n+1.  The sum is normalized by the global sign (-1)^n so that the
-    diagonal restriction Q_n(x,...,x) = n! q_n(x) holds for every n: the raw
-    cycle sum carries word terms signed by an (n+1)-cycle, which flips the
-    whole expression for odd n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    global_sign = (-1) ** n
-    return TracePoly()._new(add_terms({}, (
-        (_cycle_key(perm), Fraction(global_sign * perm_sign(perm)))
-        for perm in itertools.permutations(range(1, n + 2))
-    )))
-
-
-def _cycle_key(perm: tuple[int, ...]) -> TraceKey:
-    """The term of a permutation of 1..m: one trace factor per cycle avoiding
-    m, and the word read along the cycle through m."""
-    m = len(perm)
-    traces: list[list[int]] = []
-    w: Word = ()
-    seen: set[int] = set()
-    for start in range(1, m + 1):
-        cycle, k = [], start
-        while k not in seen:
-            seen.add(k)
-            cycle.append(k)
-            k = perm[k - 1]
-        if m in cycle:
-            # Rotate so m is last: (s_1,...,s_k, m) contributes the word.
-            pos = cycle.index(m)
-            w = tuple(cycle[pos + 1 :] + cycle[:pos])
-        elif cycle:
-            traces.append(cycle)
-    return _trace_key(traces, w)
+    """Q_n in x_1..x_n: the full polarization of q_n, so Q_n(x,...,x) = n! q_n(x)."""
+    return cayley_hamilton_q_trace(n).polarize(1, list(range(1, n + 1)))
 
 
 def cayley_hamilton_Q(n: int) -> QuasiPoly:

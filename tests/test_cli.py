@@ -54,9 +54,17 @@ def test_parse_trace_needs_dimension():
 
 def test_parse_rationals_and_powers():
     p = parse_quasipoly("3/2 x1^2 - 1")
-    from fractions import Fraction
-
     assert p == (x(1) * x(1)).scale(Fraction(3, 2)) - QuasiPoly.one()
+    # A number is an atom wherever it appears: one that opens a term takes
+    # an exponent too, bound tighter than the term's sign.
+    assert parse_quasipoly("2^3*x1") == parse_quasipoly("x1*2^3") == x(1).scale(8)
+    assert parse_quasipoly("-2^2*x1") == x(1).scale(-4)
+    assert parse_quasipoly("(2/3)^2") == QuasiPoly.const(Fraction(4, 9))
+    # A fraction takes no exponent; the refusal points at the '^'.
+    for expr, column in (("x1*2/3^2", 7), ("2/3^2*x1", 4)):
+        with pytest.raises(QuasiSyntaxError, match=r"\(2/3\)\^") as err:
+            parse_quasipoly(expr)
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_syntax_error_position():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import pytest
 from quasident import genmat
 from quasident.errors import BudgetExceeded, DimensionMismatch
 from quasident.exactla import QMatrix
-from quasident.freealg import QuasiPoly
+from quasident.freealg import QuasiPoly, perm_sign
 from quasident.ratpoly import CPoly
 
 x = QuasiPoly.x
@@ -315,10 +316,33 @@ def test_diagonal_restriction():
         assert diag == q.scale(math.factorial(n))
 
 
+def cycle_sum_Q(n):
+    """Q_n by the classical formula, independent of Newton's identities and
+    of polarization: (-1)^n times the sum over permutations of 1..n+1 of the
+    sign, times tr of the product along each cycle avoiding n+1, times the
+    word read along the cycle through n+1, from the letter after n+1."""
+    m = n + 1
+    total = genmat.TracePoly.zero()
+    for perm in itertools.permutations(range(1, m + 1)):
+        traces, w, seen = [], (), set()
+        for start in range(1, m + 1):
+            cycle, k = [], start
+            while k not in seen:
+                seen.add(k)
+                cycle.append(k)
+                k = perm[k - 1]
+            if m in cycle:
+                pos = cycle.index(m)
+                w = tuple(cycle[pos + 1:] + cycle[:pos])
+            elif cycle:
+                traces.append(tuple(cycle))
+        total = total + genmat.TracePoly({(tuple(traces), w): (-1) ** n * perm_sign(perm)})
+    return total
+
+
 def test_polarization_recovers_Q():
-    for n in (1, 2, 3):
-        q = genmat.cayley_hamilton_q_trace(n)
-        assert q.polarize(1, list(range(1, n + 1))) == genmat.cayley_hamilton_Q_trace(n)
+    for n in (1, 2, 3, 4, 5):
+        assert genmat.cayley_hamilton_Q_trace(n) == cycle_sum_Q(n), n
 
 
 def test_trace_word_canonical_rotation():
