@@ -411,15 +411,15 @@ def _base_report(command: str, args: argparse.Namespace) -> dict:
 def _cmd_verify_ch(args: argparse.Namespace) -> dict:
     n = args.n
     report = _base_report("verify-ch", args)
-    q = genmat.cayley_hamilton_q(n)
-    Q = genmat.cayley_hamilton_Q(n)
-    q_zero = genmat.is_quasi_identity(q, n)
-    Q_zero = genmat.is_quasi_identity(Q, n)
+    q = genmat.cayley_hamilton_q_trace(n)
+    Q = genmat.cayley_hamilton_Q_trace(n)
+    q_zero = genmat.is_quasi_identity(q.expand(n), n)
+    Q_zero = genmat.is_quasi_identity(Q.expand(n), n)
     report["results"] = {
         "q_is_identity": q_zero,
         "Q_is_identity": Q_zero,
-        "q_trace_form": str(genmat.cayley_hamilton_q_trace(n)),
-        "Q_trace_form": str(genmat.cayley_hamilton_Q_trace(n)),
+        "q_trace_form": str(q),
+        "Q_trace_form": str(Q),
     }
     report["pass"] = q_zero and Q_zero
     return report

@@ -4,28 +4,32 @@ phi_eval sends x_k to the generic matrix whose (i,j) entry is c[k,i,j] and
 scalars to scalar matrices; a quasi-polynomial is a quasi-identity of the
 n x n matrices exactly when its image is the zero matrix.
 
-Every expansion of words is one walk, prefix_walk: the distinct words in
-lexicographic order, with a stack of the products of the prefix a word shares
-with the word before it, so each node of the words' trie costs one step.  In
-generic-matrix entries (word_paths) the step extends index paths: entry (i,j)
-of a word's product is the sum over paths i = l_0, l_1, ..., l_|w| = j of the
-monomials c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each with coefficient
-1, kept as a packed int and an integer multiplicity, and no CPoly is
-multiplied.  A packed monomial (Packing) gives each variable one bit field,
-all of one width, holding its exponent (Kronecker substitution), with field
-codes dense over the generators in use: the width is the bit length of the
-largest total degree the keys reach, so no exponent carries into the next
-field, and a product of monomials is one int addition.  phi_eval adds each
-word's paths, times its coefficient's packed terms, into one term dict per
-image entry; TracePoly.expand multiplies the diagonals of its trace factors by
-adding keys; idsolve keys its equations by them.  CPoly monomials and
-Fractions are built once, from the final dicts, by the one decoder
-Packing.cpoly.  At a point (evaluate) the step is one raw mat_mul, and a first
-letter's product is its matrix.  Coefficients are
-evaluated with CPoly.eval, which stays in int arithmetic at integer points;
-each value c, times D, the least common multiple of the values'
-denominators, scales its word's product into one n x n accumulator of ints
-(at an integer point), and D divides it once at the end.
+A sum of words is evaluated by one Horner fold over the words' trie,
+trie_fold: R(v) = c_v 1 + sum over letters k of M_k R(vk), with the image
+R(()), so each trie edge multiplies one matrix into a suffix sum that has
+already merged and nothing is accumulated word by word.  The distinct words
+are visited in lexicographic order with a stack of one frame per depth of the
+current word, and there is no recursion.  phi_eval folds n x n tables of
+packed monomials: a packed monomial (Packing) gives each variable c[k,i,j] one
+bit field, all of one width, holding its exponent (Kronecker substitution),
+with field codes dense over the generators in use; the width is the bit
+length of the largest total degree the keys reach, so no exponent carries
+into the next field, and multiplying by c[k,r,l] is one int addition.  CPoly
+monomials and Fractions are built once, from the root's table, by the one
+decoder Packing.cpoly.  At a point (evaluate) the fold is over int matrices:
+coefficients are evaluated with CPoly.eval, which stays in int arithmetic at
+integer points; each value c, times D, the least common multiple of the
+values' denominators, is its word's weight, an edge into a leaf is a scaling
+and any other edge one mat_mul, and D divides the root's matrix once.
+
+A word's own product, not a sum, comes from the one walk prefix_walk: the
+distinct words in lexicographic order, with a stack of the products of the
+prefix a word shares with the word before it, so each node of the words' trie
+costs one step.  word_paths walks index paths: entry (i,j) of a word's
+product is the sum over paths i = l_0, l_1, ..., l_|w| = j of the monomials
+c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each kept as a packed int with
+an integer multiplicity.  TracePoly.expand multiplies the diagonals of its
+trace factors by adding keys, and idsolve keys its equations by them.
 
 Every verdict of the check and capelli-dep commands is decided from
 verdict_values: the one phi_eval image in symbolic mode, or the values at
@@ -55,7 +59,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment, capped_power
-from .exactla import QMatrix, mat_mul
+from .exactla import QMatrix, mat_add, mat_mul, mat_scale
 from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Monomial, Scalar, Terms, Variable, add_terms, scaled
 
@@ -72,10 +76,14 @@ def generic_matrix(k: int, n: int) -> QMatrix:
 def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     """Evaluation homomorphism: x_k -> generic matrix, scalars -> scalar matrices.
 
-    Every entry of the image is a CPoly, the zero polynomial's included.  With
-    a budget, an input whose image could build more than budget coefficient
-    terms raises BudgetExceeded before any is built: a word w contributes
-    n^(|w|+1) index paths per term of its coefficient (errors.capped_power).
+    The words are summed by trie_fold: an accumulator is an n x n table of
+    {packed monomial: coefficient} dicts, and a trie edge for letter k adds
+    the key of c[k,r,l] to every key of the child's row l, dropping each
+    coefficient that cancels.  Every entry of the image is a CPoly, the zero
+    polynomial's included.  With a budget, an input whose image could build
+    more than budget coefficient terms raises BudgetExceeded before any is
+    built: a word w contributes n^(|w|+1) index paths per term of its
+    coefficient (errors.capped_power).
     """
     p.check_indices(n)
     terms = p.terms()
@@ -85,26 +93,49 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
                 f"symbolic evaluation at n={n} builds more than the budget's "
                 f"{budget} coefficient terms"
             )
-    coeffs = dict(terms)
     width = max((len(w) + c.degree() for w, c in terms), default=0).bit_length()
     packing = Packing(p.generators(), n, width)
-    image: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for w, table in word_paths(coeffs, packing):
-        # Each coefficient term as (its packed monomial, int or Fraction).
-        scaled = [
-            (packing.pack(mono), c.numerator if c.denominator == 1 else c)
-            for mono, c in coeffs[w].terms()
-        ]
-        for image_row, path_row in zip(image, table):
-            for out, paths in zip(image_row, path_row):
-                for packed, c in scaled:
-                    for key, mult in paths.items():
-                        key += packed
-                        s = out.get(key, 0) + c * mult
+    cols = range(1, n + 1)
+    # units[k][r-1][l-1] is the key of c[k,r,l].
+    units = {
+        k: [[1 << width * packing.code(k, r, l) for l in cols] for r in cols]
+        for k in packing.gens
+    }
+
+    def node(c: dict, below: list[list[dict]] | None) -> list[list[dict]]:
+        # A node's value c 1 + below, as a table.
+        if below is None:
+            return [[(c or {}) if l == j else {} for j in cols] for l in cols]
+        if c:
+            for l, row in enumerate(below):
+                add_terms(row[l], c.items())
+        return below
+
+    def edge(k: int, c: dict, below: list[list[dict]] | None, acc):
+        # Entry (r, j) of M_k (c 1 + below) is the sum over l of the key of
+        # c[k,r,l] added to each key of entry (l, j) of c 1 + below.
+        if acc is None:
+            acc = [[{} for _ in cols] for _ in cols]
+        value = node(c, below)
+        for acc_row, unit_row in zip(acc, units[k]):
+            for unit, value_row in zip(unit_row, value):
+                for out, entry in zip(acc_row, value_row):
+                    for key, coeff in entry.items():
+                        key += unit
+                        s = out.get(key, 0) + coeff
                         if s:
                             out[key] = s
                         else:
                             del out[key]
+        return acc
+
+    # Each word's coefficient as {packed monomial: int or Fraction}.
+    packed = {
+        w: {packing.pack(mono): c.numerator if c.denominator == 1 else c
+            for mono, c in coeff.terms()}
+        for w, coeff in terms
+    }
+    image = node(*trie_fold(packed, edge))
     return QMatrix([[packing.cpoly(out) for out in row] for row in image])
 
 
@@ -179,6 +210,41 @@ def prefix_walk(words: Iterable[Word], unit, step) -> Iterator[tuple[Word, objec
             stack.append(step(stack[-1], k))
         previous = w
         yield w, stack[-1]
+
+
+def trie_fold(terms: Mapping[Word, object], edge) -> list:
+    """Horner's rule on the trie of the words of terms, a {word: nonzero
+    coefficient} dict: R(v) = c_v 1 + sum over letters k of M_k R(vk), so
+    R(()) is the sum of c_w times the product of w's matrices.
+
+    A node's frame is [c_v, below], c_v being 0 where no word ends and below
+    the sum over its children of M_k R(vk), None until a child is folded in;
+    edge(k, c, below, acc) returns acc + M_k (c 1 + below), acc being the
+    parent's below.  The distinct words are visited in lexicographic order
+    with a stack of the frames of the current word's prefixes: moving to the
+    next word folds every frame it no longer shares into its parent, so each
+    trie edge is folded once, on its summed suffix, with no recursion.
+    Returns the root's frame."""
+    stack: list[list] = [[0, None]]  # stack[t] is the frame of the current word's first t letters
+    path: Word = ()
+
+    def fold(depth: int) -> None:
+        while len(stack) > depth + 1:
+            c, below = stack.pop()
+            parent = stack[-1]
+            parent[1] = edge(path[len(stack) - 1], c, below, parent[1])
+
+    for w in sorted(terms):
+        # path sorts before w, so w is no prefix of it and w[shared] exists.
+        shared = 0
+        while shared < len(path) and path[shared] == w[shared]:
+            shared += 1
+        fold(shared)
+        stack.extend([0, None] for _ in w[shared:])
+        stack[-1][0] = terms[w]
+        path = w
+    fold(0)
+    return stack[0]
 
 
 def word_paths(
@@ -294,9 +360,9 @@ def matrix_unit(i: int, j: int, n: int) -> QMatrix:
 
 
 def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
-    """Exact value of p at a tuple of rational matrices, by one shared-prefix
-    walk over the words (see the module docstring); an integer point and
-    integral coefficient values give int entries."""
+    """Exact value of p at a tuple of rational matrices, by one trie_fold
+    over the words (see the module docstring); an integer point and integral
+    coefficient values give int entries."""
     for k, m in matrices.items():
         if m.shape() != (n, n):
             raise DimensionMismatch(f"matrix for x{k} has shape {m.shape()}")
@@ -312,17 +378,22 @@ def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
     }
     values = {w: value for w, coeff in p.terms() if (value := coeff.eval(point))}
     d = math.lcm(*(value.denominator for value in values.values()))
-    total = [[0] * n for _ in range(n)]
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    weights = {w: value.numerator * (d // value.denominator) for w, value in values.items()}
 
-    def step(prefix, k: int):
-        # The first letter's product is its matrix, with no multiplication.
-        return images[k] if prefix is unit else mat_mul(prefix, images[k])
+    def node(c: int, below):
+        # A node's value c 1 + below.
+        if below is None:
+            return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        if not c:
+            return below
+        return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(below)]
 
-    for w, product in prefix_walk(values, unit, step):
-        value = values[w]
-        c = value.numerator * (d // value.denominator)
-        total = [[a + c * x for a, x in zip(acc, row)] for acc, row in zip(total, product)]
+    def edge(k: int, c: int, below, acc):
+        # Into a leaf, M_k (c 1) is a scaling; past one, a product.
+        product = mat_scale(images[k], c) if below is None else mat_mul(images[k], node(c, below))
+        return product if acc is None else mat_add(acc, product)
+
+    total = node(*trie_fold(weights, edge))
     if d > 1:
         total = [[Fraction(x, d) for x in row] for row in total]
     return QMatrix(total)

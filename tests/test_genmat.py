@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -384,9 +385,10 @@ def test_evaluate_matches_phi_specialization():
 
 
 def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
-    # The words are walked in lexicographic order with a stack of prefix
-    # products, so each distinct prefix past the first letter costs one
-    # product: 60 for S_4's 24 words, where rebuilding every word costs 72.
+    # The words are summed by Horner's rule on their trie, so each edge into
+    # a node that has children costs one product, on the summed suffix, and
+    # an edge into a leaf is a scaling: 4 + 12 + 24 = 40 for S_4's 24 words,
+    # where the prefix walk took 60 and rebuilding every word 72.
     calls = []
     mat_mul = genmat.mat_mul
 
@@ -397,11 +399,11 @@ def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
     monkeypatch.setattr(genmat, "mat_mul", counted)
     s4 = genmat.standard_poly(4)
     words = [w for w, _ in s4.terms()]
-    prefixes = {w[:t] for w in words for t in range(1, len(w) + 1)}
+    inner = {w[:t] for w in words for t in range(1, len(w))}
     rng = random.Random(4)
     point = {k: QMatrix.random(2, 2, rng, 5) for k in range(1, 5)}
     assert genmat.evaluate(s4, point, 2).is_zero()
-    assert len(calls) == len(prefixes) - len({w[0] for w in words}) == 60
+    assert len(calls) == len(inner) == 40
 
 
 def reference_word_paths(w, packing):
@@ -425,10 +427,10 @@ def reference_word_paths(w, packing):
     return out
 
 
-def random_words(rng):
+def random_words(rng, max_len=4):
     """A word list with the empty word, repeated letters, duplicated words
     and words that are prefixes of others."""
-    words = [tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 4))) for _ in range(6)]
+    words = [tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, max_len))) for _ in range(6)]
     words += [(), rng.choice(words), (2, 2, 2)]
     words += [w[: rng.randint(0, len(w))] for w in words[:3]]
     return words
@@ -515,6 +517,78 @@ def test_prefix_walk_folds_each_word_once_per_trie_node():
         assert len(steps) == len(trie_nodes(words))
 
 
+def word_by_word(p, one, matrix, value):
+    """The sum over p's words of value(c_w) times the product of the words'
+    matrices, each product built from one: the per-word sum that
+    trie_fold replaced."""
+    total = one.scale(0)
+    for w, coeff in p.terms():
+        product = one
+        for k in w:
+            product = product * matrix(k)
+        total = total + product.scale(value(coeff))
+    return total
+
+
+def fold_cases(rng, n):
+    """Quasi-polynomials over random_words of length up to 6, with CPoly
+    coefficients in the entries of 3 generic n x n matrices, and ones whose
+    trie has a subtree that sums to zero at n = 1."""
+    def coefficient():
+        coeff = CPoly.const(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) or 1)
+        for _ in range(rng.randint(0, 2)):
+            coeff = coeff * c(rng.randint(1, 3), rng.randint(1, n), rng.randint(1, n))
+        return coeff
+
+    for _ in range(6):
+        p = QuasiPoly.zero()
+        for w in random_words(rng, max_len=6):
+            p = p + QuasiPoly({w: coefficient()})
+        yield p
+    # At n = 1, below the root, x1's subtree of S_4 is x1 S_3(x2, x3, x4)
+    # and that of c[2,1,1] x1 - x1 x2 + x3 is x1 (c[2,1,1] - x2), each zero.
+    yield genmat.standard_poly(2)
+    yield genmat.standard_poly(4)
+    yield QuasiPoly({(1,): c(2, 1, 1), (1, 2): -1}) + x(3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trie_fold_equals_the_word_by_word_sum(n):
+    rng = random.Random(20 + n)
+    one = QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+    images = []
+    for p in fold_cases(rng, n):
+        image = genmat.phi_eval(p, n)
+        images.append(image)
+        assert image == word_by_word(
+            p, one, lambda k: genmat.generic_matrix(k, n), lambda coeff: coeff)
+        integral = {k: QMatrix.random(n, n, rng, 5) for k in (1, 2, 3, 4)}
+        fractional = {k: QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(n)] for _ in range(n)]) for k in (1, 2, 3, 4)}
+        for point in (integral, fractional):
+            values = {(k, i + 1, j + 1): v for k, m in point.items()
+                      for i, row in enumerate(m.data) for j, v in enumerate(row)}
+            value = genmat.evaluate(p, point, n)
+            assert value == word_by_word(
+                p, QMatrix.identity(n), point.get, lambda coeff: coeff.eval(values))
+            assert value == QMatrix([[e.eval(values) for e in row] for row in image.data])
+    # S_2 vanishes at n = 1 and S_4 at n <= 2 (Amitsur-Levitzki); the last
+    # case is x3 where x1's subtree cancels.
+    assert [image.is_zero() for image in images[-3:]] == [n == 1, n <= 2, False]
+
+
+def test_the_fold_takes_words_longer_than_the_recursion_limit():
+    # x1^L x2 - x2 x1^L vanishes at n = 1 and not at n = 2; the fold keeps
+    # one frame per letter on a list, so a word past the recursion limit
+    # needs no deeper Python stack.
+    length = sys.getrecursionlimit() + 10
+    p = QuasiPoly({(1,) * length + (2,): 1, (2,) + (1,) * length: -1})
+    assert genmat.phi_eval(p, 1).is_zero()
+    point = {1: QMatrix([[1, 1], [0, 1]]), 2: genmat.matrix_unit(2, 1, 2)}
+    assert genmat.evaluate(p, point, 2) == QMatrix([[length, 0], [0, -length]])
+    assert genmat.evaluate(p, {k: QMatrix([[Fraction(3, 2)]]) for k in (1, 2)}, 1).is_zero()
+
+
 def test_word_paths_extend_once_per_trie_node(monkeypatch):
     steps = []
     prefix_walk = genmat.prefix_walk
@@ -533,12 +607,24 @@ def test_word_paths_extend_once_per_trie_node(monkeypatch):
         steps.clear()
         list(genmat.word_paths(words, genmat.Packing({1, 2, 3}, n, 3)))
         assert len(steps) == len(trie_nodes(words))
-    # phi_eval walks S_4's 24 words once: 64 trie nodes, where walking every
-    # word from scratch takes 96 steps.
+    # phi_eval folds S_4's 24 words by Horner's rule: one left multiplication
+    # per trie edge, 64, where walking every word from scratch takes 96.
+    edges = []
+    trie_fold = genmat.trie_fold
+
+    def counted_fold(terms, edge):
+        def counted_edge(k, c, below, acc):
+            edges.append(k)
+            return edge(k, c, below, acc)
+
+        return trie_fold(terms, counted_edge)
+
+    monkeypatch.setattr(genmat, "trie_fold", counted_fold)
     s4 = genmat.standard_poly(4)
     steps.clear()
     assert genmat.phi_eval(s4, 2).is_zero()
-    assert len(steps) == len(trie_nodes(w for w, _ in s4.terms())) == 64
+    assert not steps
+    assert len(edges) == len(trie_nodes(w for w, _ in s4.terms())) == 64
     # TracePoly.expand walks its distinct trace factors in one pass.
     q3 = genmat.cayley_hamilton_Q_trace(3)
     steps.clear()

@@ -2,8 +2,10 @@
 specialized at a point, is the value evaluate computes there directly, and
 both equal a word-by-word reference sum, at integer and fractional points and
 coefficients alike; the image itself equals a reference that multiplies
-generic matrices word by word.  TracePoly.expand, which walks
-the same index paths, equals traces of generic-matrix products."""
+generic matrices word by word.  phi_eval and evaluate sum the words by one
+Horner fold over their trie (trie_fold); TracePoly.expand, which walks each
+trace factor's index paths (word_paths), equals traces of generic-matrix
+products."""
 
 import pytest
 
