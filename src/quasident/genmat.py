@@ -16,11 +16,19 @@ with field codes dense over the generators in use; the width is the bit
 length of the largest total degree the keys reach, so no exponent carries
 into the next field, and multiplying by c[k,r,l] is one int addition.  CPoly
 monomials and Fractions are built once, from the root's table, by the one
-decoder Packing.cpoly.  At a point (evaluate) the fold is over int matrices:
-coefficients are evaluated with CPoly.eval, which stays in int arithmetic at
-integer points; each value c, times D, the least common multiple of the
-values' denominators, is its word's weight, an edge into a leaf is a scaling
-and any other edge one mat_mul, and D divides the root's matrix once.
+decoder Packing.cpoly.  At points (evaluate) the fold is over matrices of
+lanes: a lane is one entry's values over all the points of the call, and a
+matrix is one list of its n^2 lanes end to end.  M_k (c 1 + below) is then
+c M_k plus, for each l, column l of M_k spread along the rows times row l of
+below repeated down them: a trie edge is n + 1 map(mul, ...) and as many
+map(add, ...) calls over whole matrices at every point at once, and the words
+are sorted, the coefficients read and the trie walked once per call, not
+once per point.  A scalar coefficient is read once; any other is evaluated
+at each point with CPoly.eval, which stays in int arithmetic at integer
+points.  At each point each value c, times D, the least common multiple of
+that point's values' denominators, is its word's weight, and D divides that
+point's matrix once, only when D > 1, so an integer point with integral
+values keeps int entries.
 
 A word's own product, not a sum, comes from the one walk prefix_walk: the
 distinct words in lexicographic order, with a stack of the products of the
@@ -34,12 +42,17 @@ trace factors by adding keys, and idsolve keys its equations by them.
 Every verdict of the check and capelli-dep commands is decided from
 verdict_values: the one phi_eval image in symbolic mode, or the values at
 seeded random integer points in randomized mode, each with its point, yielded
-lazily so a consumer may stop at the first that decides.  Every witness search
-(central_witness, idsolve's independence witness) loops over witness_points:
-the matrix-unit tuples when there are at most two generators, then seeded
-random tuples, the randomized verdict's own points, so past two generators
-the point that settled a randomized verdict is the witness when it lies
-within the search's WITNESS_TRIALS.
+lazily so a consumer may stop at the first that decides.  The randomized
+values come from evaluate in chunks: the first point alone, so an input that
+is not central at it costs one point, then at most POINT_CHUNK points per
+call, so memory does not grow with the number of trials.  Every witness
+search (central_witness, idsolve's independence witness) loops over
+witness_points, one point per evaluate call, since witness_points builds
+each matrix unit only when its tuple is tried: the matrix-unit tuples when
+there are at most two generators, then seeded random tuples, the randomized
+verdict's own points, so past two generators the point that settled a
+randomized verdict is the witness when it lies within the search's
+WITNESS_TRIALS.
 
 The Cayley-Hamilton identities have one construction: Newton's identities
 give q_n (char_poly_coefficients), and Q_n is q_n's full polarization
@@ -56,10 +69,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial, reduce
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment, capped_power
-from .exactla import QMatrix, mat_add, mat_mul, mat_scale
+from .exactla import QMatrix
 from .freealg import QuasiPoly, Word, perm_sign, word_key
 from .ratpoly import CPoly, Monomial, Scalar, Terms, Variable, add_terms, scaled
 
@@ -293,6 +308,9 @@ def is_central(p: QuasiPoly, n: int) -> bool:
 
 # Random points a witness search tries after the matrix units.
 WITNESS_TRIALS = 200
+# Most random points one evaluate call of a randomized verdict takes after
+# the first, which it evaluates alone.
+POINT_CHUNK = 64
 
 
 def central_witness(
@@ -301,7 +319,7 @@ def central_witness(
     """A rational point where p evaluates to a non-scalar matrix, or None;
     the points come from witness_points, WITNESS_TRIALS random ones among them."""
     for assignment in witness_points(sorted(p.generators()), n, seed, bound):
-        value = evaluate(p, assignment, n)
+        value, = evaluate(p, [assignment], n)
         if not value.is_scalar():
             return assignment, value
     return None
@@ -329,8 +347,9 @@ def verdict_values(
     """The values a verdict on p is decided from, lazily, each with the point
     it was taken at: in symbolic mode the one image phi_eval(p, n,
     budget=budget), at no point (None); in randomized mode p's values at the
-    trials points of _random_points over its sorted generators.  p is zero
-    (central) when every value is.  Both modes refuse a coefficient index
+    trials points of _random_points over its sorted generators, in their
+    order, evaluated the first alone and then POINT_CHUNK at a time.  p is
+    zero (central) when every value is.  Both modes refuse a coefficient index
     past n (check_indices) before any value is made."""
     if mode == "symbolic":
         yield None, phi_eval(p, n, budget=budget)
@@ -338,8 +357,11 @@ def verdict_values(
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
     p.check_indices(n)
-    for point in _random_points(sorted(p.generators()), n, seed, bound, trials):
-        yield point, evaluate(p, point, n)
+    points = _random_points(sorted(p.generators()), n, seed, bound, trials)
+    size = 1
+    while chunk := list(itertools.islice(points, size)):
+        yield from zip(chunk, evaluate(p, chunk, n))
+        size = POINT_CHUNK
 
 
 def _random_points(
@@ -359,44 +381,118 @@ def matrix_unit(i: int, j: int, n: int) -> QMatrix:
     )
 
 
-def evaluate(p: QuasiPoly, matrices: Mapping[int, QMatrix], n: int) -> QMatrix:
-    """Exact value of p at a tuple of rational matrices, by one trie_fold
-    over the words (see the module docstring); an integer point and integral
-    coefficient values give int entries."""
-    for k, m in matrices.items():
-        if m.shape() != (n, n):
-            raise DimensionMismatch(f"matrix for x{k} has shape {m.shape()}")
-    missing = p.generators() - set(matrices)
-    if missing:
-        raise MissingAssignment(f"no matrix for generators {sorted(missing)}")
-    images = {k: m.data for k, m in matrices.items()}
-    point = {
-        (k, i, j): x
-        for k, m in images.items()
-        for i, row in enumerate(m, 1)
-        for j, x in enumerate(row, 1)
+def evaluate(
+    p: QuasiPoly, points: Sequence[Mapping[int, QMatrix]], n: int
+) -> list[QMatrix]:
+    """Exact values of p at a sequence of points, each a tuple of rational
+    matrices {generator: matrix}, in order, by one trie_fold over the words
+    (see the module docstring): every matrix entry in the fold is a lane, the
+    list of its values over the points, and a matrix is its lanes end to end
+    in one list.  Each value, the types of its entries included, is the one
+    its point gives alone; an integer point and integral coefficient values
+    give int entries."""
+    gens = p.generators()
+    for point in points:
+        for k, m in point.items():
+            if m.shape() != (n, n):
+                raise DimensionMismatch(f"matrix for x{k} has shape {m.shape()}")
+        missing = gens - set(point)
+        if missing:
+            raise MissingAssignment(f"no matrix for generators {sorted(missing)}")
+    if not points:
+        return []
+    # A scalar coefficient is read once, as (numerator, denominator); any
+    # other is evaluated at each point into its lane of values.
+    scalars: dict[Word, tuple[int, int]] = {}
+    varying: list[tuple[Word, CPoly]] = []
+    for w, c in p.terms():
+        if c.is_constant():
+            scalars[w] = c.constant_value().as_integer_ratio()
+        else:
+            varying.append((w, c))
+    lanes: dict[Word, list[Scalar]] = {w: [] for w, _ in varying}
+    if varying:
+        for point in points:
+            assignment = {
+                (k, i, j): x
+                for k, m in point.items()
+                for i, row in enumerate(m.data, 1)
+                for j, x in enumerate(row, 1)
+            }
+            for w, c in varying:
+                lanes[w].append(c.eval(assignment))
+    # A word that vanishes at one point still enters the fold if it does not
+    # vanish at another, and 0 times a Fraction entry is Fraction(0), which
+    # would turn an int entry of the value into a Fraction.  So a point with
+    # a non-int entry and a vanishing coefficient is evaluated alone, where
+    # its vanishing words are dropped.
+    alone = {
+        t for t, point in enumerate(points)
+        if len(points) > 1 and any(not lane[t] for lane in lanes.values())
+        and any(type(x) is not int for m in point.values() for row in m.data for x in row)
     }
-    values = {w: value for w, coeff in p.terms() if (value := coeff.eval(point))}
-    d = math.lcm(*(value.denominator for value in values.values()))
-    weights = {w: value.numerator * (d // value.denominator) for w, value in values.items()}
+    if alone:
+        rest = iter(evaluate(p, [pt for t, pt in enumerate(points) if t not in alone], n))
+        return [evaluate(p, [pt], n)[0] if t in alone else next(rest)
+                for t, pt in enumerate(points)]
+    # A word's weight at a point is its value there times D, the lcm of the
+    # denominators of every value at that point.
+    ds = list(map(
+        math.lcm, [math.lcm(*(den for _, den in scalars.values()))] * len(points),
+        *([value.denominator for value in lane] for lane in lanes.values()),
+    ))
+    weights = {w: [num * (d // den) for d in ds] for w, (num, den) in scalars.items()}
+    weights.update(
+        (w, [value.numerator * (d // value.denominator) for value, d in zip(lane, ds)])
+        for w, lane in lanes.items() if any(lane)
+    )
+    # A matrix in the fold is one flat list of its entries' lanes end to end:
+    # entry (i, j) at point t is item (i n + j) P + t, P the number of points,
+    # so row l is the slice of span = n P items at l span, and point t's
+    # matrix is the slice [t::P], row by row.  images[k] is x_k's matrices so
+    # laid out; columns[k][l] is their column l spread along each row, its
+    # item (i n + j) P + t being entry (i, l) of x_k at point t.
+    size = len(points)
+    span = n * size
+    images, columns = {}, {}
+    for k in {k for w in weights for k in w}:
+        images[k] = image = list(itertools.chain.from_iterable(
+            zip(*(itertools.chain.from_iterable(point[k].data) for point in points))
+        ))
+        columns[k] = [
+            list(itertools.chain.from_iterable(
+                image[(i * n + l) * size:(i * n + l + 1) * size] * n for i in range(n)
+            ))
+            for l in range(n)
+        ]
+    plus = partial(map, add)
 
-    def node(c: int, below):
-        # A node's value c 1 + below.
-        if below is None:
-            return [[c if i == j else 0 for j in range(n)] for i in range(n)]
-        if not c:
-            return below
-        return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(below)]
+    def edge(k, c, below, acc):
+        # M_k (c 1 + below) is c M_k plus, over l, column l of M_k spread
+        # along each row times row l of below repeated down the rows; an edge
+        # into a leaf has only the first, and acc, if any, is added.
+        terms = [map(mul, images[k], c * (n * n))] if c else []
+        if below is not None:
+            terms.extend(map(mul, column, below[l * span:(l + 1) * span] * n)
+                         for l, column in enumerate(columns[k]))
+        if acc is not None:
+            terms.append(acc)
+        return list(reduce(plus, terms))
 
-    def edge(k: int, c: int, below, acc):
-        # Into a leaf, M_k (c 1) is a scaling; past one, a product.
-        product = mat_scale(images[k], c) if below is None else mat_mul(images[k], node(c, below))
-        return product if acc is None else mat_add(acc, product)
-
-    total = node(*trie_fold(weights, edge))
-    if d > 1:
-        total = [[Fraction(x, d) for x in row] for row in total]
-    return QMatrix(total)
+    c, below = trie_fold(weights, edge)
+    total = below or [0] * (n * span)
+    if c:
+        zero = [0] * size
+        total = list(map(add, total, itertools.chain.from_iterable(
+            c if i == j else zero for i in range(n) for j in range(n)
+        )))
+    values = []
+    for t, d in enumerate(ds):
+        entries = total[t::size]
+        if d > 1:
+            entries = [Fraction(x, d) for x in entries]
+        values.append(QMatrix([entries[i * n:(i + 1) * n] for i in range(n)]))
+    return values
 
 
 # -- trace words and trace polynomials ---------------------------------------

@@ -266,7 +266,7 @@ def _independence_witness(
     genmat.witness_points."""
     gens = sorted(set().union(*[f.generators() for f in fs]))
     for assignment in genmat.witness_points(gens, n, seed, bound):
-        values = [genmat.evaluate(f, assignment, n) for f in fs]
+        values = [genmat.evaluate(f, [assignment], n)[0] for f in fs]
         rows = QMatrix([[m[i, j] for i in range(n) for j in range(n)] for m in values])
         if qrank(rows) == len(fs):
             return assignment, values

@@ -187,7 +187,7 @@ def test_criterion_8_centrality():
         value[i, j] != 0 for i in range(3) for j in range(3) if i != j
     ) or any(value[i, i] != value[0, 0] for i in range(1, 3))
     assert non_scalar
-    assert genmat.evaluate(sq, point, 3) == value
+    assert genmat.evaluate(sq, [point], 3) == [value]
     shown = {f"x{k}": [[str(e) for e in row] for row in m.data] for k, m in point.items()}
     report(f"PASS criterion 8: commutator square central at n=2, witness at n=3: {shown}")
 

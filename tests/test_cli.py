@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import shlex
@@ -704,31 +705,64 @@ def test_an_integer_past_the_digit_limit_in_a_report_is_refused(fmt, argv):
         )
 
 
-def test_a_randomized_verdict_stops_at_the_first_non_scalar_value(monkeypatch):
-    calls = []
+def verdict_chunks(points):
+    """The number of points in each evaluate call of a randomized verdict
+    that takes points points: the first alone, then chunks of
+    genmat.POINT_CHUNK, the last one short."""
+    full, short = divmod(points - 1, genmat.POINT_CHUNK)
+    return [1] + [genmat.POINT_CHUNK] * full + ([short] if short else [])
+
+
+def counting_chunks(monkeypatch):
+    """The number of points of each genmat.evaluate call, as it is made."""
+    chunks = []
     evaluate = genmat.evaluate
 
-    def counting(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counting(p, points, n):
+        chunks.append(len(points))
+        return evaluate(p, points, n)
 
     monkeypatch.setattr(genmat, "evaluate", counting)
-    # S_5 is not central on M_3: one value settles the verdict, and with five
-    # generators the point it was taken at is the witness.
+    return chunks
+
+
+def test_a_randomized_verdict_stops_at_the_first_non_scalar_value(monkeypatch):
+    chunks = counting_chunks(monkeypatch)
+    # S_5 is not central on M_3: the first value, at a point evaluated alone,
+    # settles the verdict, and with five generators the point it was taken
+    # at is the witness.
     s5 = format_quasipoly(genmat.standard_poly(5))
     code, report = run_json(["--mode", "randomized", "check", "--n", "3", "--expr", s5])
     assert code == 0 and report["results"]["central"] is False
     assert "non_central_witness" in report["results"]
-    assert len(calls) == 1
+    assert chunks == verdict_chunks(1) == [1]
     # A central non-identity is scalar at every point: all trials run, and
     # there is no witness to search for.
-    calls.clear()
+    chunks.clear()
     code, report = run_json(
         ["--mode", "randomized", "--trials", "7", "check", "--n", "2", "--expr", HALL_SUBST]
     )
     assert code == 0
     assert (report["results"]["quasi_identity"], report["results"]["central"]) == (False, True)
-    assert len(calls) == 7
+    assert chunks == verdict_chunks(7) and sum(chunks) == 7
+
+
+def test_a_randomized_verdict_evaluates_its_trials_in_bounded_chunks(monkeypatch):
+    # A central input takes every trial; past the first point, evaluated
+    # alone, no evaluate call takes more than genmat.POINT_CHUNK points, so
+    # memory does not grow with --trials.  The report is the one given when
+    # every value is taken before the verdict reads any.
+    chunks = counting_chunks(monkeypatch)
+    argv = ["--mode", "randomized", "--trials", "1000", "check", "--n", "2", "--expr", HALL_SUBST]
+    chunked = io.StringIO()
+    assert run_command(argv, chunked) == 0
+    assert chunks[0] == 1 and max(chunks[1:]) <= genmat.POINT_CHUNK and sum(chunks) == 1000
+    assert chunks == verdict_chunks(1000)
+    verdict_values = genmat.verdict_values
+    monkeypatch.setattr(genmat, "verdict_values", lambda *a, **k: list(verdict_values(*a, **k)))
+    every = io.StringIO()
+    assert run_command(argv, every) == 0
+    assert chunked.getvalue() == every.getvalue()
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -757,25 +791,23 @@ RARELY_NON_SCALAR = "*".join(
 ) + "*(x1*x2 - x2*x1)"
 
 
-@pytest.mark.parametrize("seed, evaluations", [(15, 200), (6, 206 + 200)])
+@pytest.mark.parametrize("seed, first", [(15, 200), (6, 206)])
 def test_a_randomized_witness_is_reported_only_within_the_witness_trials(
-    monkeypatch, seed, evaluations
+    monkeypatch, seed, first
 ):
     # The witness search tries 200 random points: the verdict's point is its
-    # witness only within them, and past them the search runs and finds none.
-    calls = []
-    evaluate = genmat.evaluate
-
-    def counting(*args):
-        calls.append(args)
-        return evaluate(*args)
-
-    monkeypatch.setattr(genmat, "evaluate", counting)
+    # witness only within them, and past them the search runs all 200, one
+    # point per call, and finds none.  The verdict evaluates its points by
+    # verdict_chunks and stops after the chunk that holds its first
+    # non-scalar value, so it takes the points up to that chunk's end.
+    chunks = counting_chunks(monkeypatch)
     code, report = run_json(["--mode", "randomized", "--seed", str(seed), "--trials", "300",
                              "--bound", "1", "check", "--n", "2", "--expr", RARELY_NON_SCALAR])
     results = report["results"]
     assert code == 0 and results["central"] is False
-    assert len(calls) == evaluations
+    taken = min(300, 1 + math.ceil((first - 1) / genmat.POINT_CHUNK) * genmat.POINT_CHUNK)
+    searched = genmat.WITNESS_TRIALS if first > genmat.WITNESS_TRIALS else 0
+    assert chunks == verdict_chunks(taken) + [1] * searched
     witness = genmat.central_witness(parse_quasipoly(RARELY_NON_SCALAR, 2), 2, seed=seed, bound=1)
     if seed == 15:
         point, value = witness

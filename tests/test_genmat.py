@@ -98,7 +98,7 @@ def test_s3_not_identity_matrix_unit_witness():
         2: genmat.matrix_unit(1, 2, 2),
         3: genmat.matrix_unit(2, 1, 2),
     }
-    assert not genmat.evaluate(s3, point, 2).is_zero()
+    assert not genmat.evaluate(s3, [point], 2)[0].is_zero()
 
 
 def test_commutator_square_central_at_2():
@@ -114,7 +114,7 @@ def test_commutator_square_not_central_at_3_with_witness():
     witness = genmat.central_witness(sq, 3)
     assert witness is not None
     point, value = witness
-    assert genmat.evaluate(sq, point, 3) == value
+    assert genmat.evaluate(sq, [point], 3) == [value]
     off_diag_nonzero = any(
         value[i, j] != 0 for i in range(3) for j in range(3) if i != j
     )
@@ -178,19 +178,20 @@ def test_symbolic_verdict_values_are_the_one_budgeted_image():
 
 
 def test_randomized_verdict_values_are_lazy(monkeypatch):
-    calls = []
+    points = []
     evaluate = genmat.evaluate
 
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def counted(p, chunk, n):
+        points.extend(chunk)
+        return evaluate(p, chunk, n)
 
     monkeypatch.setattr(genmat, "evaluate", counted)
     values = genmat.verdict_values(x(1), 2, mode="randomized", seed=1, trials=20, bound=9)
-    assert calls == []
-    # x1 at a random nonzero point is nonzero, so the first value decides.
+    assert points == []
+    # x1 at a random nonzero point is nonzero, so the first value decides,
+    # and the first point is evaluated alone.
     assert not all(v.is_zero() for _, v in values)
-    assert len(calls) == 1
+    assert len(points) == 1
 
 
 def test_randomized_verdict_values_follow_the_seed():
@@ -200,7 +201,7 @@ def test_randomized_verdict_values_follow_the_seed():
     expected = []
     for _ in range(3):
         point = {k: QMatrix.random(2, 2, rng, 5) for k in (1, 2)}
-        expected.append((point, genmat.evaluate(p, point, 2)))
+        expected.append((point, genmat.evaluate(p, [point], 2)[0]))
     assert values == expected
 
 
@@ -239,7 +240,7 @@ def test_capelli_kills_dependent_tuples():
         point = {1: a1, 2: a2, 3: a3}
         for k in range(t + 1, 2 * t):
             point[k] = QMatrix.random(n, n, rng, 4)
-        assert genmat.evaluate(cap, point, n).is_zero()
+        assert genmat.evaluate(cap, [point], n)[0].is_zero()
 
 
 def test_q1():
@@ -367,7 +368,7 @@ def test_evaluate_matches_phi_specialization():
     for _ in range(50):
         p = random_quasipoly(rng)
         point = {k: QMatrix.random(n, n, rng, 5) for k in p.generators() or {1}}
-        value = genmat.evaluate(p, point, n)
+        value, = genmat.evaluate(p, [point], n)
         image = genmat.phi_eval(p, n)
         assignment = {
             (k, i, j): point[k][i - 1, j - 1]
@@ -386,24 +387,32 @@ def test_evaluate_matches_phi_specialization():
 
 def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
     # The words are summed by Horner's rule on their trie, so each edge into
-    # a node that has children costs one product, on the summed suffix, and
-    # an edge into a leaf is a scaling: 4 + 12 + 24 = 40 for S_4's 24 words,
-    # where the prefix walk took 60 and rebuilding every word 72.
-    calls = []
-    mat_mul = genmat.mat_mul
+    # a node that has children costs one lane product, M_k times the summed
+    # suffix, and an edge into a leaf is a scaling: 4 + 12 + 24 = 40 for
+    # S_4's 24 words, where the prefix walk took 60 and rebuilding every
+    # word 72.  A lane holds an entry's values at every point, so the count
+    # does not depend on how many points there are.
+    products = []
+    trie_fold = genmat.trie_fold
 
-    def counted(a, b):
-        calls.append(1)
-        return mat_mul(a, b)
+    def counted(terms, edge):
+        def counted_edge(k, c, below, acc):
+            if below is not None:
+                products.append(k)
+            return edge(k, c, below, acc)
 
-    monkeypatch.setattr(genmat, "mat_mul", counted)
+        return trie_fold(terms, counted_edge)
+
+    monkeypatch.setattr(genmat, "trie_fold", counted)
     s4 = genmat.standard_poly(4)
     words = [w for w, _ in s4.terms()]
     inner = {w[:t] for w in words for t in range(1, len(w))}
     rng = random.Random(4)
-    point = {k: QMatrix.random(2, 2, rng, 5) for k in range(1, 5)}
-    assert genmat.evaluate(s4, point, 2).is_zero()
-    assert len(calls) == len(inner) == 40
+    for trials in (1, 20):
+        products.clear()
+        points = [{k: QMatrix.random(2, 2, rng, 5) for k in range(1, 5)} for _ in range(trials)]
+        assert all(value.is_zero() for value in genmat.evaluate(s4, points, 2))
+        assert len(products) == len(inner) == 40
 
 
 def reference_word_paths(w, packing):
@@ -565,10 +574,10 @@ def test_trie_fold_equals_the_word_by_word_sum(n):
         integral = {k: QMatrix.random(n, n, rng, 5) for k in (1, 2, 3, 4)}
         fractional = {k: QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                    for _ in range(n)] for _ in range(n)]) for k in (1, 2, 3, 4)}
-        for point in (integral, fractional):
+        points = [integral, fractional]
+        for point, value in zip(points, genmat.evaluate(p, points, n)):
             values = {(k, i + 1, j + 1): v for k, m in point.items()
                       for i, row in enumerate(m.data) for j, v in enumerate(row)}
-            value = genmat.evaluate(p, point, n)
             assert value == word_by_word(
                 p, QMatrix.identity(n), point.get, lambda coeff: coeff.eval(values))
             assert value == QMatrix([[e.eval(values) for e in row] for row in image.data])
@@ -585,8 +594,8 @@ def test_the_fold_takes_words_longer_than_the_recursion_limit():
     p = QuasiPoly({(1,) * length + (2,): 1, (2,) + (1,) * length: -1})
     assert genmat.phi_eval(p, 1).is_zero()
     point = {1: QMatrix([[1, 1], [0, 1]]), 2: genmat.matrix_unit(2, 1, 2)}
-    assert genmat.evaluate(p, point, 2) == QMatrix([[length, 0], [0, -length]])
-    assert genmat.evaluate(p, {k: QMatrix([[Fraction(3, 2)]]) for k in (1, 2)}, 1).is_zero()
+    assert genmat.evaluate(p, [point], 2) == [QMatrix([[length, 0], [0, -length]])]
+    assert genmat.evaluate(p, [{k: QMatrix([[Fraction(3, 2)]]) for k in (1, 2)}], 1)[0].is_zero()
 
 
 def test_word_paths_extend_once_per_trie_node(monkeypatch):

@@ -13,6 +13,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings as hypothesis_settings, strategies as st  # noqa: E402
 
+import random  # noqa: E402
+import sys  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from quasident.exactla import QMatrix  # noqa: E402
@@ -77,29 +79,38 @@ def test_phi_eval_specializes_to_evaluate(case):
     assert all(isinstance(e, CPoly) for row in image.data for e in row)
     assignment = assignment_of(point, n)
     specialized = QMatrix([[e.eval(assignment) for e in row] for row in image.data])
-    assert specialized == evaluate(p, point, n) == reference_value(p, point, n, assignment)
+    assert [specialized] == evaluate(p, [point], n) == [reference_value(p, point, n, assignment)]
 
 
-@st.composite
-def evaluations(draw):
-    """(n, p, point): up to eight words of length up to 4 in x1, x2, so words
-    share prefixes and the empty word appears; coefficients are fractions
-    times monomials in the point's entries, so values can vanish there and
-    have denominators; entries are all ints or all fractions."""
-    n = draw(st.sampled_from([1, 2, 3]))
+def evaluated_polys(n):
+    """Up to eight words of length up to 4 in x1, x2, so words share prefixes
+    and the empty word appears; coefficients are fractions times monomials
+    in the entries c[k,i,j], so values can vanish at a point and have
+    denominators."""
     index = st.integers(1, n)
     variables = st.tuples(st.sampled_from(GENS), index, index)
     monomials = st.lists(st.tuples(variables, st.integers(0, 2)), max_size=2).map(monomial)
     fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     cpolys = st.dictionaries(monomials, fractions, max_size=3).map(CPoly)
     words = st.lists(st.sampled_from(GENS), max_size=4).map(tuple)
-    p = draw(st.dictionaries(words, cpolys, max_size=8).map(QuasiPoly))
+    return st.dictionaries(words, cpolys, max_size=8).map(QuasiPoly)
+
+
+@st.composite
+def points(draw, n):
+    """An n x n matrix for each of x1, x2, its entries all ints or all fractions."""
     entries = draw(st.sampled_from([
         st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3),
     ]))
     row = st.lists(entries, min_size=n, max_size=n)
-    point = {k: QMatrix(draw(st.lists(row, min_size=n, max_size=n))) for k in GENS}
-    return n, p, point
+    return {k: QMatrix(draw(st.lists(row, min_size=n, max_size=n))) for k in GENS}
+
+
+@st.composite
+def evaluations(draw):
+    """(n, p, point): p from evaluated_polys, at one point."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    return n, draw(evaluated_polys(n)), draw(points(n))
 
 
 FRACTION_POINT = {
@@ -123,12 +134,75 @@ PREFIXES = QuasiPoly({(): 2, (1,): 1, (1, 2): -1, (1, 2, 1): 3, (1, 2, 2): 1, (2
 }), POINT))
 def test_evaluate_equals_word_by_word_reference(case):
     n, p, point = case
-    value = evaluate(p, point, n)
+    value, = evaluate(p, [point], n)
     assert value == reference_value(p, point, n, assignment_of(point, n))
     integer_point = all(type(x) is int for m in point.values() for row in m.data for x in row)
     integral = all(c.denominator == 1 for _, coeff in p.terms() for _, c in coeff.terms())
     if integer_point and integral:
         assert all(type(x) is int for row in value.data for x in row), value
+
+
+@st.composite
+def batches(draw):
+    """(n, p, points): p from evaluated_polys at one to six points, so one
+    batch can hold integral points and fractional points of different
+    denominators."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    return n, draw(evaluated_polys(n)), draw(st.lists(points(n), min_size=1, max_size=6))
+
+
+def assert_each_alone(p, pts, n):
+    """The values at pts, in one call, are those evaluate gives each point
+    alone, entry types included, and the reference's."""
+    values = evaluate(p, pts, n)
+    assert len(values) == len(pts)
+    for point, value in zip(pts, values):
+        alone, = evaluate(p, [point], n)
+        assert repr(value.data) == repr(alone.data)
+        assert value == reference_value(p, point, n, assignment_of(point, n))
+
+
+# c[1,1,1] and c[2,2,2] vanish here: alone, a word with either coefficient
+# is dropped, and the value can have int entries though every entry of the
+# point is a Fraction.
+VANISHING_POINT = {
+    1: QMatrix([[Fraction(0), Fraction(1, 2)], [Fraction(3), Fraction(-1, 3)]]),
+    2: QMatrix([[Fraction(1), Fraction(2, 5)], [Fraction(-1), Fraction(0)]]),
+}
+
+
+@settings
+@given(batches())
+@example((2, QuasiPoly.zero(), [POINT, FRACTION_POINT]))
+@example((2, QuasiPoly({(): CPoly.const(3)}), [FRACTION_POINT, POINT]))
+@example((2, PREFIXES, [POINT]))
+@example((2, PREFIXES, [POINT, FRACTION_POINT, VANISHING_POINT, POINT]))
+@example((2, QuasiPoly({(): CPoly.const(2), (1,): CPoly.variable(1, 1, 1)}),
+          [VANISHING_POINT, POINT, FRACTION_POINT]))
+@example((2, QuasiPoly({
+    (1, 2): CPoly.variable(1, 1, 1) - CPoly.const(1),
+    (2,): CPoly.variable(2, 1, 1) * CPoly.const(Fraction(1, 3)),
+    (2, 1): CPoly.const(Fraction(3, 2)),
+}), [POINT, FRACTION_POINT, POINT]))
+def test_evaluate_at_many_points_is_evaluate_at_each_alone(case):
+    n, p, pts = case
+    assert_each_alone(p, pts, n)
+
+
+def test_evaluate_at_many_points_with_a_word_past_the_recursion_limit():
+    # The fold keeps one frame per letter on a list, with every entry a lane
+    # over the points, so a long word and many points need no deeper stack.
+    length = sys.getrecursionlimit() + 10
+    p = QuasiPoly({
+        (1,) * length + (2,): CPoly.variable(2, 2, 2),
+        (2,) + (1,) * length: -1,
+        (): 2,
+    })
+    rng = random.Random(7)
+    pts = [{1: QMatrix([[1, rng.randint(-1, 1)], [0, 1]]), 2: QMatrix.random(2, 2, rng, 3)}
+           for _ in range(38)]
+    pts += [FRACTION_POINT, VANISHING_POINT]
+    assert_each_alone(p, pts, 2)
 
 
 def reference_image(p, n):
