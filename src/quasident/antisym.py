@@ -884,7 +884,6 @@ def realize_rank(
     samples: int,
     seed: int = 0,
     bound: int = 9,
-    traceless_args: bool = False,
     *,
     budget: int | None = None,
 ) -> int:
@@ -926,13 +925,12 @@ def realize_rank(
                 f"the rank certificate at n={n} walks {walks} shuffle terms, "
                 f"over the budget {budget}"
             )
-    draw = random_traceless if traceless_args else random_matrix
     total = found = 0
     for arity in sorted(groups):
         group = groups[arity]
         # Every tuple is drawn, used or not, so later groups draw the same.
         tuples = [
-            tuple(draw(n, rng, bound) for _ in range(arity)) for _ in range(samples)
+            tuple(random_matrix(n, rng, bound) for _ in range(arity)) for _ in range(samples)
         ]
         top = max(f._top() for f in group)
         rows: list[list] = [[] for _ in group]

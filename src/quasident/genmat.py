@@ -23,12 +23,12 @@ c M_k plus, for each l, column l of M_k spread along the rows times row l of
 below repeated down them: a trie edge is n + 1 map(mul, ...) and as many
 map(add, ...) calls over whole matrices at every point at once, and the words
 are sorted, the coefficients read and the trie walked once per call, not
-once per point.  A scalar coefficient is read once; any other is evaluated
-at each point with CPoly.eval, which stays in int arithmetic at integer
-points.  At each point each value c, times D, the least common multiple of
-that point's values' denominators, is its word's weight, and D divides that
-point's matrix once, only when D > 1, so an integer point with integral
-values keeps int entries.
+once per point.  Every coefficient is a lane too: c[k,i,j] is the lane of
+entry (i, j) of x_k, and a monomial its coefficient times its variables'
+lanes, each raised by one map(pow, ...).  Each value, times D, the lcm of
+the denominators of every value in the call, is its word's weight, and D
+divides the matrices once, only when D > 1, so integer points with integral
+values keep int entries.
 
 A word's own product, not a sum, comes from the one walk prefix_walk: the
 distinct words in lexicographic order, with a stack of the products of the
@@ -350,13 +350,12 @@ def verdict_values(
     trials points of _random_points over its sorted generators, in their
     order, evaluated the first alone and then POINT_CHUNK at a time.  p is
     zero (central) when every value is.  Both modes refuse a coefficient index
-    past n (check_indices) before any value is made."""
+    past n before any value is made: phi_eval and evaluate both check it."""
     if mode == "symbolic":
         yield None, phi_eval(p, n, budget=budget)
         return
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
-    p.check_indices(n)
     points = _random_points(sorted(p.generators()), n, seed, bound, trials)
     size = 1
     while chunk := list(itertools.islice(points, size)):
@@ -388,9 +387,11 @@ def evaluate(
     matrices {generator: matrix}, in order, by one trie_fold over the words
     (see the module docstring): every matrix entry in the fold is a lane, the
     list of its values over the points, and a matrix is its lanes end to end
-    in one list.  Each value, the types of its entries included, is the one
-    its point gives alone; an integer point and integral coefficient values
-    give int entries."""
+    in one list, and so is every coefficient.  Each value equals the one its
+    point gives alone, entry types included in a one-point call; one D
+    serves every point, so in a batch an entry may be an integral Fraction
+    where its point alone gives an int.  Indices are checked first."""
+    p.check_indices(n)
     gens = p.generators()
     for point in points:
         for k, m in point.items():
@@ -401,70 +402,50 @@ def evaluate(
             raise MissingAssignment(f"no matrix for generators {sorted(missing)}")
     if not points:
         return []
-    # A scalar coefficient is read once, as (numerator, denominator); any
-    # other is evaluated at each point into its lane of values.
-    scalars: dict[Word, tuple[int, int]] = {}
-    varying: list[tuple[Word, CPoly]] = []
-    for w, c in p.terms():
-        if c.is_constant():
-            scalars[w] = c.constant_value().as_integer_ratio()
-        else:
-            varying.append((w, c))
-    lanes: dict[Word, list[Scalar]] = {w: [] for w, _ in varying}
-    if varying:
-        for point in points:
-            assignment = {
-                (k, i, j): x
-                for k, m in point.items()
-                for i, row in enumerate(m.data, 1)
-                for j, x in enumerate(row, 1)
-            }
-            for w, c in varying:
-                lanes[w].append(c.eval(assignment))
-    # A word that vanishes at one point still enters the fold if it does not
-    # vanish at another, and 0 times a Fraction entry is Fraction(0), which
-    # would turn an int entry of the value into a Fraction.  So a point with
-    # a non-int entry and a vanishing coefficient is evaluated alone, where
-    # its vanishing words are dropped.
-    alone = {
-        t for t, point in enumerate(points)
-        if len(points) > 1 and any(not lane[t] for lane in lanes.values())
-        and any(type(x) is not int for m in point.values() for row in m.data for x in row)
-    }
-    if alone:
-        rest = iter(evaluate(p, [pt for t, pt in enumerate(points) if t not in alone], n))
-        return [evaluate(p, [pt], n)[0] if t in alone else next(rest)
-                for t, pt in enumerate(points)]
-    # A word's weight at a point is its value there times D, the lcm of the
-    # denominators of every value at that point.
-    ds = list(map(
-        math.lcm, [math.lcm(*(den for _, den in scalars.values()))] * len(points),
-        *([value.denominator for value in lane] for lane in lanes.values()),
-    ))
-    weights = {w: [num * (d // den) for d in ds] for w, (num, den) in scalars.items()}
-    weights.update(
-        (w, [value.numerator * (d // value.denominator) for value, d in zip(lane, ds)])
-        for w, lane in lanes.items() if any(lane)
-    )
     # A matrix in the fold is one flat list of its entries' lanes end to end:
     # entry (i, j) at point t is item (i n + j) P + t, P the number of points,
     # so row l is the slice of span = n P items at l span, and point t's
-    # matrix is the slice [t::P], row by row.  images[k] is x_k's matrices so
-    # laid out; columns[k][l] is their column l spread along each row, its
-    # item (i n + j) P + t being entry (i, l) of x_k at point t.
+    # matrix is the slice [t::P].  images[k] is x_k's matrices so laid out.
     size = len(points)
     span = n * size
-    images, columns = {}, {}
-    for k in {k for w in weights for k in w}:
-        images[k] = image = list(itertools.chain.from_iterable(
+    images = {
+        k: list(itertools.chain.from_iterable(
             zip(*(itertools.chain.from_iterable(point[k].data) for point in points))
         ))
-        columns[k] = [
+        for k in gens
+    }
+    # powers[c[k,i,j], e] is entry (i, j) of images[k] raised to e.
+    powers = {}
+    for (k, i, j), e in {ve for c in p._terms.values() for mono in c._terms for ve in mono}:
+        lane = images[k][((i - 1) * n + j - 1) * size:((i - 1) * n + j) * size]
+        powers[(k, i, j), e] = lane if e == 1 else list(map(pow, lane, itertools.repeat(e)))
+    # A coefficient's lane sums, point by point, each monomial's coefficient
+    # times its variables' powers.  A word zero at every point is left out,
+    # so that a one-point call keeps its entry types.
+    lanes = {}
+    for w, c in p._terms.items():
+        parts = []
+        for mono, a in c._terms.items():
+            a = itertools.repeat(a.numerator if a.denominator == 1 else a, size)
+            parts.append(map(math.prod, zip(a, *map(powers.__getitem__, mono))) if mono else a)
+        values = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
+        if any(values):
+            lanes[w] = values
+    # A word's weight at a point is its value there times D, the lcm of the
+    # denominators of every value in the call.
+    d = math.lcm(*{x.denominator for lane in lanes.values() for x in lane})
+    weights = {w: [x.numerator * (d // x.denominator) for x in lane] for w, lane in lanes.items()}
+    # columns[k][l] is x_k's column l spread along each row, its item
+    # (i n + j) P + t being entry (i, l) of x_k at point t.
+    columns = {
+        k: [
             list(itertools.chain.from_iterable(
-                image[(i * n + l) * size:(i * n + l + 1) * size] * n for i in range(n)
+                images[k][(i * n + l) * size:(i * n + l + 1) * size] * n for i in range(n)
             ))
             for l in range(n)
         ]
+        for k in {k for w in weights for k in w}
+    }
     plus = partial(map, add)
 
     def edge(k, c, below, acc):
@@ -487,7 +468,7 @@ def evaluate(
             c if i == j else zero for i in range(n) for j in range(n)
         )))
     values = []
-    for t, d in enumerate(ds):
+    for t in range(size):
         entries = total[t::size]
         if d > 1:
             entries = [Fraction(x, d) for x in entries]

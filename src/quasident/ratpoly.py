@@ -287,7 +287,8 @@ class CPoly(Terms):
         MissingAssignment for uncovered variables.
 
         Integral coefficients are read as ints, so an integer point gives an
-        int whenever every coefficient is integral."""
+        int whenever every coefficient is integral.  It is the reference
+        that the tests check genmat.evaluate's coefficient lanes against."""
         total: Scalar = 0
         for mono, coeff in self._terms.items():
             val = coeff.numerator if coeff.denominator == 1 else coeff

@@ -859,8 +859,7 @@ def test_realize_rank_builds_one_table_pair_per_sample_and_arity_group(monkeypat
     assert len(builds) == 9
 
 
-@pytest.mark.parametrize("traceless_args", [False, True])
-def test_realize_rank_shared_tables_match_standalone_evaluation(traceless_args):
+def test_realize_rank_shared_tables_match_standalone_evaluation():
     n, samples, seed = 3, 5, 4
     fns = [anti.realize(anti.ExtElement.monomial(n, *m), n) for m in anti.atilde_basis(n, 3)]
     fns += [anti.realize(key, n) for key in anti.fn_basis(n, 2)]
@@ -870,17 +869,16 @@ def test_realize_rank_shared_tables_match_standalone_evaluation(traceless_args):
     # realize_rank's draws: groups by ascending arity, each group's tuples
     # before any evaluation; here every function builds its own tables.
     rng = random.Random(seed)
-    draw = anti.random_traceless if traceless_args else anti.random_matrix
     expected = 0
     for arity in sorted({f.arity for f in fns}):
-        tuples = [tuple(draw(n, rng, 9) for _ in range(arity)) for _ in range(samples)]
+        tuples = [tuple(anti.random_matrix(n, rng, 9) for _ in range(arity)) for _ in range(samples)]
         rows = [
             [entry for tup in tuples for row in f.raw(tup) for entry in row]
             for f in fns if f.arity == arity
         ]
         expected += rank(QMatrix(rows))
     assert expected > 10  # not a comparison of empty spans
-    assert anti.realize_rank(n, fns, samples, seed, traceless_args=traceless_args) == expected
+    assert anti.realize_rank(n, fns, samples, seed) == expected
 
 
 def test_realize_rank_stops_a_group_at_full_rank_and_only_there(monkeypatch):

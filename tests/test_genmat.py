@@ -598,6 +598,94 @@ def test_the_fold_takes_words_longer_than_the_recursion_limit():
     assert genmat.evaluate(p, [{k: QMatrix([[Fraction(3, 2)]]) for k in (1, 2)}], 1)[0].is_zero()
 
 
+# Coefficients with exponents 1, 2 and 15, fractions, a constant word, a
+# variable of x3, which is in no word, the zero polynomial and constants.
+LANE_CASES = [
+    QuasiPoly({
+        (1, 2): c(1, 1, 2) * c(2, 2, 1) ** 2 - CPoly.const(Fraction(1, 3)),
+        (2,): c(1, 2, 2) ** 15 + c(2, 1, 2),
+        (2, 1, 1): CPoly.const(Fraction(5, 2)),
+        (): c(2, 1, 1) + CPoly.const(2),
+    }),
+    QuasiPoly({(1, 2): c(1, 1, 2) * c(2, 2, 1) ** 2 - c(3, 2, 2), (1,): c(1, 2, 1) ** 15 * 3}),
+    QuasiPoly({(1,): c(3, 1, 1)}),
+    QuasiPoly.zero(),
+    QuasiPoly.const(4),
+    QuasiPoly.const(Fraction(-7, 3)),
+]
+
+
+def lane_points(rng, size, fractional):
+    """size points for x1, x2, x3 at n = 2: integer matrices, or every other
+    one with Fraction entries when fractional."""
+    def entry(t):
+        if fractional and t % 2:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-5, 5)
+
+    return [{k: QMatrix([[entry(t) for _ in range(2)] for _ in range(2)]) for k in (1, 2, 3)}
+            for t in range(size)]
+
+
+@pytest.mark.parametrize("case", range(len(LANE_CASES)))
+def test_evaluate_reads_coefficients_as_lanes_like_the_reference_evaluator(case):
+    # Each value of a call equals CPoly.eval of phi_eval's image at its point
+    # and the word-by-word sum with coefficients from CPoly.eval, in calls of
+    # one point and of more than POINT_CHUNK points.
+    p, n = LANE_CASES[case], 2
+    image = genmat.phi_eval(p, n)
+    integral = all(a.denominator == 1 for _, coeff in p.terms() for _, a in coeff.terms())
+    rng = random.Random(40 + case)
+    for size in (1, genmat.POINT_CHUNK + 3):
+        for fractional in (False, True):
+            points = lane_points(rng, size, fractional)
+            values = genmat.evaluate(p, points, n)
+            assert len(values) == size
+            for point, value in zip(points, values):
+                assignment = {(k, i + 1, j + 1): v for k, m in point.items()
+                              for i, row in enumerate(m.data) for j, v in enumerate(row)}
+                assert value == QMatrix([[e.eval(assignment) for e in row] for row in image.data])
+                assert value == word_by_word(
+                    p, QMatrix.identity(n), point.get, lambda coeff: coeff.eval(assignment))
+                if integral and not fractional:
+                    assert all(type(v) is int for row in value.data for v in row), value
+
+
+def test_a_one_point_call_leaves_out_a_word_that_vanishes_there():
+    # c[1,1,1] is 0 at this point, so x1 is left out and the value 2 keeps
+    # int entries although x1's entries are Fractions.
+    p = QuasiPoly({(): 2, (1,): c(1, 1, 1)})
+    point = {1: QMatrix([[0, Fraction(1, 2)], [3, Fraction(-1, 3)]])}
+    value, = genmat.evaluate(p, [point], 2)
+    assert repr(value.data) == repr(((2, 0), (0, 2)))
+
+
+def test_evaluate_raises_a_coefficient_to_its_exponent_in_one_power():
+    # c[1,1,1]^5000 x1 is one pow of the entry, not 5000 products of lanes.
+    p = QuasiPoly({(1,): c(1, 1, 1) ** 5000})
+    a = 10 ** 9 + 7
+    started = time.perf_counter()
+    value, = genmat.evaluate(p, [{1: QMatrix([[a, 1], [2, 3]])}], 2)
+    assert time.perf_counter() - started < 2
+    assert value == QMatrix([[a ** 5001, a ** 5000], [2 * a ** 5000, 3 * a ** 5000]])
+
+
+@pytest.mark.parametrize("variable", [(1, 3, 1), (1, 1, 3)])
+def test_evaluate_refuses_a_coefficient_index_past_n(variable):
+    # Read as a lane, c[1,1,3] at n = 2 would be entry (2, 1) of x1; evaluate
+    # refuses it as phi_eval does, at one point and at many.
+    p = QuasiPoly({(1,): c(*variable)})
+    with pytest.raises(DimensionMismatch) as symbolic:
+        genmat.phi_eval(p, 2)
+    assert str(symbolic.value) == "coefficient variable c[%d,%d,%d] exceeds n=2" % variable
+    rng = random.Random(5)
+    for size in (1, 5):
+        points = [{1: QMatrix.random(2, 2, rng, 5)} for _ in range(size)]
+        with pytest.raises(DimensionMismatch) as numeric:
+            genmat.evaluate(p, points, 2)
+        assert str(numeric.value) == str(symbolic.value)
+
+
 def test_word_paths_extend_once_per_trie_node(monkeypatch):
     steps = []
     prefix_walk = genmat.prefix_walk
