@@ -28,7 +28,7 @@ from .errors import (
     NotHomogeneous,
     NotMultilinear,
 )
-from .ratpoly import CPoly, Monomial, Terms, add_terms, monomial, scaled
+from .ratpoly import CPoly, Monomial, Terms, Variable, add_terms, monomial, scaled
 
 Word = tuple[int, ...]
 
@@ -120,11 +120,7 @@ class QuasiPoly(Terms):
     def check_indices(self, n: int) -> None:
         """Raise DimensionMismatch, naming the least such variable, when a
         coefficient variable c[k,i,j] has i or j outside 1..n."""
-        bad = [v for c in self._terms.values() for v in c.variables()
-               if not 1 <= min(v[1:]) <= max(v[1:]) <= n]
-        if bad:
-            k, i, j = min(bad)
-            raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
+        check_variable_indices((v for c in self._terms.values() for v in c.variables()), n)
 
     def has_scalar_coefficients(self) -> bool:
         return all(c.is_constant() for c in self._terms.values())
@@ -204,6 +200,15 @@ class QuasiPoly(Terms):
         if coeff.is_constant():
             return scaled(coeff.constant_value(), body)
         return f"({coeff})*{body}" if body else f"({coeff})"
+
+
+def check_variable_indices(variables: Iterable[Variable], n: int) -> None:
+    """Raise DimensionMismatch, naming the least such variable, when some
+    c[k,i,j] among variables has i or j outside 1..n."""
+    bad = [v for v in variables if not 1 <= min(v[1:]) <= max(v[1:]) <= n]
+    if bad:
+        k, i, j = min(bad)
+        raise DimensionMismatch(f"coefficient variable c[{k},{i},{j}] exceeds n={n}")
 
 
 def _coeff_degree_in(mono: Monomial, k: int) -> int:

@@ -14,9 +14,13 @@ packed monomials: a packed monomial (Packing) gives each variable c[k,i,j] one
 bit field, all of one width, holding its exponent (Kronecker substitution),
 with field codes dense over the generators in use; the width is the bit
 length of the largest total degree the keys reach, so no exponent carries
-into the next field, and multiplying by c[k,r,l] is one int addition.  CPoly
-monomials and Fractions are built once, from the root's table, by the one
-decoder Packing.cpoly.  At points (evaluate) the fold is over matrices of
+into the next field, and multiplying by c[k,r,l] is one int addition.  The
+image keeps the root's table: its CPolys are built by the one decoder
+Packing.cpoly only when its data is first read, and a verdict reads the table
+itself (zero when every entry is empty, scalar when every entry off the
+diagonal is and the diagonal ones are equal), so is_quasi_identity,
+is_central and the symbolic verdicts of check and capelli-dep decode
+nothing.  At points (evaluate) the fold is over matrices of
 lanes: a lane is one entry's values over all the points of the call, and a
 matrix is one list of its n^2 lanes end to end.  M_k (c 1 + below) is then
 c M_k plus, for each l, column l of M_k spread along the rows times row l of
@@ -75,7 +79,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, MissingAssignment, capped_power
 from .exactla import QMatrix
-from .freealg import QuasiPoly, Word, perm_sign, word_key
+from .freealg import QuasiPoly, Word, check_variable_indices, perm_sign, word_key
 from .ratpoly import CPoly, Monomial, Scalar, Terms, Variable, add_terms, scaled
 
 
@@ -94,11 +98,13 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     The words are summed by trie_fold: an accumulator is an n x n table of
     {packed monomial: coefficient} dicts, and a trie edge for letter k adds
     the key of c[k,r,l] to every key of the child's row l, dropping each
-    coefficient that cancels.  Every entry of the image is a CPoly, the zero
-    polynomial's included.  With a budget, an input whose image could build
-    more than budget coefficient terms raises BudgetExceeded before any is
-    built: a word w contributes n^(|w|+1) index paths per term of its
-    coefficient (errors.capped_power).
+    coefficient that cancels.  The image keeps the root's table
+    (_PackedImage): is_zero and is_scalar read it, and data, where every
+    entry is a CPoly, the zero polynomial's included, is decoded by
+    Packing.cpoly the first time it is read.  With a budget, an input whose
+    image could build more than budget coefficient terms raises
+    BudgetExceeded before any is built: a word w contributes n^(|w|+1) index
+    paths per term of its coefficient (errors.capped_power).
     """
     p.check_indices(n)
     terms = p.terms()
@@ -150,8 +156,39 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
             for mono, c in coeff.terms()}
         for w, coeff in terms
     }
-    image = node(*trie_fold(packed, edge))
-    return QMatrix([[packing.cpoly(out) for out in row] for row in image])
+    return _PackedImage(node(*trie_fold(packed, edge)), packing)
+
+
+class _PackedImage(QMatrix):
+    """phi_eval's image, kept as its n x n table of {packed monomial: nonzero
+    coefficient} dicts under one Packing.  data decodes every entry by
+    Packing.cpoly the first time it is read and keeps the result; is_zero and
+    is_scalar read the table.  Distinct keys of one Packing are distinct
+    monomials, so equal dicts are equal polynomials.  The table is read-only:
+    node() may put one coefficient dict on every diagonal entry."""
+
+    __slots__ = ("table", "packing", "_decoded")
+
+    def __init__(self, table: list[list[dict]], packing: Packing):
+        self.table = table
+        self.packing = packing
+        self._decoded = None
+        self.rows = self.cols = len(table)
+
+    @property
+    def data(self):
+        if self._decoded is None:
+            self._decoded = tuple(tuple(map(self.packing.cpoly, row)) for row in self.table)
+        return self._decoded
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.table))
+
+    def is_scalar(self) -> bool:
+        t = self.table
+        return all(
+            x == t[0][0] if i == j else not x for i, row in enumerate(t) for j, x in enumerate(row)
+        )
 
 
 class Packing:
@@ -182,10 +219,12 @@ class Packing:
         """The CPoly of a {packed monomial: nonzero coefficient} dict.  Each
         key is read from its lowest set bit up, one set field at a time, so
         the variables come out in sorted order and a key costs its
-        variables, not its n^2 fields per generator."""
+        variables, not its n^2 fields per generator.  Terms with equal
+        coefficients share one Fraction, which is immutable."""
         n, width = self.n, self.width
         mask = (1 << width) - 1
         variables: dict[int, Variable] = {}
+        fractions: dict[Scalar, Fraction] = {}
         out: dict[Monomial, Fraction] = {}
         for key, c in terms.items():
             mono = []
@@ -202,7 +241,10 @@ class Packing:
                 mono.append((v, key & mask))
                 key >>= width
                 code += 1
-            out[tuple(mono)] = Fraction(c)
+            f = fractions.get(c)
+            if f is None:
+                f = fractions[c] = Fraction(c)
+            out[tuple(mono)] = f
         # Distinct keys decode to distinct monomials, so out is already canonical.
         return CPoly()._new(out)
 
@@ -297,12 +339,14 @@ def word_paths(
 
 
 def is_quasi_identity(p: QuasiPoly, n: int) -> bool:
-    """True iff p vanishes under every evaluation in the n x n matrices."""
+    """True iff p vanishes under every evaluation in the n x n matrices,
+    read from phi_eval's packed table without decoding an entry."""
     return phi_eval(p, n).is_zero()
 
 
 def is_central(p: QuasiPoly, n: int) -> bool:
-    """True iff every evaluation of p is a scalar matrix."""
+    """True iff every evaluation of p is a scalar matrix, read from
+    phi_eval's packed table without decoding an entry."""
     return phi_eval(p, n).is_scalar()
 
 
@@ -346,7 +390,9 @@ def verdict_values(
 ) -> Iterator[tuple[dict[int, QMatrix] | None, QMatrix]]:
     """The values a verdict on p is decided from, lazily, each with the point
     it was taken at: in symbolic mode the one image phi_eval(p, n,
-    budget=budget), at no point (None); in randomized mode p's values at the
+    budget=budget), at no point (None), whose is_zero and is_scalar read its
+    packed table, so that its entries are decoded only if a consumer reads
+    its data; in randomized mode p's values at the
     trials points of _random_points over its sorted generators, in their
     order, evaluated the first alone and then POINT_CHUNK at a time.  p is
     zero (central) when every value is.  Both modes refuse a coefficient index
@@ -391,8 +437,13 @@ def evaluate(
     point gives alone, entry types included in a one-point call; one D
     serves every point, so in a batch an entry may be an integral Fraction
     where its point alone gives an int.  Indices are checked first."""
-    p.check_indices(n)
-    gens = p.generators()
+    # One walk over the coefficients' monomials gives every (variable,
+    # exponent) pair a lane is raised to, the variables to check and, with
+    # the words' letters, the generators.
+    used = {ve for c in p._terms.values() for mono in c._terms for ve in mono}
+    variables = {v for v, _ in used}
+    check_variable_indices(variables, n)
+    gens = {k for w in p._terms for k in w}.union(k for k, _, _ in variables)
     for point in points:
         for k, m in point.items():
             if m.shape() != (n, n):
@@ -416,7 +467,7 @@ def evaluate(
     }
     # powers[c[k,i,j], e] is entry (i, j) of images[k] raised to e.
     powers = {}
-    for (k, i, j), e in {ve for c in p._terms.values() for mono in c._terms for ve in mono}:
+    for (k, i, j), e in used:
         lane = images[k][((i - 1) * n + j - 1) * size:((i - 1) * n + j) * size]
         powers[(k, i, j), e] = lane if e == 1 else list(map(pow, lane, itertools.repeat(e)))
     # A coefficient's lane sums, point by point, each monomial's coefficient

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasident import genmat
+from quasident import cli, genmat
 from quasident.errors import BudgetExceeded, DimensionMismatch
 from quasident.exactla import QMatrix
 from quasident.freealg import QuasiPoly, perm_sign
@@ -727,3 +729,51 @@ def test_word_paths_extend_once_per_trie_node(monkeypatch):
     steps.clear()
     q3.expand(3)
     assert len(steps) == len(trie_nodes(t for (traces, _), _ in q3.terms() for t in traces))
+
+
+def counting_decodes(monkeypatch):
+    """A list that records every Packing.cpoly call from now on."""
+    decoded = []
+    cpoly = genmat.Packing.cpoly
+
+    def counted(packing, terms):
+        decoded.append(terms)
+        return cpoly(packing, terms)
+
+    monkeypatch.setattr(genmat.Packing, "cpoly", counted)
+    return decoded
+
+
+@pytest.mark.parametrize("n, p, central", [
+    (3, genmat.standard_poly(5), False),
+    (2, (x(1) * x(2) - x(2) * x(1)) ** 2, True),
+], ids=["S5-n3", "commutator-squared-n2"])
+def test_a_symbolic_check_decodes_no_entry_of_its_image(monkeypatch, n, p, central):
+    decoded = counting_decodes(monkeypatch)
+    buf = io.StringIO()
+    argv = ["--format", "json", "check", "--n", str(n), "--expr", cli.format_quasipoly(p)]
+    assert cli.run_command(argv, buf) == 0
+    results = json.loads(buf.getvalue())["results"]
+    assert (results["quasi_identity"], results["central"]) == (False, central)
+    assert decoded == []
+
+
+def test_an_image_decodes_each_entry_once_when_its_data_is_read(monkeypatch):
+    decoded = counting_decodes(monkeypatch)
+    p = (x(1) * x(2) - x(2) * x(1)) ** 2 + QuasiPoly.const(c(1, 1, 2) * Fraction(1, 2))
+    image = genmat.phi_eval(p, 2)
+    assert image.is_scalar() and not image.is_zero()
+    assert decoded == []
+    first = image.data
+    assert len(decoded) == 4
+    assert image.data is first and image[1, 1] == first[1][1]
+    assert len(decoded) == 4
+
+
+def test_an_image_equals_the_product_of_its_generic_matrices():
+    g1, g2 = genmat.generic_matrix(1, 3), genmat.generic_matrix(2, 3)
+    image = genmat.phi_eval(x(1) * x(2) * x(1) - x(2).scale(Fraction(2, 3)), 3)
+    product = g1 * g2 * g1 - g2.scale(Fraction(2, 3))
+    assert image == product and product == image
+    assert image.shape() == (3, 3) and hash(image) == hash(product)
+    assert genmat.phi_eval(QuasiPoly.zero(), 2) == QMatrix([[CPoly.zero()] * 2] * 2)

@@ -5,7 +5,8 @@ coefficients alike; the image itself equals a reference that multiplies
 generic matrices word by word.  phi_eval and evaluate sum the words by one
 Horner fold over their trie (trie_fold); TracePoly.expand, which walks each
 trace factor's index paths (word_paths), equals traces of generic-matrix
-products."""
+products.  The image's is_zero and is_scalar, read from its packed table
+without decoding it, equal those of its decoded entries."""
 
 import pytest
 
@@ -19,7 +20,9 @@ from fractions import Fraction  # noqa: E402
 
 from quasident.exactla import QMatrix  # noqa: E402
 from quasident.freealg import QuasiPoly  # noqa: E402
-from quasident.genmat import TracePoly, evaluate, generic_matrix, phi_eval  # noqa: E402
+from quasident.genmat import (  # noqa: E402
+    TracePoly, cayley_hamilton_q, evaluate, generic_matrix, phi_eval,
+)
 from quasident.ratpoly import CPoly, monomial  # noqa: E402
 
 settings = hypothesis_settings(max_examples=60, deadline=None)
@@ -312,3 +315,64 @@ def test_trace_expand_equals_traces_of_generic_products(case):
     assert expanded == reference_expand(t, n)
     for _, coeff in expanded.terms():
         assert coeff and all(type(c) is Fraction and c for _, c in coeff.terms())
+
+
+COMMUTATOR = QuasiPoly({(1, 2): 1, (2, 1): -1})
+
+
+def diagonal_and_antidiagonal():
+    """Two inputs at n = 2: one whose image is diagonal but not scalar, one
+    whose image is zero on the diagonal but not off it.  Each combines 1, x1,
+    x2 and x1 x2 with coefficients in the entries of phi(x1), phi(x2) and
+    their product, chosen by Cramer's rule so the unwanted entries cancel."""
+    x, y = generic_matrix(1, 2), generic_matrix(2, 2)
+    (a, b), (c, d) = x.data
+    (_, f), (g, _) = y.data
+    prod = (x * y).data
+    diagonal = QuasiPoly({
+        (1,): f * prod[1][0] - prod[0][1] * g,
+        (2,): prod[0][1] * c - b * prod[1][0],
+        (1, 2): b * g - f * c,
+    })
+    antidiagonal = QuasiPoly({
+        (): a * prod[1][1] - d * prod[0][0], (1,): prod[0][0] - prod[1][1], (1, 2): d - a,
+    })
+    return diagonal, antidiagonal
+
+
+DIAGONAL, ANTIDIAGONAL = diagonal_and_antidiagonal()
+
+
+@st.composite
+def verdict_cases(draw):
+    """(n, p): a multiple of the commutator squared (central and nonzero at
+    n = 2, not central at n = 3), plus a multiple of q_n, whose image is zero
+    and whose coefficients read c[1,i,j], plus a constant, plus possibly an
+    image from images(); every multiple is a fraction and may be zero, so
+    zero, scalar and non-scalar images all come up."""
+    n, extra = draw(images().filter(lambda case: case[0] > 1))
+    fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    p = (COMMUTATOR * COMMUTATOR).scale(draw(fractions))
+    p = p + cayley_hamilton_q(n).scale(draw(fractions)) + QuasiPoly.const(draw(fractions))
+    return n, (p + extra if draw(st.booleans()) else p)
+
+
+@settings
+@given(verdict_cases())
+@example((2, QuasiPoly.zero()))
+@example((2, COMMUTATOR * COMMUTATOR))
+@example((3, COMMUTATOR * COMMUTATOR))
+@example((2, QuasiPoly.const(3)))
+@example((3, QuasiPoly.const(Fraction(-1, 2))))
+@example((2, cayley_hamilton_q(2).scale(Fraction(2, 3))))
+@example((3, cayley_hamilton_q(3) + QuasiPoly.const(CPoly.variable(2, 1, 3))))
+@example((2, QuasiPoly({(1,): CPoly.variable(1, 2, 1)})))
+@example((2, DIAGONAL))
+@example((2, ANTIDIAGONAL))
+def test_image_verdicts_read_from_the_table_equal_the_decoded_ones(case):
+    n, p = case
+    image = phi_eval(p, n)
+    verdicts = image.is_zero(), image.is_scalar()
+    decoded = QMatrix(phi_eval(p, n).data)
+    assert verdicts == (decoded.is_zero(), decoded.is_scalar())
+    assert image == decoded
