@@ -34,14 +34,16 @@ the denominators of every value in the call, is its word's weight, and D
 divides the matrices once, only when D > 1, so integer points with integral
 values keep int entries.
 
-A word's own product, not a sum, comes from the one walk prefix_walk: the
-distinct words in lexicographic order, with a stack of the products of the
-prefix a word shares with the word before it, so each node of the words' trie
-costs one step.  word_paths walks index paths: entry (i,j) of a word's
-product is the sum over paths i = l_0, l_1, ..., l_|w| = j of the monomials
+One multiplication serves every packed table: Packing.times(k, table, acc)
+returns acc + M_k table, each key of entry (l, j) shifted by the key of
+c[k,r,l] into entry (r, j).  phi_eval's trie edge is one call of it, and a
+word's own product, not a sum, is times folded over its letters from the
+right (Packing.product): entry (i,j) of a word's product is the sum over
+paths i = l_0, l_1, ..., l_|w| = j of the monomials
 c[w_1,l_0,l_1]*...*c[w_|w|,l_(|w|-1),l_|w|], each kept as a packed int with
 an integer multiplicity.  TracePoly.expand multiplies the diagonals of its
-trace factors by adding keys, and idsolve keys its equations by them.
+trace factors by adding keys, and idsolve keys its equations by them,
+building each word's table by one times from that of its suffix.
 
 Every verdict of the check and capelli-dep commands is decided from
 verdict_values: the one phi_eval image in symbolic mode, or the values at
@@ -96,15 +98,14 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     """Evaluation homomorphism: x_k -> generic matrix, scalars -> scalar matrices.
 
     The words are summed by trie_fold: an accumulator is an n x n table of
-    {packed monomial: coefficient} dicts, and a trie edge for letter k adds
-    the key of c[k,r,l] to every key of the child's row l, dropping each
-    coefficient that cancels.  The image keeps the root's table
-    (_PackedImage): is_zero and is_scalar read it, and data, where every
-    entry is a CPoly, the zero polynomial's included, is decoded by
-    Packing.cpoly the first time it is read.  With a budget, an input whose
-    image could build more than budget coefficient terms raises
-    BudgetExceeded before any is built: a word w contributes n^(|w|+1) index
-    paths per term of its coefficient (errors.capped_power).
+    {packed monomial: coefficient} dicts, and a trie edge for letter k is
+    Packing.times, M_k times the child's value added into its parent's.  The
+    image keeps the root's table (_PackedImage): is_zero and is_scalar read
+    it, and data, where every entry is a CPoly, the zero polynomial's
+    included, is decoded by Packing.cpoly the first time it is read.  With a
+    budget, an input whose image could build more than budget coefficient
+    terms raises BudgetExceeded before any is built: a word w contributes
+    n^(|w|+1) index paths per term of its coefficient (errors.capped_power).
     """
     p.check_indices(n)
     terms = p.terms()
@@ -117,11 +118,6 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
     width = max((len(w) + c.degree() for w, c in terms), default=0).bit_length()
     packing = Packing(p.generators(), n, width)
     cols = range(1, n + 1)
-    # units[k][r-1][l-1] is the key of c[k,r,l].
-    units = {
-        k: [[1 << width * packing.code(k, r, l) for l in cols] for r in cols]
-        for k in packing.gens
-    }
 
     def node(c: dict, below: list[list[dict]] | None) -> list[list[dict]]:
         # A node's value c 1 + below, as a table.
@@ -133,22 +129,7 @@ def phi_eval(p: QuasiPoly, n: int, *, budget: int | None = None) -> QMatrix:
         return below
 
     def edge(k: int, c: dict, below: list[list[dict]] | None, acc):
-        # Entry (r, j) of M_k (c 1 + below) is the sum over l of the key of
-        # c[k,r,l] added to each key of entry (l, j) of c 1 + below.
-        if acc is None:
-            acc = [[{} for _ in cols] for _ in cols]
-        value = node(c, below)
-        for acc_row, unit_row in zip(acc, units[k]):
-            for unit, value_row in zip(unit_row, value):
-                for out, entry in zip(acc_row, value_row):
-                    for key, coeff in entry.items():
-                        key += unit
-                        s = out.get(key, 0) + coeff
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
-        return acc
+        return packing.times(k, node(c, below), acc)
 
     # Each word's coefficient as {packed monomial: int or Fraction}.
     packed = {
@@ -200,13 +181,22 @@ class Packing:
     sorted gens: codes are dense over the generators a caller uses, so a
     key's length depends on how many generators there are, not on their
     indices, and codes sort as the triples do.  Keys add as their monomials
-    multiply while no exponent passes 2^width - 1."""
+    multiply while no exponent passes 2^width - 1.
+
+    A table is an n x n list of rows of {packed monomial: nonzero
+    coefficient} dicts, a matrix over the packed monomials; times multiplies
+    one by a generic matrix, and is the only product of the two."""
 
     def __init__(self, gens: Iterable[int], n: int, width: int):
         self.gens = sorted(set(gens))
         self.rank = {k: r for r, k in enumerate(self.gens)}
         self.n = n
         self.width = width
+        cols = range(1, n + 1)
+        # units[k][r-1][l-1] is the key of c[k,r,l].
+        self.units = {
+            k: [[1 << width * self.code(k, r, l) for l in cols] for r in cols] for k in self.gens
+        }
 
     def code(self, k: int, i: int, j: int) -> int:
         return (self.rank[k] * self.n + i - 1) * self.n + j - 1
@@ -248,25 +238,38 @@ class Packing:
         # Distinct keys decode to distinct monomials, so out is already canonical.
         return CPoly()._new(out)
 
+    def times(self, k: int, table: list[list[dict]], acc: list[list[dict]] | None = None
+              ) -> list[list[dict]]:
+        """acc + M_k table, M_k the generic matrix of x_k, written into acc (a
+        new zero table when None): entry (r, j) gains, over l, the key of
+        c[k,r,l] added to each key of entry (l, j) of table, one int
+        addition per key, and a coefficient that cancels is dropped.  k must
+        be among gens, and width must hold the degrees the keys reach."""
+        if acc is None:
+            acc = [[{} for _ in table] for _ in table]
+        for acc_row, unit_row in zip(acc, self.units[k]):
+            for unit, table_row in zip(unit_row, table):
+                for out, entry in zip(acc_row, table_row):
+                    for key, coeff in entry.items():
+                        key += unit
+                        s = out.get(key, 0) + coeff
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+        return acc
 
-def prefix_walk(words: Iterable[Word], unit, step) -> Iterator[tuple[Word, object]]:
-    """(w, product) for each distinct word w, in lexicographic order, where
-    the product is step folded over w's letters, starting from unit.
-
-    A stack keeps the products of the prefix a word shares with the word
-    before it, so each node of the words' trie costs one step."""
-    stack = [unit]  # stack[t] is the product of the current word's first t letters
-    previous: Word = ()
-    for w in sorted(set(words)):
-        # previous sorts before w, so w is no prefix of it and w[shared] exists.
-        shared = 0
-        while shared < len(previous) and previous[shared] == w[shared]:
-            shared += 1
-        del stack[shared + 1:]
-        for k in w[shared:]:
-            stack.append(step(stack[-1], k))
-        previous = w
-        yield w, stack[-1]
+    def product(self, w: Word) -> list[list[dict]]:
+        """The table of the product of w's generic matrices, times folded
+        over w's letters from the right, starting from the identity ({0: 1}
+        on the diagonal): entry (i, j) maps the key of each monomial
+        c[w_1,i,l_1]*...*c[w_|w|,l_(|w|-1),j] to the number of index paths
+        that read it."""
+        cols = range(self.n)
+        table = [[{0: 1} if j == i else {} for j in cols] for i in cols]
+        for k in reversed(w):
+            table = self.times(k, table)
+        return table
 
 
 def trie_fold(terms: Mapping[Word, object], edge) -> list:
@@ -302,40 +305,6 @@ def trie_fold(terms: Mapping[Word, object], edge) -> list:
         path = w
     fold(0)
     return stack[0]
-
-
-def word_paths(
-    words: Iterable[Word], packing: Packing
-) -> Iterator[tuple[Word, list[list[dict]]]]:
-    """(w, table) for each distinct word, by prefix_walk: entry (i, j) of the
-    table is entry (i, j) of the product of w's generic matrices at size
-    packing.n, as {packed monomial: multiplicity}.
-
-    Every letter must be among packing.gens, and packing.width must hold the
-    largest total degree the caller's keys reach, so no exponent carries
-    into the next field.  Each letter k extends every path ending at column
-    l by the one variable c[k,l,j], one int addition; no coefficient is
-    multiplied and no monomial is built.  Distinct paths that read the same
-    variables (a repeated letter) share a key.  The empty word gives the
-    identity: {0: 1} on the diagonal."""
-    cols = range(1, packing.n + 1)
-    width, code = packing.width, packing.code
-
-    def extend(table: list[list[dict]], k: int) -> list[list[dict]]:
-        # units[l-1][j-1] is the key of c[k,l,j].
-        units = [[1 << width * code(k, l, j) for j in cols] for l in cols]
-        out = []
-        for row in table:
-            step: list[dict] = [{} for _ in cols]
-            for paths, unit_row in zip(row, units):
-                for v, acc in zip(unit_row, step):
-                    for key, mult in paths.items():
-                        key += v
-                        acc[key] = acc.get(key, 0) + mult
-            out.append(step)
-        return out
-
-    return prefix_walk(words, [[{0: 1} if j == i else {} for j in cols] for i in cols], extend)
 
 
 def is_quasi_identity(p: QuasiPoly, n: int) -> bool:
@@ -623,14 +592,14 @@ class TracePoly(Terms):
 
     def expand(self, n: int) -> QuasiPoly:
         """Expand every trace factor into generic-matrix entries: the
-        diagonal of its index paths, from one walk over the distinct factors."""
+        diagonal of its Packing.product, once per distinct factor."""
         factors = {t for traces, _ in self._terms for t in traces}
         width = max((sum(map(len, traces)) for traces, _ in self._terms), default=0).bit_length()
         packing = Packing((g for t in factors for g in t), n, width)
-        diagonals = {
-            t: add_terms({}, (p for i, row in enumerate(table) for p in row[i].items()))
-            for t, table in word_paths(factors, packing)
-        }
+        diagonals = {}
+        for t in factors:
+            table = packing.product(t)
+            diagonals[t] = add_terms({}, (p for i, row in enumerate(table) for p in row[i].items()))
         by_word: dict[Word, dict] = {}
         for (traces, w), coeff in self._terms.items():
             product = {0: coeff.numerator if coeff.denominator == 1 else coeff}

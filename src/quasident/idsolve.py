@@ -13,9 +13,10 @@ form has no double counting, so the quasi-identities of that shape are
 exactly the nullspace of one exact homogeneous linear system: expanding the
 generic-matrix image of the ansatz is linear in the unknowns, and every
 (matrix entry, coefficient monomial) pair gives one equation, read off
-genmat's index-path walk of each word.  The system is extremely sparse
-(almost every unknown meets an equation in a single path product), so it is
-fed to exactla's sparse row eliminator.
+each word's index paths: a packed table that genmat's Packing.times builds
+from the table of the word's suffix (every suffix of an ansatz word is one).
+The system is extremely sparse (almost every unknown meets an equation in a
+single path product), so it is fed to exactla's sparse row eliminator.
 
 one_variable_divide peels the top word degree of a one-generator
 quasi-identity against the degree-n characteristic identity and certifies
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .exactla import QMatrix, Subspace, rank as qrank
 from .freealg import QuasiPoly, Word
-from .genmat import Packing, word_paths
+from .genmat import Packing
 from .ratpoly import CPoly, Monomial
 
 # An unknown of the ansatz: (k, sigma, mu) where sigma is the permutation as a
@@ -149,10 +150,13 @@ def multilinear_identity_space(
     # no variable repeats and one bit per variable code suffices.
     equations: dict[tuple[int, int, int], dict[int, int]] = {}
     packing = Packing(range(1, d + 1), n, 1)
-    walks = dict(word_paths({sigma[k:] for k, sigma, _ in ansatz.unknowns}, packing))
+    # Shortest first, so each word's suffix w[1:] has its table already.
+    tables = {}
+    for w in sorted({sigma[k:] for k, sigma, _ in ansatz.unknowns}, key=len):
+        tables[w] = packing.times(w[0], tables[w[1:]]) if w else packing.product(w)
     for idx, (k, sigma, mu) in enumerate(ansatz.unknowns):
         base = packing.pack([((g, s, t), 1) for g, (s, t) in zip(sigma[:k], mu)])
-        for u, row in enumerate(walks[sigma[k:]], start=1):
+        for u, row in enumerate(tables[sigma[k:]], start=1):
             for v, paths in enumerate(row, start=1):
                 for key, mult in paths.items():
                     equation = equations.setdefault((u, v, base + key), {})
@@ -235,8 +239,10 @@ def local_lin_dep(
         composite, n, mode=mode, seed=seed, trials=trials, bound=bound, budget=term_budget
     )
     dependent = all(v.is_zero() for _, v in values)
+    # A composite that is zero as a polynomial (a zero f, or two equal fs)
+    # is a quasi-identity whatever the points were.
     confidence = "exact"
-    if mode == "randomized" and dependent:
+    if mode == "randomized" and dependent and not composite.is_zero():
         per_trial = Fraction(min(composite.word_degree(), 2 * bound + 1), 2 * bound + 1)
         confidence = f"false-dependent probability <= ({per_trial})^{trials}"
     if dependent:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasident import cli, genmat
+from quasident import cli, genmat, idsolve
 from quasident.errors import BudgetExceeded, DimensionMismatch
 from quasident.exactla import QMatrix
 from quasident.freealg import QuasiPoly, perm_sign
@@ -419,8 +419,8 @@ def test_evaluate_multiplies_once_per_shared_prefix(monkeypatch):
 
 def reference_word_paths(w, packing):
     """Entry (i, j) of the product of w's generic matrices as {sorted codes:
-    multiplicity}, every word walked from scratch: the per-word walk that
-    word_paths replaced."""
+    multiplicity}, each path extended letter by letter from the left as a
+    tuple of variable codes: the oracle of Packing.product."""
     cols = range(1, packing.n + 1)
     out = []
     for i in cols:
@@ -466,15 +466,16 @@ SPREAD = {1: 2, 2: 7, 3: 10 ** 12}
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_word_paths_equal_the_per_word_walk(n):
+    # Packing.product folds Packing.times over a word from the right; the
+    # words include the empty word and repeated letters.
     rng = random.Random(n)
     for _ in range(20):
         words = [tuple(SPREAD[k] for k in w) for w in random_words(rng)]
         # The field width holds the longest word's degree.
         width = max(map(len, words)).bit_length()
         packing = genmat.Packing(SPREAD.values(), n, width)
-        walked = list(genmat.word_paths(words, packing))
-        assert [w for w, _ in walked] == sorted(set(words))
-        for w, table in walked:
+        for w in words:
+            table = packing.product(w)
             unpacked = [[{decoded(key, width): mult for key, mult in paths.items()}
                          for paths in row] for row in table]
             # Equal dicts: no two keys decode alike, and every multiplicity matches.
@@ -484,6 +485,51 @@ def test_word_paths_equal_the_per_word_walk(n):
             # A key has one field per variable of the three generators.
             assert all(key.bit_length() <= 3 * n * n * width
                        for row in table for paths in row for key in paths)
+    # The empty word is the identity, at width 0 too.
+    assert genmat.Packing((), n, 0).product(()) == [
+        [{0: 1} if j == i else {} for j in range(n)] for i in range(n)]
+
+
+def decoded_table(packing, table):
+    """A table of packed dicts as a QMatrix of CPolys."""
+    return QMatrix([[packing.cpoly(entry) for entry in row] for row in table])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_times_adds_the_generic_product_into_its_accumulator(n):
+    # times(k, table, acc) is acc + M_k table, written into acc, and a
+    # coefficient that cancels leaves no key behind.
+    rng = random.Random(30 + n)
+    packing = genmat.Packing(SPREAD.values(), n, 3)
+    letters = list(SPREAD.values())
+
+    def random_entry():
+        variables = [(rng.choice(letters), rng.randint(1, n), rng.randint(1, n))
+                     for _ in range(rng.randint(0, 2))]
+        return {packing.pack(((v, 1),)): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                for v in variables}
+
+    def random_table():
+        return [[random_entry() for _ in range(n)] for _ in range(n)]
+
+    for _ in range(10):
+        k = rng.choice(letters)
+        table, acc = random_table(), random_table()
+        product = genmat.generic_matrix(k, n) * decoded_table(packing, table)
+        expected = decoded_table(packing, acc) + product
+        assert packing.times(k, table, acc) is acc
+        assert decoded_table(packing, acc) == expected
+        assert decoded_table(packing, packing.times(k, table)) == product
+    # M_2 x1 - M_2 x1 plus one further key: every product key cancels.
+    k, other = letters[1], letters[2]
+    x1 = packing.product((letters[0],))
+    acc = packing.times(k, x1)
+    extra = packing.pack((((other, 1, n), 1),))
+    acc[0][0][extra] = Fraction(1, 2)
+    negated = [[{key: -mult for key, mult in entry.items()} for entry in row] for row in x1]
+    packing.times(k, negated, acc)
+    assert acc == [[{extra: Fraction(1, 2)} if (i, j) == (0, 0) else {} for j in range(n)]
+                   for i in range(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -512,20 +558,6 @@ def test_packed_monomials_round_trip_at_the_field_boundaries(n):
         wider = genmat.Packing(SPREAD.values(), n, (full + 1).bit_length())
         assert wider.width == width + 1
         assert wider.cpoly({wider.pack(over): 1}) == CPoly({over: 1})
-
-
-def test_prefix_walk_folds_each_word_once_per_trie_node():
-    rng = random.Random(5)
-    for _ in range(50):
-        words = random_words(rng)
-        steps = []
-
-        def step(prefix, k):
-            steps.append(k)
-            return prefix + (k,)
-
-        assert list(genmat.prefix_walk(words, (), step)) == [(w, w) for w in sorted(set(words))]
-        assert len(steps) == len(trie_nodes(words))
 
 
 def word_by_word(p, one, matrix, value):
@@ -688,47 +720,47 @@ def test_evaluate_refuses_a_coefficient_index_past_n(variable):
         assert str(numeric.value) == str(symbolic.value)
 
 
-def test_word_paths_extend_once_per_trie_node(monkeypatch):
-    steps = []
-    prefix_walk = genmat.prefix_walk
+def counting_times(monkeypatch):
+    """A list that records the letter of every Packing.times call from now on."""
+    letters = []
+    times = genmat.Packing.times
 
-    def counted(words, unit, step):
-        def counted_step(table, k):
-            steps.append(k)
-            return step(table, k)
+    def counted(packing, k, table, acc=None):
+        letters.append(k)
+        return times(packing, k, table, acc)
 
-        return prefix_walk(words, unit, counted_step)
+    monkeypatch.setattr(genmat.Packing, "times", counted)
+    return letters
 
-    monkeypatch.setattr(genmat, "prefix_walk", counted)
-    rng = random.Random(6)
-    for n in (1, 2, 3):
-        words = random_words(rng)
-        steps.clear()
-        list(genmat.word_paths(words, genmat.Packing({1, 2, 3}, n, 3)))
-        assert len(steps) == len(trie_nodes(words))
+
+def test_phi_eval_multiplies_once_per_trie_edge(monkeypatch):
     # phi_eval folds S_4's 24 words by Horner's rule: one left multiplication
-    # per trie edge, 64, where walking every word from scratch takes 96.
-    edges = []
-    trie_fold = genmat.trie_fold
-
-    def counted_fold(terms, edge):
-        def counted_edge(k, c, below, acc):
-            edges.append(k)
-            return edge(k, c, below, acc)
-
-        return trie_fold(terms, counted_edge)
-
-    monkeypatch.setattr(genmat, "trie_fold", counted_fold)
+    # per trie edge, 64, where multiplying out every word takes 96.
+    letters = counting_times(monkeypatch)
     s4 = genmat.standard_poly(4)
-    steps.clear()
     assert genmat.phi_eval(s4, 2).is_zero()
-    assert not steps
-    assert len(edges) == len(trie_nodes(w for w, _ in s4.terms())) == 64
-    # TracePoly.expand walks its distinct trace factors in one pass.
-    q3 = genmat.cayley_hamilton_Q_trace(3)
-    steps.clear()
-    q3.expand(3)
-    assert len(steps) == len(trie_nodes(t for (traces, _), _ in q3.terms() for t in traces))
+    assert len(letters) == len(trie_nodes(w for w, _ in s4.terms())) == 64
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (1, 5)])
+def test_the_solver_multiplies_once_per_distinct_ansatz_word(monkeypatch, n, d):
+    # Each word's table is one multiplication of its suffix's, so the count is
+    # the number of distinct nonempty words, sum over k < d of d!/k!.
+    letters = counting_times(monkeypatch)
+    _, ansatz = idsolve.multilinear_identity_space(n, d)
+    words = {sigma[k:] for k, sigma, _ in ansatz.unknowns} - {()}
+    assert len(letters) == len(words) == sum(
+        math.factorial(d) // math.factorial(k) for k in range(d))
+
+
+def test_expand_multiplies_once_per_letter_of_each_distinct_factor(monkeypatch):
+    letters = counting_times(monkeypatch)
+    for n, trace in [(3, genmat.cayley_hamilton_Q_trace(3)), (4, genmat.cayley_hamilton_q_trace(4)),
+                     (2, genmat.TracePoly.tr((1, 2, 1)) * genmat.TracePoly.tr((2, 1, 1)))]:
+        letters.clear()
+        trace.expand(n)
+        factors = {t for (traces, _), _ in trace.terms() for t in traces}
+        assert len(letters) == sum(map(len, factors))
 
 
 def counting_decodes(monkeypatch):

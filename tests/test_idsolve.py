@@ -49,6 +49,36 @@ def test_solution_vectors_reassemble_to_identities():
             assert genmat.is_quasi_identity(p, n)
 
 
+def reference_identity_space(n, d):
+    """The solver's nullspace from a system read off products of
+    generic_matrix in QMatrix/CPoly arithmetic: each unknown's term, its
+    coefficient monomial times the product of its word's generic matrices,
+    gives every (entry, monomial) equation its coefficient."""
+    ansatz = idsolve.MultilinearAnsatz(n, d)
+    one = exactla.QMatrix([[CPoly.const(int(i == j)) for j in range(n)] for i in range(n)])
+    equations = {}
+    for idx, (k, sigma, mu) in enumerate(ansatz.unknowns):
+        image = one
+        for g in sigma[k:]:
+            image = image * genmat.generic_matrix(g, n)
+        coefficient = CPoly.const(1)
+        for g, (s, t) in zip(sigma[:k], mu):
+            coefficient = coefficient * c(g, s, t)
+        image = image.scale(coefficient)
+        for i in range(n):
+            for j in range(n):
+                for mono, value in image[i, j].terms():
+                    equations.setdefault((i, j, mono), {})[idx] = value
+    return exactla.Subspace.kernel(equations.values(), len(ansatz))
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3)])
+def test_identity_space_equals_the_generic_matrix_reference(n, d):
+    space, ansatz = idsolve.multilinear_identity_space(n, d)
+    assert space.ambient == len(ansatz)
+    assert space == reference_identity_space(n, d)
+
+
 def test_coordinates_roundtrip():
     rng = random.Random(0)
     ansatz = idsolve.MultilinearAnsatz(2, 2)
@@ -272,3 +302,12 @@ def test_the_ledger_has_the_report_keys():
     assert report["count"] == 2 and report["confidence"] == "exact"
     report = idsolve.local_lin_dep([QuasiPoly.one(), x(1), x(1) * x(1)], 2, mode="randomized", trials=3)
     assert report["confidence"] == "false-dependent probability <= (5/19)^3"
+
+
+@pytest.mark.parametrize("fs", [[x(1), x(1)], [QuasiPoly.zero(), x(1)]], ids=["equal", "zero"])
+def test_a_composite_that_is_zero_is_an_exact_randomized_verdict(fs):
+    # Two equal fs, or a zero f, make the Capelli composite the zero
+    # polynomial, so no point could have made the verdict false.
+    report = idsolve.local_lin_dep(fs, 2, mode="randomized", trials=5)
+    assert report["verdict"] == "dependent"
+    assert report["confidence"] == "exact"

@@ -3,10 +3,12 @@ specialized at a point, is the value evaluate computes there directly, and
 both equal a word-by-word reference sum, at integer and fractional points and
 coefficients alike; the image itself equals a reference that multiplies
 generic matrices word by word.  phi_eval and evaluate sum the words by one
-Horner fold over their trie (trie_fold); TracePoly.expand, which walks each
-trace factor's index paths (word_paths), equals traces of generic-matrix
-products.  The image's is_zero and is_scalar, read from its packed table
-without decoding it, equal those of its decoded entries."""
+Horner fold over their trie (trie_fold); TracePoly.expand, which reads each
+trace factor's index paths off its packed product (Packing.product, the
+Packing.times that phi_eval's trie edges use, folded over the factor), equals
+traces of generic-matrix products.  The image's is_zero and is_scalar, read
+from its packed table without decoding it, equal those of its decoded
+entries."""
 
 import pytest
 
